@@ -91,7 +91,9 @@ _GW_TOKEN = re.compile(r"\s*(H|<\s*(-?\d+(?:/\d+)?)\s*>|\+|-|(\d+)\s*\*)\s*")
 
 
 def parse_gw(text: str, field) -> GwElement:
-    """Parse '3*<1> + 2*<-1> - H' style expressions."""
+    """Parse '3*<1> + 2*<-1> - H' style expressions; blank or '0' is zero."""
+    if text.strip() in ("", "0"):
+        return GwElement.zero(field)
     pos = 0
     sign = 1
     coeff = 1
@@ -118,15 +120,36 @@ def parse_gw(text: str, field) -> GwElement:
             result = result + GwElement.hyperbolic(field) * (sign * coeff)
             sign, coeff, pending_coeff, saw_term = 1, 1, False, True
         else:
-            value = Fraction(match.group(2))
+            try:
+                value = Fraction(match.group(2))
+            except ZeroDivisionError:
+                raise InputDataError(f"zero denominator in GW expression: {text!r}") from None
             result = result + GwElement.unit(field, value) * (sign * coeff)
             sign, coeff, pending_coeff, saw_term = 1, 1, False, True
         pos = match.end()
     if pending_coeff:
         raise InputDataError("dangling coefficient in GW expression")
-    if not saw_term and text.strip() not in ("", "0"):
+    if not saw_term:
         raise InputDataError(f"empty GW expression: {text!r}")
     return result
+
+
+def _load_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputDataError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _parse_matrix(text: str) -> list:
+    try:
+        rows = json.loads(text)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("expected a JSON list of rows")
+        return [[Fraction(x) for x in row] for row in rows]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputDataError(f"malformed --matrix: {exc}") from exc
 
 
 def _polys_from_json(data: dict) -> list[MultiPoly]:
@@ -172,8 +195,7 @@ def _cmd_gw(args) -> tuple[dict, str]:
     if op == "diagonalize":
         if args.matrix is None:
             raise InputDataError("--matrix is required for op diagonalize")
-        rows = json.loads(args.matrix)
-        value = diagonalize_symmetric(rows, field)
+        value = diagonalize_symmetric(_parse_matrix(args.matrix), field)
         text = value.render(contract_h=args.contract_h)
         return {"value": value.to_json_dict(), "rendered": text}, text
     raise InputDataError(f"unknown gw op {op!r}")
@@ -202,9 +224,7 @@ def _cmd_dt_a3(args) -> tuple[dict, str]:
 
 
 def _cmd_ekl(args) -> tuple[dict, str]:
-    with open(args.map, encoding="utf-8") as fh:
-        data = json.load(fh)
-    system = _polys_from_json(data)
+    system = _polys_from_json(_load_json(args.map))
     field = parse_field_label(args.field)
     result = ekl_class(system, field)
     cls = result.gw_class
@@ -223,8 +243,7 @@ def _cmd_ekl(args) -> tuple[dict, str]:
 
 
 def _cmd_nearby(args) -> tuple[dict, str]:
-    with open(args.data, encoding="utf-8") as fh:
-        data = SncData.from_json_dict(json.load(fh))
+    data = SncData.from_json_dict(_load_json(args.data))
     cls = local_nearby_class(data) if args.local else nearby_class(data)
     key = "local_nearby_class" if args.local else "nearby_class"
     payload = {key: cls.to_json_dict(), "rendered": cls.render()}
@@ -372,9 +391,6 @@ def dispatch(argv=None) -> int:
     try:
         payload, text = args.handler(args)
     except ArithdtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(args, manifest, payload, text)

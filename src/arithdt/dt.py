@@ -12,7 +12,8 @@ MacMahon series M^sym(-it).
 
 Truncation lemma: the m-th factor of each infinite product is 1 + O(t^m),
 so a series of order N only needs the finitely many factors with m <= N;
-the truncated result is exact.
+the truncated result is exact.  Each factor (1 - c t^m ...)^{-e} is applied
+by one in-place division, result / factor**e, over its few nonzero terms.
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -40,17 +41,12 @@ from .series import (
 
 def z_motivic(order: int) -> TruncatedSeries:
     """Motivic partition function, coefficients in Z[L^{1/2}, L^{-1/2}]."""
-    if order < 1:
-        raise ArithdtError("order must be positive")
     result = TruncatedSeries.one(MOTIVIC_RING, order)
     for m in range(1, order + 1):
         for k in range(m):
-            factor = TruncatedSeries.from_terms(
-                MOTIVIC_RING,
-                order,
-                {0: MotivicClass.one(), m: -MotivicClass.u_power(2 * k + 4 - m)},
-            )
-            result = result * factor.inverse()
+            c = MotivicClass.u_power(2 * k + 4 - m)
+            factor = TruncatedSeries.from_terms(MOTIVIC_RING, order, {0: MOTIVIC_RING.one, m: -c})
+            result = result / factor
     return result
 
 
@@ -64,61 +60,39 @@ def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
     alpha^{-m} = <-1>^m alpha^m) and by the real specialization, which
     expands in powers of -it.
     """
-    if order < 1:
-        raise ArithdtError("order must be positive")
     ring = gw_alpha_ring(field)
-    one = GwAlphaElement.one(field)
     minus_one = GwElement.unit(field, -1)
     hyper = GwAlphaElement.from_even(GwElement.hyperbolic(field))
     result = TruncatedSeries.one(ring, order)
-    for n in range(1, (order + 1) // 2 + 1):
-        m = 2 * n - 1
-        if m > order:
-            break
-        coeff = alpha_power(field, m) * minus_one
-        factor = TruncatedSeries.from_terms(ring, order, {0: one, m: -coeff})
-        result = result * factor.inverse()
-    for n in range(2, order + 1):
-        exponent = n // 2
-        if exponent == 0:
-            continue
-        a_n = alpha_power(field, n)
-        a_2n = alpha_power(field, 2 * n)
-        terms = {0: one, n: -(a_n * hyper)}
-        if 2 * n <= order:
-            terms[2 * n] = minus_one * a_2n
-        factor = TruncatedSeries.from_terms(ring, order, terms)
-        result = result * factor ** (-exponent)
+    for m in range(1, order + 1):
+        paired = {
+            0: ring.one,
+            m: -(alpha_power(field, m) * hyper),
+            2 * m: minus_one * alpha_power(field, 2 * m),
+        }
+        result = result / TruncatedSeries.from_terms(ring, order, paired) ** (m // 2)
+        if m % 2:
+            unpaired = {0: ring.one, m: -(alpha_power(field, m) * minus_one)}
+            result = result / TruncatedSeries.from_terms(ring, order, unpaired)
     return result
 
 
 def macmahon(order: int) -> TruncatedSeries:
     """M(q) = prod (1 - q^n)^{-n}: the plane-partition counting series."""
-    if order < 1:
-        raise ArithdtError("order must be positive")
     result = TruncatedSeries.one(INT_RING, order)
     for n in range(1, order + 1):
         factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, n: -1})
-        result = result * factor ** (-n)
+        result = result / factor ** n
     return result
 
 
 def macmahon_symmetric(order: int) -> TruncatedSeries:
     """M^sym(q) = prod (1 - q^{2n-1})^{-1} (1 - q^{2n})^{-floor(n/2)}."""
-    if order < 1:
-        raise ArithdtError("order must be positive")
     result = TruncatedSeries.one(INT_RING, order)
-    n = 1
-    while 2 * n - 1 <= order:
-        factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, 2 * n - 1: -1})
-        result = result * factor.inverse()
-        n += 1
-    n = 1
-    while 2 * n <= order:
-        if n // 2:
-            factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, 2 * n: -1})
-            result = result * factor ** (-(n // 2))
-        n += 1
+    for m in range(1, order + 1):
+        # odd m = 2n - 1 has exponent 1, even m = 2n has exponent floor(n/2)
+        factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, m: -1})
+        result = result / factor ** (1 if m % 2 else m // 4)
     return result
 
 

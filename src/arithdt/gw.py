@@ -533,11 +533,11 @@ def hilbert_symbol(a, b, place) -> int:
     b = Fraction(b)
     if a == 0 or b == 0:
         raise ArithdtError("Hilbert symbols require nonzero arguments")
-    if place in (INFINITE_PLACE, float("inf")):
+    if place == INFINITE_PLACE:
         return -1 if a < 0 and b < 0 else 1
-    p = int(place)
-    if not is_prime(p):
-        raise ArithdtError(f"place must be a prime or infinity, got {place!r}")
+    if not isinstance(place, int) or not is_prime(place):
+        raise ArithdtError(f"place must be a prime or {INFINITE_PLACE!r}, got {place!r}")
+    p = place
     if p == 2:
         va, ua = _two_adic_split(a)
         vb, ub = _two_adic_split(b)

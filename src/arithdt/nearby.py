@@ -107,10 +107,10 @@ class SncData:
         try:
             dim = int(data["dim"])
             strata = tuple(StratumRecord.from_json_dict(s) for s in data.get("strata", []))
-        except (KeyError, TypeError, ValueError) as exc:
+            x0 = data.get("x0_class")
+            central = MotivicClass.from_json_dict(x0) if x0 is not None else None
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputDataError(f"malformed SNC data: {exc}") from exc
-        x0 = data.get("x0_class")
-        central = MotivicClass.from_json_dict(x0) if x0 is not None else None
         return cls(strata, dim, central)
 
 

@@ -3,7 +3,8 @@
 Coefficients live in any commutative ring whose elements support +, -, *
 and ==; the ring itself is described by a small adapter carrying its zero
 and one.  A series of order N stores coefficients of t^0 .. t^N and every
-operation truncates eagerly at that order.
+operation truncates eagerly at that order.  Inverses, negative powers and
+each Euler factor in dt.py are applied by one in-place division, __truediv__.
 """
 
 from __future__ import annotations
@@ -120,29 +121,36 @@ class TruncatedSeries:
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(self.ring, self.order, out)
 
-    def inverse(self) -> "TruncatedSeries":
-        """Two-sided inverse up to the truncation order.
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Quotient by a divisor whose constant term is the ring identity.
 
-        Requires constant term equal to the ring identity, which covers
-        every use in this package.
+        Solves out[n] = self[n] - sum_{d>=1} other[d] * out[n-d] in place,
+        over the divisor's nonzero terms only.
         """
-        if self.coeffs[0] != self.ring.one:
-            raise NonUnitError("series inverse requires constant term equal to one")
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check(other)
+        if other.coeffs[0] != self.ring.one:
+            raise NonUnitError("series division requires a divisor with constant term one")
         zero = self.ring.zero
-        out = [self.ring.one] + [zero] * self.order
+        terms = [(d, b) for d, b in enumerate(other.coeffs) if d and b != zero]
+        out = list(self.coeffs)
         for n in range(1, self.order + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if a == zero:
-                    continue
-                acc = acc + a * out[n - k]
-            out[n] = -acc
+            acc = out[n]
+            for d, b in terms:
+                if d > n:
+                    break
+                acc = acc - b * out[n - d]
+            out[n] = acc
         return TruncatedSeries(self.ring, self.order, out)
+
+    def inverse(self) -> "TruncatedSeries":
+        """Two-sided inverse up to the truncation order (constant term one)."""
+        return TruncatedSeries.one(self.ring, self.order) / self
 
     def __pow__(self, e: int) -> "TruncatedSeries":
         if e < 0:
-            return self.inverse() ** (-e)
+            return TruncatedSeries.one(self.ring, self.order) / self ** (-e)
         out = TruncatedSeries.one(self.ring, self.order)
         base = self
         while e:

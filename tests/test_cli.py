@@ -24,6 +24,7 @@ def test_gw_expression_parser():
     assert parse_gw("H - <2>", QQ) == GwElement.hyperbolic(QQ) - GwElement.unit(QQ, 2)
     assert parse_gw("<1/2>", QQ) == GwElement.unit(QQ, 2)
     assert parse_gw("-<3>", QQ) == -GwElement.unit(QQ, 3)
+    assert parse_gw("0", QQ) == GwElement.zero(QQ)
     with pytest.raises(InputDataError):
         parse_gw("2 + 2", QQ)
     from arithdt.errors import ArithdtError
@@ -45,6 +46,12 @@ def test_gw_equal_and_invariants(capsys):
     assert code == 0 and out.strip() == "5"
     code, out, _ = run_cli(["gw", "--op", "signature", "--a", "3*<1> + 2*<-1>"], capsys)
     assert code == 0 and out.strip() == "1"
+
+
+def test_gw_diagonalize_without_a(capsys):
+    code, out, _ = run_cli(["gw", "--op", "diagonalize", "--matrix", "[[0,1],[1,0]]"], capsys)
+    assert code == 0
+    assert out.strip() == "<1> + <-1>"
 
 
 def test_dt_a3_complex_golden(capsys):
@@ -188,3 +195,27 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert code == 1  # not a square system
     code, _, err = run_cli(["ekl", "--map", str(tmp_path / "missing.json")], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "--op", "diagonalize", "--matrix", "[[0,1],[1,0]"],
+        ["ekl", "--map", "{bad}"],
+        ["nearby", "--data", "{bad}"],
+        ["ekl", "--map", "{dir}"],
+        ["gw", "--op", "rank", "--a", "<1/0>"],
+        ["gw", "--op", "diagonalize", "--matrix", "5"],
+        ["nearby", "--data", "{x0}"],
+    ],
+)
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vars": [')
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps({"dim": 2, "x0_class": {"u_coeffs": [["1/2", 1]]}, "strata": []}))
+    paths = {"{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0)}
+    code, _, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

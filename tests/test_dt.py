@@ -1,7 +1,10 @@
 """Partition functions for degree-zero counts on affine 3-space."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -21,7 +24,7 @@ from arithdt.fields import QQ, finite_field
 from arithdt.gw import gaussian_i_power
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex
 from arithdt.partitions import count_plane_partitions
-from arithdt.series import gw_alpha_ring
+from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
 
 # frozen by hand from the factored product: the first factor alone gives t^1,
 # degree-2 contributions add the inverse pair factors of weight m = 2
@@ -92,6 +95,47 @@ def test_signature_specialization_is_symmetric_macmahon_at_minus_it():
 def test_macmahon_low_coefficients():
     assert macmahon(3).coeffs == (1, 1, 3, 6)
     assert macmahon_symmetric(1).coeffs[0] == 1
+
+
+def _euler_product(ring, order, factors):
+    """prod (1 - c t^m)^{-e} over (m, c, e), from products of closed forms only.
+
+    Each factor is expanded as sum_j C(e+j-1, j) c^j t^{jm}, so the oracle
+    shares no division, inverse or negative power with the library.
+    """
+    result = TruncatedSeries.one(ring, order)
+    for m, c, e in factors:
+        terms = {j * m: c**j * comb(e + j - 1, j) for j in range(order // m + 1)}
+        result = result * TruncatedSeries.from_terms(ring, order, terms)
+    return result
+
+
+def test_euler_products_match_closed_form_oracle():
+    order = 16
+    motivic = [
+        (m, MotivicClass.u_power(2 * k + 4 - m), 1) for m in range(1, order + 1) for k in range(m)
+    ]
+    assert z_motivic(order) == _euler_product(MOTIVIC_RING, order, motivic)
+    plain = [(n, 1, n) for n in range(1, order + 1)]
+    assert macmahon(order) == _euler_product(INT_RING, order, plain)
+    odd = [(2 * n - 1, 1, 1) for n in range(1, (order + 1) // 2 + 1)]
+    even = [(2 * n, 1, n // 2) for n in range(2, order // 2 + 1)]
+    assert macmahon_symmetric(order) == _euler_product(INT_RING, order, odd + even)
+
+
+def _digest(series):
+    return hashlib.sha256(json.dumps(series.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_order_thirty_series_are_pinned():
+    # the default ARITHDT_MAX_ORDER cap; digests recorded from the dense
+    # inverse-then-multiply construction
+    assert _digest(z_motivic(30)) == (
+        "f530f77734db88275dfeccd3a3e4038a9a6d48199880c171f5c050e2daa9a31a"
+    )
+    assert _digest(z_arithmetic(30)) == (
+        "366b1a2b8a7bd12ddef6a0019d004759aa039f201556636183ceba2bd8d4579a"
+    )
 
 
 def test_partition_function_bundle():

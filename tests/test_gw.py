@@ -117,6 +117,9 @@ def test_hilbert_infinite_place():
     assert hilbert_symbol(-1, -1, "inf") == -1
     assert hilbert_symbol(-1, 2, "inf") == 1
     assert hilbert_symbol(3, 5, "inf") == 1
+    for place in (float("inf"), "x"):
+        with pytest.raises(ArithdtError):
+            hilbert_symbol(-1, -1, place)
 
 
 def test_hilbert_square_argument_trivial():

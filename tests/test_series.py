@@ -1,4 +1,4 @@
-"""Truncated series: ring laws, inverses, coefficient maps."""
+"""Truncated series: ring laws, division, inverses, coefficient maps."""
 
 import random
 
@@ -57,6 +57,31 @@ def test_inverse_is_two_sided():
         inv = a.inverse()
         assert (a * inv) == TruncatedSeries.one(INT_RING, 6)
         assert (inv * a) == TruncatedSeries.one(INT_RING, 6)
+
+
+def test_division_undoes_multiplication():
+    rng = random.Random(37)
+    for _ in range(20):
+        a = TruncatedSeries(INT_RING, 6, [rng.randint(-4, 4) for _ in range(7)])
+        b = TruncatedSeries(INT_RING, 6, [1] + [rng.randint(-4, 4) for _ in range(6)])
+        assert (a / b) * b == a
+    for _ in range(10):
+        a = _random_motivic_series(rng, 5)
+        b = _random_motivic_series(rng, 5)
+        b = TruncatedSeries(MOTIVIC_RING, 5, (MOT_ONE,) + b.coeffs[1:])
+        assert (a / b) * b == a
+
+
+def test_division_requires_unit_divisor():
+    a = ints(3, {0: 1, 1: 2})
+    with pytest.raises(NonUnitError):
+        a / ints(3, {0: 2, 1: 1})
+    with pytest.raises(NonUnitError):
+        a / ints(3, {1: 1})
+    with pytest.raises(SeriesMismatchError):
+        a / ints(4, {0: 1})
+    with pytest.raises(SeriesMismatchError):
+        a / TruncatedSeries.one(GAUSSIAN_RING, 3)
 
 
 def test_ring_axioms_random():
