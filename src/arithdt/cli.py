@@ -22,7 +22,7 @@ from . import __version__
 from .castelnuovo import gv_compare
 from .dt import partition_function
 from .ekl import ekl_class
-from .errors import ArithdtError, InputDataError
+from .errors import ArithdtError, InputDataError, json_int
 from .fields import QQ, parse_field_label
 from .gw import GwElement, diagonalize_symmetric
 from .motivic import chi_a1, chi_complex, chi_real
@@ -71,10 +71,13 @@ def _emit(args, manifest: RunManifest, payload: dict, text: str) -> None:
     as_json = getattr(args, "json", False) or out_path is not None
     if out_path:
         manifest.outputs.append(out_path)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload))
-        with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(_dump(manifest.to_json_dict()))
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(_dump(payload))
+            with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+                fh.write(_dump(manifest.to_json_dict()))
+        except OSError as exc:
+            raise InputDataError(f"cannot write {out_path}: {exc}") from exc
         return
     manifest.outputs.append("stdout")
     if as_json:
@@ -142,12 +145,19 @@ def _load_json(path: str):
         raise InputDataError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _rational(value) -> Fraction:
+    """An exact number from JSON: an integer or a rational string, never a float."""
+    if type(value) is not int and not isinstance(value, str):
+        raise TypeError(f"expected an integer or a rational string, got {value!r}")
+    return Fraction(value)
+
+
 def _parse_matrix(text: str) -> list:
     try:
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("expected a JSON list of rows")
-        return [[Fraction(x) for x in row] for row in rows]
+        return [[_rational(x) for x in row] for row in rows]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputDataError(f"malformed --matrix: {exc}") from exc
 
@@ -155,9 +165,16 @@ def _parse_matrix(text: str) -> list:
 def _polys_from_json(data: dict) -> list[MultiPoly]:
     try:
         variables = tuple(str(v) for v in data["vars"])
-        polys = [MultiPoly.from_pairs(variables, pairs) for pairs in data["polys"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        polys = [
+            MultiPoly(variables, [
+                ([json_int(e, "exponent") for e in exps], _rational(c)) for exps, c in pairs
+            ])
+            for pairs in data["polys"]
+        ]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputDataError(f"malformed polynomial payload: {exc}") from exc
+    if len(set(variables)) != len(variables):
+        raise InputDataError(f"duplicate variable names in {list(variables)}")
     if not polys:
         raise InputDataError("no polynomials given")
     return polys
@@ -390,10 +407,10 @@ def dispatch(argv=None) -> int:
     )
     try:
         payload, text = args.handler(args)
+        _emit(args, manifest, payload, text)
     except ArithdtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, manifest, payload, text)
     return 0
 
 

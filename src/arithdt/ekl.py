@@ -8,6 +8,12 @@ E = det(J)/dim(A) (characteristic zero lets the Jacobian determinant stand
 in for the Bezoutian trace element).  The class does not depend on the
 choice of phi.
 
+The Gram matrix G_ij = phi(b_i * b_j) over the standard monomials b_i is
+built row by row from the multiplication matrices M_{x_k} of the algebra,
+which cost one normal form per product x_k * b_j that is not itself a
+standard monomial.  Row 0 is phi (b_0 = 1); every other b_i is x_k * b_p
+for an earlier standard monomial b_p, and its row is w_p . M_{x_k}.
+
 The gradient version refines the Milnor number of an isolated hypersurface
 singularity, and a report-producing checker compares it against the
 A^1-Euler characteristic of a user-supplied motivic Milnor fiber.
@@ -119,14 +125,16 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
     if sum(p * c for p, c in zip(phi, socle_coords)) != 1:
         raise DegenerateSystemError("normalization phi(E) = 1 is not satisfied")
 
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            value = sum(
-                (phi[k] * c for k, c in algebra.basis_product(i, j).items()),
-                Fraction(0),
-            )
-            gram[i][j] = gram[j][i] = value
+    # row walk (module docstring): w_0 = phi, w_i = w_p . M_{x_k} for b_i = x_k * b_p
+    matrices = algebra.multiplication_matrices()
+    gram = [phi]
+    for mono in algebra.standard_monomials[1:]:
+        k = next(v for v, e in enumerate(mono) if e)
+        parent = gram[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
+        gram.append([
+            sum((parent[l] * c for l, c in column.items() if parent[l]), Fraction(0))
+            for column in matrices[k]
+        ])
 
     try:
         gw_class = diagonalize_symmetric(gram, field)

@@ -59,3 +59,10 @@ class NonIntegralCoefficientError(ArithdtError):
 
 class InputDataError(ArithdtError):
     """Malformed or missing user-supplied data."""
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; floats, bools and strings are refused."""
+    if type(value) is not int:
+        raise InputDataError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -142,17 +142,19 @@ class QuotientAlgebra:
     """A finite-dimensional quotient Q[x]/(P), supported only at the origin.
 
     Carries the reduced Groebner basis, the ascending-grevlex standard
-    monomial basis, and lazily filled multiplication data.
+    monomial basis and its position index.  Multiplication is computed on
+    demand: per basis pair by ``basis_product``, per variable by
+    ``multiplication_matrices``.
     """
 
-    __slots__ = ("variables", "groebner", "standard_monomials", "dimension", "_mult_table")
+    __slots__ = ("variables", "groebner", "standard_monomials", "dimension", "index")
 
     def __init__(self, variables, groebner, standard_monomials):
         self.variables = tuple(variables)
         self.groebner = tuple(groebner)
         self.standard_monomials = tuple(standard_monomials)
         self.dimension = len(self.standard_monomials)
-        self._mult_table: dict[tuple[int, int], dict] = {}
+        self.index = {m: i for i, m in enumerate(self.standard_monomials)}
 
     @classmethod
     def of_ideal(cls, generators, require_origin: bool = True) -> "QuotientAlgebra":
@@ -205,34 +207,55 @@ class QuotientAlgebra:
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         return normal_form(p, self.groebner)
 
+    def _sparse_coordinates(self, p: MultiPoly) -> dict:
+        """Nonzero coordinates {basis index: coefficient} of the normal form of p."""
+        coords = {}
+        for e, c in self.normal_form(p).terms.items():
+            k = self.index.get(e)
+            if k is None:
+                raise ArithdtError("normal form left the standard monomial span")
+            coords[k] = c
+        return dict(sorted(coords.items()))
+
     def coordinates(self, p: MultiPoly) -> list[Fraction]:
         """Coordinates of the normal form in the standard monomial basis."""
-        nf = self.normal_form(p)
-        index = {m: i for i, m in enumerate(self.standard_monomials)}
         coords = [Fraction(0)] * self.dimension
-        for e, c in nf.terms.items():
-            if e not in index:
-                raise ArithdtError("normal form left the standard monomial span")
-            coords[index[e]] = c
+        for k, c in self._sparse_coordinates(p).items():
+            coords[k] = c
         return coords
 
     def basis_product(self, i: int, j: int) -> dict:
         """Normal form of the product of basis monomials i and j, as a coordinate dict."""
-        if j < i:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._mult_table:
-            mono = _mono_mul(self.standard_monomials[i], self.standard_monomials[j])
-            coords = self.coordinates(MultiPoly(self.variables, {mono: 1}))
-            self._mult_table[key] = {k: c for k, c in enumerate(coords) if c}
-        return self._mult_table[key]
+        mono = _mono_mul(self.standard_monomials[i], self.standard_monomials[j])
+        return self._sparse_coordinates(self.monomial_poly(mono))
 
     def multiplication_table(self) -> dict:
         """Full structure-constant table {(i, j): {k: c}} for i <= j."""
-        for i in range(self.dimension):
-            for j in range(i, self.dimension):
-                self.basis_product(i, j)
-        return dict(self._mult_table)
+        return {
+            (i, j): self.basis_product(i, j)
+            for i in range(self.dimension)
+            for j in range(i, self.dimension)
+        }
+
+    def multiplication_matrices(self) -> list[list[dict]]:
+        """Sparse matrices of multiplication by each variable.
+
+        Entry ``[k][j]`` is column j of M_{x_k}: the coordinate dict of
+        x_k * b_j.  A product that is itself a standard monomial is read off
+        the index; only the others need a normal form.
+        """
+        matrices = []
+        for k in range(len(self.variables)):
+            columns = []
+            for mono in self.standard_monomials:
+                shifted = tuple(e + (v == k) for v, e in enumerate(mono))
+                pos = self.index.get(shifted)
+                if pos is not None:
+                    columns.append({pos: Fraction(1)})
+                else:
+                    columns.append(self._sparse_coordinates(self.monomial_poly(shifted)))
+            matrices.append(columns)
+        return matrices
 
     def monomial_poly(self, exps) -> MultiPoly:
         return MultiPoly(self.variables, {tuple(exps): 1})

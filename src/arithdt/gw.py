@@ -589,16 +589,18 @@ def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
     active = list(range(n))
 
     def eliminate_rows(targets, pivots, coeffs):
-        # rows then columns: S^T M S with S built from the pivot columns
+        # rows then columns: S^T M S with S built from the pivot columns.
+        # Rows and columns outside `active` are already zero off the
+        # diagonal, so the update is confined to the active block.
         for k, cs in zip(targets, coeffs):
             for piv, c in zip(pivots, cs):
                 if c:
-                    for l in range(n):
+                    for l in active:
                         m[k][l] -= c * m[piv][l]
         for k, cs in zip(targets, coeffs):
             for piv, c in zip(pivots, cs):
                 if c:
-                    for l in range(n):
+                    for l in active:
                         m[l][k] -= c * m[l][piv]
 
     while active:

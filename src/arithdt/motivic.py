@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArithdtError, GeneratorProductError, InexactDivisionError
+from .errors import ArithdtError, GeneratorProductError, InexactDivisionError, json_int
 from .fields import BaseField, QQ
 from .gw import (
     GaussianInteger,
@@ -241,9 +241,12 @@ class MotivicClass:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotivicClass":
+        def terms(pairs):
+            return [(json_int(e, "exponent"), json_int(c, "coefficient")) for e, c in pairs]
+
         return cls(
-            [(int(e), int(c)) for e, c in data.get("u_coeffs", [])],
-            {name: [(int(e), int(c)) for e, c in coeff] for name, coeff in data.get("extras", {}).items()},
+            terms(data.get("u_coeffs", [])),
+            {name: terms(coeff) for name, coeff in data.get("extras", {}).items()},
         )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import InputDataError
+from .errors import InputDataError, json_int
 from .motivic import L, MOT_ONE, MotivicClass
 
 
@@ -68,8 +68,8 @@ class StratumRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StratumRecord":
         try:
-            indices = [int(i) for i in data["I"]]
-            mults = {int(i): int(n) for i, n in data["mult"].items()}
+            indices = [json_int(i, "stratum index") for i in data["I"]]
+            mults = {int(i): json_int(n, "multiplicity") for i, n in data["mult"].items()}
             stratum_class = MotivicClass.from_json_dict(data["class"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"malformed stratum record: {exc}") from exc
@@ -105,7 +105,7 @@ class SncData:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SncData":
         try:
-            dim = int(data["dim"])
+            dim = json_int(data["dim"], "dim")
             strata = tuple(StratumRecord.from_json_dict(s) for s in data.get("strata", []))
             x0 = data.get("x0_class")
             central = MotivicClass.from_json_dict(x0) if x0 is not None else None

@@ -1,9 +1,13 @@
 """CLI dispatch: golden outputs, JSON round-trips, manifests, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arithdt
 from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError
@@ -207,6 +211,7 @@ def test_domain_errors_exit_one(tmp_path, capsys):
         ["gw", "--op", "rank", "--a", "<1/0>"],
         ["gw", "--op", "diagonalize", "--matrix", "5"],
         ["nearby", "--data", "{x0}"],
+        ["gw", "--op", "rank", "--a", "<2>", "--out", "{missing}"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
@@ -214,8 +219,66 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     bad.write_text('{"vars": [')
     x0 = tmp_path / "x0.json"
     x0.write_text(json.dumps({"dim": 2, "x0_class": {"u_coeffs": [["1/2", 1]]}, "strata": []}))
-    paths = {"{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0)}
+    missing = tmp_path / "missing-dir" / "x.json"
+    paths = {"{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0), "{missing}": str(missing)}
     code, _, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _ekl_map(coeff=1, exponent=1):
+    return {"vars": ["x"], "polys": [[[[exponent], coeff]]]}
+
+
+def _snc(u_coeffs=((2, 1),), mult=1, dim=2):
+    cls = {"u_coeffs": [list(t) for t in u_coeffs], "extras": {}}
+    return {"dim": dim, "strata": [{"I": [1], "mult": {"1": mult}, "class": cls}]}
+
+
+@pytest.mark.parametrize(
+    "subcommand,payload",
+    [
+        pytest.param("ekl", _ekl_map(coeff=0.1), id="ekl-float-coeff"),
+        pytest.param("ekl", _ekl_map(coeff=True), id="ekl-bool-coeff"),
+        pytest.param("ekl", _ekl_map(coeff="1/0"), id="ekl-zero-denominator"),
+        pytest.param("ekl", _ekl_map(exponent=2.5), id="ekl-float-exponent"),
+        pytest.param("ekl", _ekl_map(exponent=True), id="ekl-bool-exponent"),
+        pytest.param(
+            "ekl", {"vars": ["x", "x"], "polys": [[[[1, 0], 1]], [[[0, 1], 1]]]},
+            id="ekl-duplicate-vars",
+        ),
+        pytest.param("nearby", _snc(u_coeffs=[(0, 1.5)]), id="nearby-float-coeff"),
+        pytest.param("nearby", _snc(u_coeffs=[(0.9, 1)]), id="nearby-float-exponent"),
+        pytest.param("nearby", _snc(u_coeffs=[(0, False)]), id="nearby-bool-coeff"),
+        pytest.param("nearby", _snc(mult=1.7), id="nearby-float-mult"),
+        pytest.param("nearby", _snc(dim=2.0), id="nearby-float-dim"),
+    ],
+)
+def test_inexact_json_numbers_are_refused(subcommand, payload, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    flag = "--map" if subcommand == "ekl" else "--data"
+    code, out, err = run_cli([subcommand, flag, str(path)], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_ekl_rational_string_coefficient(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_ekl_map(coeff="1/10")))
+    code, out, _ = run_cli(["ekl", "--map", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "<10>"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(arithdt.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithdt", "--version"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == arithdt.__version__

@@ -1,5 +1,6 @@
 """Local degree classes: golden values, rank law, topological cross-checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -159,6 +160,50 @@ def base_functional(result):
     phi = [Fraction(0)] * algebra.dimension
     phi[algebra.standard_monomials.index(lead)] = 1 / socle.terms[lead]
     return phi
+
+
+# -- Gram matrix against the per-pair pairing ------------------------------------------
+
+
+def per_pair_gram(result):
+    """Gram matrix from one normal form per basis pair i <= j: the oracle for the row walk."""
+    algebra = result.algebra
+    phi = base_functional(result)
+    dim = algebra.dimension
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            value = sum(
+                (phi[k] * c for k, c in algebra.basis_product(i, j).items()),
+                Fraction(0),
+            )
+            gram[i][j] = gram[j][i] = value
+    return tuple(tuple(row) for row in gram)
+
+
+def _dense_ternary_cubics(seed):
+    rng = random.Random(seed)
+    monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+    return [
+        MultiPoly(("x", "y", "z"), {e: rng.choice((-1, 1)) for e in monomials})
+        for _ in range(3)
+    ]
+
+
+# RANK_SUITE holds the same twelve maps as the acceptance EKL_SUITE
+GRAM_CASES = [[P(v, t) for t in ((ts,) if isinstance(ts, str) else ts)] for v, ts, _ in RANK_SUITE]
+GRAM_CASES += [
+    P(("x", "y"), "x**6 + y**6").gradient(),
+    P(("x", "y"), "x**11 + y**11").gradient(),
+    P(("x", "y", "z"), "x**4 + y**4 + z**4").gradient(),
+    _dense_ternary_cubics(0),
+]
+
+
+@pytest.mark.parametrize("system", GRAM_CASES, ids=lambda s: " | ".join(map(str, s))[:40])
+def test_gram_equals_per_pair_oracle(system):
+    result = ekl_class(system)
+    assert result.gram == per_pair_gram(result)
 
 
 # -- signature against a topological winding oracle -----------------------------------

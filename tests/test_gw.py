@@ -333,6 +333,93 @@ def test_diagonalize_congruence_invariance():
         assert diagonalize_symmetric(congruent).gw_equal(GwElement.from_diagonal(QQ, diag))
 
 
+def full_width_diagonalize(mat):
+    """Diagonal entries from congruence reduction that updates every row and column.
+
+    The oracle for diagonalize_symmetric, whose elimination touches only the
+    rows and columns not yet consumed by a pivot.
+    """
+    m = [[Fraction(x) for x in row] for row in mat]
+    n = len(m)
+    entries = []
+    active = list(range(n))
+
+    def eliminate_rows(targets, pivots, coeffs):
+        for k, cs in zip(targets, coeffs):
+            for piv, c in zip(pivots, cs):
+                if c:
+                    for l in range(n):
+                        m[k][l] -= c * m[piv][l]
+        for k, cs in zip(targets, coeffs):
+            for piv, c in zip(pivots, cs):
+                if c:
+                    for l in range(n):
+                        m[l][k] -= c * m[l][piv]
+
+    while active:
+        pivot = next((i for i in active if m[i][i] != 0), None)
+        if pivot is not None:
+            piv = m[pivot][pivot]
+            others = [j for j in active if j != pivot]
+            eliminate_rows(others, [pivot], [[m[j][pivot] / piv] for j in others])
+            entries.append(piv)
+            active.remove(pivot)
+            continue
+        block = next(
+            ((i, j) for i in active for j in active if i < j and m[i][j] != 0),
+            None,
+        )
+        if block is None:
+            raise SingularMatrixError("matrix is singular")
+        i, j = block
+        b = m[i][j]
+        others = [k for k in active if k not in (i, j)]
+        eliminate_rows(others, [i, j], [[m[k][j] / b, m[k][i] / b] for k in others])
+        entries.extend([Fraction(1), Fraction(-1)])
+        active.remove(i)
+        active.remove(j)
+    return entries
+
+
+def _random_symmetric(rng, n, zero_diagonal, singular):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = 0 if (i == j and zero_diagonal) else rng.randint(-3, 3)
+    if singular and n >= 2:
+        # a repeated row and column make the matrix singular
+        i, j = rng.sample(range(n), 2)
+        for k in range(n):
+            m[j][k] = m[i][k]
+        for k in range(n):
+            m[k][j] = m[k][i]
+    return m
+
+
+def _diagonal_or_singular(diagonalize, mat):
+    try:
+        return diagonalize(mat)
+    except SingularMatrixError:
+        return "singular"
+
+
+def test_diagonalize_matches_full_width_oracle():
+    rng = random.Random(2024)
+    outcomes = set()
+    for trial in range(90):
+        n = rng.randint(1, 12)
+        mat = _random_symmetric(rng, n, zero_diagonal=trial % 3 == 1, singular=trial % 3 == 2)
+        expected = _diagonal_or_singular(full_width_diagonalize, mat)
+        got = _diagonal_or_singular(diagonalize_symmetric, mat)
+        if expected == "singular":
+            assert got == "singular"
+        else:
+            assert got == GwElement.from_diagonal(QQ, expected)
+        outcomes.add((trial % 3, expected == "singular"))
+    # every kind of matrix was drawn, and the singular ones were refused
+    assert {(0, False), (1, False), (2, True)} <= outcomes
+
+
 # -- trace forms -----------------------------------------------------------------------
 
 
