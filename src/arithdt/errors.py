@@ -62,7 +62,8 @@ class InputDataError(ArithdtError):
 
 
 def json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; floats, bools and strings are refused."""
+    """``value`` if it is an int, as JSON integers are; floats, bools, fractions
+    and strings are refused, never truncated."""
     if type(value) is not int:
         raise InputDataError(f"{what} must be an integer, got {value!r}")
     return value

@@ -178,7 +178,14 @@ class SquareClass:
 
     @classmethod
     def of(cls, field: BaseField, value) -> "SquareClass":
-        return cls(field, square_class_rep(field, value))
+        return cls._make(field, square_class_rep(field, value))
+
+    @classmethod
+    def _make(cls, field: BaseField, rep: int) -> "SquareClass":
+        """Trusted constructor: rep is canonical already, so it is not factored again."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(field=field, rep=rep)
+        return obj
 
     def __str__(self) -> str:
         return f"<{self.rep}>"

@@ -75,14 +75,14 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
                 break
         else:
             remainder[mono] = remainder.get(mono, Fraction(0)) + coeff
-    return MultiPoly(variables, remainder)
+    return MultiPoly._make(variables, remainder)
 
 
 def _s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     lf, lg = leading_monomial(f), leading_monomial(g)
     lcm = _mono_lcm(lf, lg)
-    mf = MultiPoly(f.variables, {_mono_div(lcm, lf): 1 / f.terms[lf]})
-    mg = MultiPoly(g.variables, {_mono_div(lcm, lg): 1 / g.terms[lg]})
+    mf = MultiPoly._make(f.variables, {_mono_div(lcm, lf): 1 / f.terms[lf]})
+    mg = MultiPoly._make(g.variables, {_mono_div(lcm, lg): 1 / g.terms[lg]})
     return mf * f - mg * g
 
 

@@ -3,9 +3,12 @@
 A GwElement is a finite integer combination of rank-one forms <a> with a in
 canonical square-class form.  Multiplicities may be negative: the ring is a
 group completion, so elements are virtual differences of genuine quadratic
-forms.  Structural equality (`==`) compares canonical term lists; semantic
-equality (`gw_equal`) decides whether two virtual forms define the same
-class, using the complete system of invariants of each field:
+forms.  Canonical form is set once, by the public constructor; ring
+operations build their results from canonical reps through the trusted
+``GwElement._make``, which factors nothing.  Structural equality (`==`)
+compares canonical term lists; semantic equality (`gw_equal`) decides whether
+two virtual forms define the same class, using the complete system of
+invariants of each field:
 
 * C: rank;
 * R: rank and signature;
@@ -29,6 +32,7 @@ from .errors import (
     FieldMismatchError,
     SingularMatrixError,
     UnsupportedFieldError,
+    json_int,
 )
 from .fields import (
     BaseField,
@@ -113,8 +117,9 @@ def gaussian_i_power(e: int) -> GaussianInteger:
     return _I_POWERS[e % 4]
 
 
-def _term_sort_key(rep: int) -> tuple:
-    return (abs(rep), rep < 0)
+def _sorted_terms(pairs) -> tuple:
+    """(rep, mult) pairs with distinct reps, zeros dropped, in canonical order."""
+    return tuple(sorted(((r, m) for r, m in pairs if m), key=lambda t: (abs(t[0]), t[0] < 0)))
 
 
 def _mul_reps(field: BaseField, a: int, b: int) -> int:
@@ -140,13 +145,21 @@ class GwElement:
         if hasattr(terms, "items"):
             terms = terms.items()
         for rep, mult in terms:
-            mult = int(mult)
+            mult = json_int(mult, "multiplicity")
             if mult == 0:
                 continue
             rep = square_class_rep(field, rep)
             acc[rep] = acc.get(rep, 0) + mult
         self.field = field
-        self.terms = tuple(sorted(((r, m) for r, m in acc.items() if m != 0), key=lambda t: _term_sort_key(t[0])))
+        self.terms = _sorted_terms(acc.items())
+
+    @classmethod
+    def _make(cls, field: BaseField, pairs) -> "GwElement":
+        """Trusted constructor: int multiplicities on distinct canonical reps."""
+        obj = object.__new__(cls)
+        obj.field = field
+        obj.terms = _sorted_terms(pairs)
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -157,7 +170,7 @@ class GwElement:
     @classmethod
     def unit(cls, field: BaseField, a) -> "GwElement":
         """The rank-one form <a>."""
-        return cls(field, [(square_class_rep(field, a), 1)])
+        return cls(field, [(a, 1)])
 
     @classmethod
     def one(cls, field: BaseField = QQ) -> "GwElement":
@@ -166,12 +179,12 @@ class GwElement:
     @classmethod
     def hyperbolic(cls, field: BaseField = QQ) -> "GwElement":
         """H = <1> + <-1>."""
-        return cls(field, [(1, 1), (square_class_rep(field, -1), 1)])
+        return cls(field, [(1, 1), (-1, 1)])
 
     @classmethod
     def from_diagonal(cls, field: BaseField, entries) -> "GwElement":
         """Sum of <a> over the (nonzero) diagonal entries a."""
-        return cls(field, [(square_class_rep(field, a), 1) for a in entries])
+        return cls(field, [(a, 1) for a in entries])
 
     # -- ring structure ----------------------------------------------------
 
@@ -186,17 +199,17 @@ class GwElement:
         acc = dict(self.terms)
         for rep, mult in other.terms:
             acc[rep] = acc.get(rep, 0) + mult
-        return GwElement(self.field, acc)
+        return GwElement._make(self.field, acc.items())
 
     def __sub__(self, other: "GwElement") -> "GwElement":
         return self + (-other)
 
     def __neg__(self) -> "GwElement":
-        return GwElement(self.field, [(r, -m) for r, m in self.terms])
+        return GwElement._make(self.field, [(r, -m) for r, m in self.terms])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GwElement(self.field, [(r, m * other) for r, m in self.terms])
+            return GwElement._make(self.field, [(r, m * other) for r, m in self.terms])
         if not isinstance(other, GwElement):
             return NotImplemented
         self._check_field(other)
@@ -205,12 +218,9 @@ class GwElement:
             for r2, m2 in other.terms:
                 rep = _mul_reps(self.field, r1, r2)
                 acc[rep] = acc.get(rep, 0) + m1 * m2
-        return GwElement(self.field, acc)
+        return GwElement._make(self.field, acc.items())
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (
@@ -248,7 +258,7 @@ class GwElement:
         for r, m in self.terms:
             if m % 2:
                 rep = _mul_reps(self.field, rep, r)
-        return SquareClass(self.field, rep)
+        return SquareClass._make(self.field, rep)
 
     def diagonal_entries(self) -> list[int]:
         """Diagonal representative as a multiplicity-expanded list of reps."""
@@ -260,8 +270,8 @@ class GwElement:
         return out
 
     def _split(self) -> tuple["GwElement", "GwElement"]:
-        pos = GwElement(self.field, [(r, m) for r, m in self.terms if m > 0])
-        neg = GwElement(self.field, [(r, -m) for r, m in self.terms if m < 0])
+        pos = GwElement._make(self.field, [(r, m) for r, m in self.terms if m > 0])
+        neg = GwElement._make(self.field, [(r, -m) for r, m in self.terms if m < 0])
         return pos, neg
 
     def gw_equal(self, other: "GwElement") -> bool:
@@ -326,7 +336,7 @@ class GwElement:
                     if not terms[rep]:
                         del terms[rep]
                 pieces.append(("H", h))
-        entries = [(f"<{r}>", m) for r, m in sorted(terms.items(), key=lambda t: _term_sort_key(t[0]))]
+        entries = [(f"<{r}>", m) for r, m in terms.items()]
         if contract_h and pieces:
             entries = pieces + entries
         if not entries:
@@ -356,7 +366,7 @@ class GwElement:
         from .fields import parse_field_label
 
         field = parse_field_label(data["field"])
-        return cls(field, [(int(r), int(m)) for r, m in data["terms"]])
+        return cls(field, data["terms"])
 
 
 class GwAlphaElement:
@@ -424,10 +434,7 @@ class GwAlphaElement:
         odd = self.even * other.odd + self.odd * other.even
         return GwAlphaElement(even, odd)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, GwElement)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,6 +7,11 @@ point classes that are not Tate -- e.g. the class of Spec C over R.  Only
 finitely many generators are ever needed and products of two generator
 parts fall outside the supported subring and are rejected.
 
+Canonical form (ascending exponents, nonzero int coefficients, one entry per
+sorted generator name) is set once, by the public constructor.  Ring
+operations sum canonical terms with ``_sum_u`` and build their results
+through the trusted ``MotivicClass._make``.
+
 Three ring morphisms specialize a class:
 
 * ``chi_complex`` sends u to -1 (so L goes to 1): the topological Euler
@@ -34,30 +39,23 @@ from .gw import (
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
 
 
-def _normalize_u(terms) -> _UTerms:
+def _sum_u(*parts) -> _UTerms:
+    """Canonical sum of (exponent, coefficient) pairs with int entries."""
     acc: dict[int, int] = {}
-    if hasattr(terms, "items"):
-        terms = terms.items()
-    for e, c in terms:
-        e, c = int(e), int(c)
-        if c:
+    for part in parts:
+        for e, c in part:
             acc[e] = acc.get(e, 0) + c
     return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
-def _add_u(a: _UTerms, b: _UTerms) -> _UTerms:
-    acc = dict(a)
-    for e, c in b:
-        acc[e] = acc.get(e, 0) + c
-    return _normalize_u(acc)
+def _exact_u(terms) -> list:
+    if hasattr(terms, "items"):
+        terms = terms.items()
+    return [(json_int(e, "exponent"), json_int(c, "coefficient")) for e, c in terms]
 
 
 def _mul_u(a: _UTerms, b: _UTerms) -> _UTerms:
-    acc: dict[int, int] = {}
-    for e1, c1 in a:
-        for e2, c2 in b:
-            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return _normalize_u(acc)
+    return _sum_u((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
 
 
 def _neg_u(a: _UTerms) -> _UTerms:
@@ -70,16 +68,21 @@ class MotivicClass:
     __slots__ = ("u_terms", "extras")
 
     def __init__(self, u_terms=(), extras=()):
-        self.u_terms: _UTerms = _normalize_u(u_terms)
+        self.u_terms: _UTerms = _sum_u(_exact_u(u_terms))
         if hasattr(extras, "items"):
             extras = extras.items()
-        cleaned = []
+        acc: dict[str, _UTerms] = {}
         for name, coeff in extras:
-            coeff = _normalize_u(coeff)
-            if coeff:
-                cleaned.append((str(name), coeff))
-        cleaned.sort()
-        self.extras: tuple = tuple(cleaned)
+            acc[str(name)] = _sum_u(acc.get(str(name), ()), _exact_u(coeff))
+        self.extras: tuple = tuple(sorted((n, c) for n, c in acc.items() if c))
+
+    @classmethod
+    def _make(cls, u_terms: _UTerms, extras=()) -> "MotivicClass":
+        """Trusted constructor: canonical u-terms and (name, canonical terms) pairs."""
+        obj = object.__new__(cls)
+        obj.u_terms = u_terms
+        obj.extras = tuple(sorted((n, c) for n, c in extras if c))
+        return obj
 
     # -- constructors --------------------------------------------------------
 
@@ -121,19 +124,15 @@ class MotivicClass:
             return NotImplemented
         acc = dict(self.extras)
         for name, coeff in other.extras:
-            acc[name] = _add_u(acc.get(name, ()), coeff)
-        return MotivicClass(_add_u(self.u_terms, other.u_terms), acc)
+            acc[name] = _sum_u(acc.get(name, ()), coeff)
+        return MotivicClass._make(_sum_u(self.u_terms, other.u_terms), acc.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "MotivicClass":
-        return MotivicClass(_neg_u(self.u_terms), [(n, _neg_u(c)) for n, c in self.extras])
+        return MotivicClass._make(_neg_u(self.u_terms), [(n, _neg_u(c)) for n, c in self.extras])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MotivicClass.from_int(other)
-        if not isinstance(other, MotivicClass):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -148,13 +147,10 @@ class MotivicClass:
             raise GeneratorProductError(
                 "product of two non-Tate generator classes is outside the supported subring"
             )
-        u = _mul_u(self.u_terms, other.u_terms)
-        extras: dict[str, _UTerms] = {}
-        for name, coeff in self.extras:
-            extras[name] = _add_u(extras.get(name, ()), _mul_u(coeff, other.u_terms))
-        for name, coeff in other.extras:
-            extras[name] = _add_u(extras.get(name, ()), _mul_u(coeff, self.u_terms))
-        return MotivicClass(u, extras)
+        # at most one side has extras, so the names below are distinct
+        extras = [(n, _mul_u(c, other.u_terms)) for n, c in self.extras]
+        extras += [(n, _mul_u(c, self.u_terms)) for n, c in other.extras]
+        return MotivicClass._make(_mul_u(self.u_terms, other.u_terms), extras)
 
     __rmul__ = __mul__
 
@@ -213,7 +209,7 @@ class MotivicClass:
             if len(coeff) == 1 and coeff[0][0] == 0:
                 pieces.append((f"[{name}]", coeff[0][1]))
             else:
-                inner = MotivicClass(coeff).render()
+                inner = MotivicClass._make(coeff).render()
                 pieces.append((f"({inner})*[{name}]", 1))
         if not pieces:
             return "0"
@@ -241,13 +237,7 @@ class MotivicClass:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotivicClass":
-        def terms(pairs):
-            return [(json_int(e, "exponent"), json_int(c, "coefficient")) for e, c in pairs]
-
-        return cls(
-            terms(data.get("u_coeffs", [])),
-            {name: terms(coeff) for name, coeff in data.get("extras", {}).items()},
-        )
+        return cls(data.get("u_coeffs", []), data.get("extras", {}))
 
 
 L = MotivicClass.lefschetz()

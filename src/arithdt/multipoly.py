@@ -1,23 +1,19 @@
 """Exact multivariate polynomials over Q with a fixed ordered variable list.
 
-Terms map exponent vectors to Fraction coefficients; instances are treated
-as immutable after construction.  This is the input language for the
-quotient-algebra and local-degree machinery.
+Terms map exponent vectors to nonzero Fraction coefficients; instances are
+treated as immutable after construction.  This is the input language for the
+quotient-algebra and local-degree machinery.  Canonical form is set once, by
+the public constructor; ring operations, ``partial`` and
+``groebner.normal_form`` build their results through the trusted ``_make``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArithdtError
+from .errors import ArithdtError, json_int
 
 Exponents = tuple
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
 
 
 class MultiPoly:
@@ -29,15 +25,23 @@ class MultiPoly:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exps, coeff in items:
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(json_int(e, "exponent") for e in exps)
                 if len(exps) != len(self.variables):
                     raise ArithdtError("exponent vector length does not match variables")
                 if any(e < 0 for e in exps):
                     raise ArithdtError("exponents must be nonnegative")
-                coeff = _as_fraction(coeff)
-                if coeff:
-                    cleaned[exps] = cleaned.get(exps, Fraction(0)) + coeff
+                if isinstance(coeff, float):
+                    raise ArithdtError(f"polynomial coefficients must be exact, got {coeff!r}")
+                cleaned[exps] = cleaned.get(exps, 0) + Fraction(coeff)
         self.terms = {e: c for e, c in cleaned.items() if c}
+
+    @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor: valid exponent tuples to Fractions; zeros are dropped."""
+        obj = object.__new__(cls)
+        obj.variables = variables
+        obj.terms = {e: c for e, c in terms.items() if c}
+        return obj
 
     # -- constructors --------------------------------------------------------
 
@@ -60,7 +64,7 @@ class MultiPoly:
     @classmethod
     def from_pairs(cls, variables, pairs) -> "MultiPoly":
         """Build from [(exponent_vector, coefficient), ...] with rational strings allowed."""
-        return cls(variables, [(tuple(e), _as_fraction(c)) for e, c in pairs])
+        return cls(variables, pairs)
 
     @classmethod
     def parse(cls, variables, text: str) -> "MultiPoly":
@@ -96,12 +100,12 @@ class MultiPoly:
         acc = dict(self.terms)
         for e, c in other.terms.items():
             acc[e] = acc.get(e, Fraction(0)) + c
-        return MultiPoly(self.variables, acc)
+        return MultiPoly._make(self.variables, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -114,7 +118,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.variables, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly._make(self.variables, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -123,7 +127,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, acc)
+        return MultiPoly._make(self.variables, acc)
 
     __rmul__ = __mul__
 
@@ -166,13 +170,13 @@ class MultiPoly:
                 continue
             key = tuple(v - 1 if i == index else v for i, v in enumerate(e))
             acc[key] = acc.get(key, Fraction(0)) + c * e[index]
-        return MultiPoly(self.variables, acc)
+        return MultiPoly._make(self.variables, acc)
 
     def gradient(self) -> list["MultiPoly"]:
         return [self.partial(i) for i in range(len(self.variables))]
 
     def evaluate(self, point) -> Fraction:
-        point = [_as_fraction(x) for x in point]
+        point = [Fraction(x) for x in point]
         if len(point) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
         total = Fraction(0)
