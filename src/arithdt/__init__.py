@@ -14,88 +14,56 @@ Modules:
 * ``castelnuovo``: refined genus-bound fiber integrals for the quintic;
 * ``partitions``: brute-force plane-partition oracles;
 * ``cli``: the ``arithdt`` command-line tool.
+
+Each public name is loaded from its submodule on first access (PEP 562), so
+``import arithdt`` and a CLI run compile only the modules they use.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .fields import BaseField, CC, QQ, RR, SquareClass, finite_field
-from .gw import (
-    GaussianInteger,
-    GwAlphaElement,
-    GwElement,
-    alpha_power,
-    diagonalize_symmetric,
-    hasse_invariant,
-    hilbert_symbol,
-    trace_form,
-)
-from .motivic import (
-    GeneratorSpec,
-    L,
-    MotivicClass,
-    chi_a1,
-    chi_complex,
-    chi_real,
-    grassmannian_class,
-    projective_space_class,
-    quadratic_point_generator,
-)
-from .series import (
-    CoefficientRing,
-    GAUSSIAN_RING,
-    INT_RING,
-    MOTIVIC_RING,
-    TruncatedSeries,
-    gw_alpha_ring,
-    gw_ring,
-)
-from .multipoly import MultiPoly
-from .groebner import QuotientAlgebra, buchberger, grevlex_key
-from .ekl import (
-    ConjugatePair,
-    EklResult,
-    MilnorReport,
-    ekl_class,
-    global_degree_univariate,
-    local_degree_simple,
-    milnor_chi_relation,
-    milnor_number_a1,
-)
-from .nearby import (
-    SncData,
-    StratumRecord,
-    local_nearby_class,
-    nearby_class,
-    virtual_class_critical_locus,
-    virtual_class_torus,
-)
-from .dt import (
-    MatrixTriple,
-    PartitionFunctionResult,
-    macmahon,
-    macmahon_symmetric,
-    partition_function,
-    trace_potential,
-    trace_potential_gradient,
-    z_arithmetic,
-    z_motivic,
-)
-from .castelnuovo import (
-    CastelnuovoInput,
-    GvComparison,
-    castelnuovo_bound,
-    fiber_dimension,
-    gv_arithmetic_direct,
-    gv_closed_form,
-    gv_compare,
-    gv_virtual_class_motivic,
-)
-from .partitions import (
-    count_plane_partitions,
-    count_symmetric_plane_partitions,
-    plane_partitions,
-    verify_macmahon,
-    verify_symmetric,
-)
+# public name -> submodule that defines it; each submodule is public too
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("castelnuovo", "CastelnuovoInput GvComparison castelnuovo_bound fiber_dimension "
+                        "gv_arithmetic_direct gv_closed_form gv_compare gv_virtual_class_motivic"),
+        ("dt", "MatrixTriple PartitionFunctionResult macmahon macmahon_symmetric "
+               "partition_function trace_potential trace_potential_gradient z_arithmetic z_motivic"),
+        ("ekl", "ConjugatePair EklResult MilnorReport ekl_class global_degree_univariate "
+                "local_degree_simple milnor_chi_relation milnor_number_a1"),
+        ("errors", ""),
+        ("fields", "BaseField CC QQ RR SquareClass finite_field"),
+        ("groebner", "QuotientAlgebra buchberger grevlex_key"),
+        ("gw", "GaussianInteger GwAlphaElement GwElement alpha_power diagonalize_symmetric "
+               "hasse_invariant hilbert_symbol trace_form"),
+        ("motivic", "GeneratorSpec L MotivicClass chi_a1 chi_complex chi_real grassmannian_class "
+                    "projective_space_class quadratic_point_generator"),
+        ("multipoly", "MultiPoly"),
+        ("nearby", "SncData StratumRecord local_nearby_class nearby_class "
+                   "virtual_class_critical_locus virtual_class_torus"),
+        ("partitions", "count_plane_partitions count_symmetric_plane_partitions plane_partitions "
+                       "verify_macmahon verify_symmetric"),
+        ("series", "CoefficientRing GAUSSIAN_RING INT_RING MOTIVIC_RING TruncatedSeries "
+                   "gw_alpha_ring gw_ring"),
+    )
+    for name in (module, *names.split())
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = _import_module(f".{module_name}", __name__)
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,9 @@ serialized as strings, never floats -- and output bytes are deterministic
 for fixed inputs and package version.  When writing to a file, a manifest
 describing the invocation is written next to it; JSON written to stdout
 embeds the same manifest.
+
+Only the modules that parsing and dispatch need are imported here; each
+handler imports what it computes with, so a job loads no other module.
 """
 
 from __future__ import annotations
@@ -19,16 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .castelnuovo import gv_compare
-from .dt import partition_function
-from .ekl import ekl_class
 from .errors import ArithdtError, InputDataError, json_int
 from .fields import QQ, parse_field_label
 from .gw import GwElement, diagonalize_symmetric
-from .motivic import chi_a1, chi_complex, chi_real
-from .multipoly import MultiPoly
-from .nearby import SncData, local_nearby_class, nearby_class, virtual_class_critical_locus
-from .partitions import count_plane_partitions, count_symmetric_plane_partitions
 
 DEFAULT_MAX_ORDER = 30
 
@@ -162,7 +158,9 @@ def _parse_matrix(text: str) -> list:
         raise InputDataError(f"malformed --matrix: {exc}") from exc
 
 
-def _polys_from_json(data: dict) -> list[MultiPoly]:
+def _polys_from_json(data: dict) -> list:
+    from .multipoly import MultiPoly
+
     try:
         variables = tuple(str(v) for v in data["vars"])
         polys = [
@@ -224,6 +222,8 @@ def _series_payload(series, renderer) -> tuple[dict, str]:
 
 
 def _cmd_dt_a3(args) -> tuple[dict, str]:
+    from .dt import partition_function
+
     cap = max_series_order()
     if args.order > cap:
         raise InputDataError(f"order {args.order} exceeds the cap {cap} (ARITHDT_MAX_ORDER)")
@@ -241,6 +241,8 @@ def _cmd_dt_a3(args) -> tuple[dict, str]:
 
 
 def _cmd_ekl(args) -> tuple[dict, str]:
+    from .ekl import ekl_class
+
     system = _polys_from_json(_load_json(args.map))
     field = parse_field_label(args.field)
     result = ekl_class(system, field)
@@ -260,6 +262,9 @@ def _cmd_ekl(args) -> tuple[dict, str]:
 
 
 def _cmd_nearby(args) -> tuple[dict, str]:
+    from .motivic import chi_a1, chi_complex, chi_real
+    from .nearby import SncData, local_nearby_class, nearby_class, virtual_class_critical_locus
+
     data = SncData.from_json_dict(_load_json(args.data))
     cls = local_nearby_class(data) if args.local else nearby_class(data)
     key = "local_nearby_class" if args.local else "nearby_class"
@@ -278,6 +283,8 @@ def _cmd_nearby(args) -> tuple[dict, str]:
 
 
 def _cmd_gv(args) -> tuple[dict, str]:
+    from .castelnuovo import gv_compare
+
     report = gv_compare(args.m, parse_field_label(args.field))
     payload = {
         "m": report.m,
@@ -303,6 +310,8 @@ def _cmd_gv(args) -> tuple[dict, str]:
 
 
 def _cmd_oracle(args) -> tuple[dict, str]:
+    from .partitions import count_plane_partitions, count_symmetric_plane_partitions
+
     if args.kind == "pp":
         value = count_plane_partitions(args.n)
     else:

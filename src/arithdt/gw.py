@@ -298,15 +298,11 @@ class GwElement:
             return False
         if pos.discriminant() != neg.discriminant():
             return False
-        a_entries = pos.diagonal_entries()
-        b_entries = neg.diagonal_entries()
         places = {2}
-        for entry in a_entries + b_entries:
-            places.update(prime_factors(entry))
-        return all(
-            hasse_invariant(a_entries, p) == hasse_invariant(b_entries, p)
-            for p in sorted(places)
-        )
+        for rep, _ in pos.terms + neg.terms:
+            places.update(prime_factors(rep))
+        return all(_hasse_of_terms(pos.terms, p) == _hasse_of_terms(neg.terms, p)
+                   for p in sorted(places))
 
     def to_field(self, field: BaseField) -> "GwElement":
         """Reinterpret the same diagonal entries over another base field.
@@ -571,6 +567,22 @@ def hasse_invariant(entries, place) -> int:
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             sym *= hilbert_symbol(entries[i], entries[j], place)
+    return sym
+
+
+def _hasse_of_terms(terms, place) -> int:
+    """Hasse invariant of the genuine form sum m_r <r>, multiplicities unexpanded.
+
+    Of the pairs of diagonal entries, C(m_r, 2) are (r, r) and m_r * m_s are
+    (r, s), so the invariant is prod_r (r,r)^C(m_r,2) * prod_{r<s} (r,s)^(m_r m_s).
+    """
+    sym = 1
+    for i, (r, m) in enumerate(terms):
+        if m * (m - 1) // 2 % 2:
+            sym *= hilbert_symbol(r, r, place)
+        for s, n in terms[i + 1:]:
+            if m * n % 2:
+                sym *= hilbert_symbol(r, s, place)
     return sym
 
 

@@ -31,7 +31,6 @@ from .gw import (
     GaussianInteger,
     GwAlphaElement,
     GwElement,
-    alpha_power,
     diagonalize_symmetric,
     gaussian_i_power,
 )
@@ -325,17 +324,27 @@ def chi_real(m: MotivicClass, generators=None) -> GaussianInteger:
     return total
 
 
+def _alpha_sum(terms: _UTerms, field: BaseField) -> GwAlphaElement:
+    """Sum of c * alpha^e, with coefficients summed by e mod 4.
+
+    alpha^e = <(-1)^(e//2)> * alpha^(e%2), so e = 0, 1, 2, 3 mod 4 give
+    <1>, <1>alpha, <-1>, <-1>alpha.
+    """
+    b = [0, 0, 0, 0]
+    for e, c in terms:
+        b[e % 4] += c
+    return GwAlphaElement(
+        GwElement(field, [(1, b[0]), (-1, b[2])]),
+        GwElement(field, [(1, b[1]), (-1, b[3])]),
+    )
+
+
 def chi_a1(m: MotivicClass, field: BaseField = QQ, generators=None) -> GwAlphaElement:
     """Evaluate u -> alpha; the compactly supported A^1-Euler characteristic."""
-    total = GwAlphaElement.zero(field)
-    for e, c in m.u_terms:
-        total = total + alpha_power(field, e) * c
+    total = _alpha_sum(m.u_terms, field)
     for name, coeff in m.extras:
         spec = _resolve_generator(name, generators)
-        part = GwAlphaElement.zero(field)
-        for e, c in coeff:
-            part = part + alpha_power(field, e) * c
-        total = total + part * spec.chi_a1.to_field(field)
+        total = total + _alpha_sum(coeff, field) * spec.chi_a1.to_field(field)
     return total
 
 

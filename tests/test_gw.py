@@ -1,12 +1,14 @@
 """Grothendieck-Witt arithmetic: golden values, invariants, local symbols."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from arithdt import gw
 from arithdt.errors import ArithdtError, FieldMismatchError, SingularMatrixError, UnsupportedFieldError
-from arithdt.fields import CC, QQ, RR, SquareClass, finite_field, square_class_rep, squarefree_part
+from arithdt.fields import CC, QQ, RR, SquareClass, finite_field, prime_factors, square_class_rep, squarefree_part
 from arithdt.gw import (
     GaussianInteger,
     GwAlphaElement,
@@ -503,3 +505,73 @@ def test_json_round_trip():
     assert GwElement.from_json_dict(q.to_json_dict()) == q
     qa = GwAlphaElement(q, hyper())
     assert GwAlphaElement.from_json_dict(qa.to_json_dict()) == qa
+
+
+# -- gw_equal on multiplicities ---------------------------------------------------------
+
+
+def _gw_equal_expanded(a, b):
+    """gw_equal over Q through the multiplicity-expanded diagonal entries."""
+    pos, neg = (a - b)._split()
+    x, y = pos.diagonal_entries(), neg.diagonal_entries()
+    if len(x) != len(y) or pos.signature() != neg.signature():
+        return False
+    if pos.discriminant() != neg.discriminant():
+        return False
+    places = {2}.union(*(prime_factors(e) for e in x + y))
+    return all(hasse_invariant(x, p) == hasse_invariant(y, p) for p in places)
+
+
+def _random_terms(rng):
+    reps = [1, -1, 2, -2, 3, -3, 5, 6, -7, 10, 14, -15, 21]
+    return [(rng.choice(reps), rng.randint(-6, 6)) for _ in range(rng.randint(0, 5))]
+
+
+def test_gw_equal_matches_expanded_entries():
+    rng = random.Random(71)
+    verdicts = []
+    for _ in range(300):
+        a = GwElement(QQ, _random_terms(rng))
+        b = GwElement(QQ, _random_terms(rng))
+        # same rank and signature, so discriminant and Hasse invariants decide
+        dr, ds = a.rank() - b.rank(), a.signature() - b.signature()
+        b = b + GwElement(QQ, [(1, (dr + ds) // 2), (-1, (dr - ds) // 2)])
+        verdict = a.gw_equal(b)
+        assert verdict == _gw_equal_expanded(a, b)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_gw_equal_does_not_expand_multiplicities(monkeypatch):
+    symbols = []
+
+    def counting_symbol(a, b, place):
+        symbols.append(place)
+        return hilbert_symbol(a, b, place)
+
+    monkeypatch.setattr(gw, "hilbert_symbol", counting_symbol)
+    a, b = GwElement(QQ, [(3, 3000)]), GwElement(QQ, [(1, 3000)])
+    c, d = unit(3) + unit(2), unit(1) + unit(6)
+    start = time.perf_counter()
+    assert a.gw_equal(b)  # 4<3> = 4<1>: 3 is a sum of four squares
+    assert (a + c).gw_equal(b + d) == c.gw_equal(d)  # Witt cancellation
+    assert time.perf_counter() - start < 1.0
+    assert len(symbols) <= 8
+
+
+def test_gw_equal_factors_each_distinct_rep_once(monkeypatch):
+    calls = []
+
+    def counting_factors(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(gw, "prime_factors", counting_factors)
+    big = 999961 * 1000033  # a sum of two squares
+    a = GwElement(QQ, [(big, 2), (6, 5), (-5, 4)])
+    b = GwElement(QQ, [(1, 2), (-30, 4), (7, 2), (6, 3)])  # same rank, signature, discriminant
+    assert GwElement(QQ, [(big, 2)]).gw_equal(GwElement(QQ, [(1, 2)]))
+    assert sorted(calls) == [1, big]
+    calls.clear()
+    assert a.gw_equal(b) == _gw_equal_expanded(a, b)
+    assert sorted(calls) == sorted([big, 6, -5, 1, -30, 7])

@@ -6,10 +6,11 @@ from math import comb
 import pytest
 
 from arithdt.errors import ArithdtError, GeneratorProductError, InexactDivisionError
-from arithdt.fields import QQ
-from arithdt.gw import GaussianInteger, GwAlphaElement, GwElement
+from arithdt.fields import CC, QQ, RR, finite_field
+from arithdt.gw import GaussianInteger, GwAlphaElement, GwElement, alpha_power
 from arithdt.motivic import (
     DEFAULT_GENERATORS,
+    SPEC_C,
     GeneratorSpec,
     L,
     L_HALF,
@@ -166,3 +167,37 @@ def test_rendering():
 def test_json_round_trip():
     cls = 2 * L - 1 + MotivicClass.u_power(-3, 4) + MotivicClass.generator("SpecC", 2) * L
     assert MotivicClass.from_json_dict(cls.to_json_dict()) == cls
+
+
+# -- chi_a1 against the term-by-term sum --------------------------------------------
+
+
+def _chi_a1_termwise(m, field, generators):
+    """u -> alpha one term at a time, each alpha^e built by alpha_power."""
+    total = GwAlphaElement.zero(field)
+    for e, c in m.u_terms:
+        total = total + alpha_power(field, e) * c
+    for name, coeff in m.extras:
+        part = GwAlphaElement.zero(field)
+        for e, c in coeff:
+            part = part + alpha_power(field, e) * c
+        total = total + part * generators[name].chi_a1.to_field(field)
+    return total
+
+
+# F_5 has -1 as a square, F_7 does not
+@pytest.mark.parametrize("field", [QQ, RR, CC, finite_field(5), finite_field(7)], ids=str)
+def test_chi_a1_matches_termwise_sum(field):
+    rng = random.Random(67)
+    quad = quadratic_point_generator(-1)
+    generators = {SPEC_C.name: SPEC_C, quad.name: quad}
+
+    def terms(spread):
+        return [(rng.randint(-spread, spread), rng.randint(-4, 4)) for _ in range(rng.randint(0, 8))]
+
+    for _ in range(150):
+        names = rng.sample(sorted(generators), rng.randint(0, 2))
+        m = MotivicClass(terms(9), [(n, terms(5)) for n in names])
+        assert chi_a1(m, field, generators) == _chi_a1_termwise(m, field, generators)
+        if quad.name not in names:
+            assert chi_a1(m, field) == _chi_a1_termwise(m, field, DEFAULT_GENERATORS)

@@ -1,0 +1,90 @@
+"""The package loads each submodule on first use, and the CLI only what a job runs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import arithdt
+
+# arithdt.__all__ as it was when the package imported every submodule eagerly
+PUBLIC_NAMES = [
+    "BaseField", "CC", "CastelnuovoInput", "CoefficientRing", "ConjugatePair", "EklResult",
+    "GAUSSIAN_RING", "GaussianInteger", "GeneratorSpec", "GvComparison", "GwAlphaElement",
+    "GwElement", "INT_RING", "L", "MOTIVIC_RING", "MatrixTriple", "MilnorReport", "MotivicClass",
+    "MultiPoly", "PartitionFunctionResult", "QQ", "QuotientAlgebra", "RR", "SncData",
+    "SquareClass", "StratumRecord", "TruncatedSeries", "alpha_power", "buchberger",
+    "castelnuovo", "castelnuovo_bound", "chi_a1", "chi_complex", "chi_real",
+    "count_plane_partitions", "count_symmetric_plane_partitions", "diagonalize_symmetric", "dt",
+    "ekl", "ekl_class", "errors", "fiber_dimension", "fields", "finite_field",
+    "global_degree_univariate", "grassmannian_class", "grevlex_key", "groebner",
+    "gv_arithmetic_direct", "gv_closed_form", "gv_compare", "gv_virtual_class_motivic", "gw",
+    "gw_alpha_ring", "gw_ring", "hasse_invariant", "hilbert_symbol", "local_degree_simple",
+    "local_nearby_class", "macmahon", "macmahon_symmetric", "milnor_chi_relation",
+    "milnor_number_a1", "motivic", "multipoly", "nearby", "nearby_class", "partition_function",
+    "partitions", "plane_partitions", "projective_space_class", "quadratic_point_generator",
+    "series", "trace_form", "trace_potential", "trace_potential_gradient", "verify_macmahon",
+    "verify_symmetric", "virtual_class_critical_locus", "virtual_class_torus", "z_arithmetic",
+    "z_motivic",
+]
+
+
+def test_all_keeps_the_eager_names():
+    assert arithdt.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from arithdt import *", namespace)
+    listed = dir(arithdt)
+    for name in PUBLIC_NAMES:
+        value = getattr(arithdt, name)
+        assert namespace[name] is value
+        assert name in listed
+    assert arithdt.dt is sys.modules["arithdt.dt"]
+    assert arithdt.QQ is arithdt.fields.QQ
+    assert arithdt.chi_a1 is arithdt.motivic.chi_a1
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        arithdt.no_such_name
+
+
+# runs one CLI job in a fresh interpreter and prints the arithdt modules it loaded
+_LOADED = """
+import sys
+from arithdt.cli import dispatch
+try:
+    dispatch(sys.argv[1:])
+except SystemExit:
+    pass
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "arithdt")))
+"""
+
+
+def _loaded_after(*argv):
+    src = Path(arithdt.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+GW_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors", "arithdt.fields", "arithdt.gw"}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["gw", "--op", "rank", "--a", "<2>"]],
+                         ids=["version", "gw"])
+def test_gw_jobs_load_four_modules(argv):
+    assert _loaded_after(*argv) == GW_ONLY
+
+
+def test_dt_job_loads_no_algebra_modules():
+    loaded = _loaded_after("dt-a3", "--order", "5")
+    assert "arithdt.dt" in loaded
+    assert loaded.isdisjoint({"arithdt.groebner", "arithdt.ekl", "arithdt.multipoly"})
