@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     ArithdtError,
@@ -32,10 +32,9 @@ from .errors import (
     SingularMatrixError,
     UnsupportedExtensionError,
 )
-from .fields import BaseField, QQ, squarefree_part
+from .fields import BaseField, QQ, factorize, squarefree_part
 from .groebner import QuotientAlgebra, grevlex_key
 from .gw import GwAlphaElement, GwElement, diagonalize_symmetric, trace_form
-from .motivic import chi_a1
 from .multipoly import MultiPoly
 
 
@@ -209,22 +208,17 @@ def _poly_gcd_is_constant(a: list, b: list) -> bool:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.update((d, n // d, -d, -(n // d)))
-    return sorted(out)
+    """Positive and negative divisors of n != 0, ascending."""
+    pos = [1]
+    for p, e in factorize(n).items():
+        pos = [d * p**k for d in pos for k in range(e + 1)]
+    return sorted(pos + [-d for d in pos])
 
 
 def _primitive_integer(c: list) -> list[int]:
-    from math import gcd, lcm
-
-    denom = lcm(*(x.denominator for x in c)) if c else 1
+    denom = lcm(*(x.denominator for x in c))
     ints = [int(x * denom) for x in c]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     return [x // g for x in ints] if g else ints
 
 
@@ -238,17 +232,8 @@ def _rational_roots(c: list) -> list[Fraction]:
     ints = _primitive_integer(work)
     if len(ints) <= 1:
         return sorted(set(roots))
-    seen = set()
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if q <= 0:
-                continue
-            cand = Fraction(p, q)
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if _poly_eval(work, cand) == 0:
-                roots.append(cand)
+    cands = {Fraction(p, q) for p in _divisors(ints[0]) for q in _divisors(ints[-1]) if q > 0}
+    roots += [x for x in cands if _poly_eval(work, x) == 0]
     return sorted(set(roots))
 
 
@@ -374,6 +359,7 @@ class MilnorReport:
 
 
 def milnor_chi_relation(f: MultiPoly, strata, field: BaseField = QQ, generators=None) -> MilnorReport:
+    from .motivic import chi_a1
     from .nearby import SncData, local_nearby_class
 
     if strata is None:

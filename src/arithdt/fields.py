@@ -4,68 +4,132 @@ Rank-one generators <a> of the Grothendieck-Witt ring are indexed by the
 square classes k^x/(k^x)^2 of the base field k.  Each supported field gets
 a unique integer representative per class -- square-free with sign over Q,
 +-1 over R, 1 over C, and 1 or a fixed least nonresidue over F_p -- so that
-equality and hashing of generators reduce to integer comparisons.
+equality and hashing of generators reduce to integer comparisons.  Every
+integer the package factors goes through ``factorize``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd, prod
 
 from .errors import ArithdtError
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+# Miller-Rabin to the first 13 prime bases proves primality below psi_13
+# (Sorenson-Webster, Math. Comp. 2017); the same primes are divided out first.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+# Pollard-Brent steps per factorization, over all seeds: a refusal comes within
+# seconds, and seeded products of two 40-bit primes split inside it.
+_RHO_STEPS = 1 << 22
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of |n| != 0, ascending in p, each p proved prime.
+
+    Raises ArithdtError on a factor above psi_13 that no base proves composite,
+    and when Pollard-Brent rho (Brent, BIT 1980) runs out of steps.
+    """
+    if n == 0:
+        raise ArithdtError("0 has no prime factorization")
+    out: dict[int, int] = {}
+    rest = abs(n)
+    for p in _SMALL_PRIMES:
+        while rest % p == 0:
+            rest //= p
+            out[p] = out.get(p, 0) + 1
+    stack, budget = [rest] if rest > 1 else [], _RHO_STEPS
+    while stack:
+        m = stack.pop()
+        if m >= 43 * 43 and not _is_strong_probable_prime(m):
+            d, budget = _rho_split(m, budget)
+            stack += [d, m // d]
+        elif m < _PSI_13:
+            out[m] = out.get(m, 0) + 1
+        else:
+            raise ArithdtError(f"cannot factor {n}: {m} cannot be proved prime, as Miller-Rabin "
+                               f"to 13 bases is a proof only below psi_13 = {_PSI_13}")
+    return dict(sorted(out.items()))
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """n, odd and > 41, passes Miller-Rabin to every base in _SMALL_PRIMES."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
-def squarefree_part(n: int) -> int:
-    """Largest square-free divisor of |n|, carrying the sign of n.
+def _rho_split(n: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite n, and the steps left of budget.
 
-    Trial division only; inputs stay desk-scale throughout the package.
+    Brent's cycle search on x -> x^2 + c with seeds c = 1, 2, ...; gcds are
+    batched over 128 steps, and a batch that hits n is retraced step by step.
     """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise ArithdtError(f"cannot factor the {n.bit_length()}-bit composite {n} "
+                                   f"within {_RHO_STEPS} Pollard-Brent steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and factorize(n) == {n: 1}
+
+
+def squarefree_part(n: int) -> int:
+    """n divided by the largest square dividing it: square-free, with the sign of n."""
     if n == 0:
         raise ArithdtError("0 has no square class")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * n
+    return (1 if n > 0 else -1) * prod(p for p, e in factorize(n).items() if e % 2)
 
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n|, ascending."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    return list(factorize(n)) if n else []
+
+
+def binary_power(x, n: int, one):
+    """x**n for an integer n >= 0 by square-and-multiply, with one as x**0."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
     return out
 
 

@@ -38,6 +38,7 @@ from .fields import (
     BaseField,
     QQ,
     SquareClass,
+    binary_power,
     is_prime,
     legendre_symbol,
     prime_factors,
@@ -79,14 +80,7 @@ class GaussianInteger:
     def __pow__(self, n: int) -> "GaussianInteger":
         if n < 0:
             raise ArithdtError("negative powers of Gaussian integers are not defined here")
-        out = GaussianInteger(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, GAUSSIAN_ONE)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -506,28 +500,13 @@ def alpha_power(field: BaseField, e: int) -> GwAlphaElement:
 # -- local symbols and form classification ----------------------------------
 
 
-def _two_adic_split(x: Fraction) -> tuple[int, int]:
-    """Valuation at 2 and the odd part mod 8 of a nonzero rational."""
-    n = x.numerator * x.denominator  # same square class, and v_2 only matters mod 2
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v, n % 8
-
-
 def _p_adic_split(x: Fraction, p: int) -> tuple[int, int]:
-    """Valuation at p and the unit part mod p of a nonzero rational."""
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
+    """(v_p(x), u) for x != 0: u = num * den with p divided out, a unit in the class of x / p^v."""
+    u, v = x.numerator * x.denominator, 0
+    while u % p == 0:
+        u //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    unit = num * pow(den, -1, p) % p
-    return v, unit
+    return (-v if x.denominator % p == 0 else v), u
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -541,23 +520,17 @@ def hilbert_symbol(a, b, place) -> int:
     if not isinstance(place, int) or not is_prime(place):
         raise ArithdtError(f"place must be a prime or {INFINITE_PLACE!r}, got {place!r}")
     p = place
+    va, ua = _p_adic_split(a, p)
+    vb, ub = _p_adic_split(b, p)
     if p == 2:
-        va, ua = _two_adic_split(a)
-        vb, ub = _two_adic_split(b)
+        ua, ub = ua % 8, ub % 8
         eps_a, eps_b = (ua - 1) // 2 % 2, (ub - 1) // 2 % 2
         om_a, om_b = (ua * ua - 1) // 8 % 2, (ub * ub - 1) // 8 % 2
         exponent = eps_a * eps_b + va * om_b + vb * om_a
         return -1 if exponent % 2 else 1
-    va, ua = _p_adic_split(a, p)
-    vb, ub = _p_adic_split(b, p)
-    sym = 1
-    if va * vb % 2:
-        sym *= legendre_symbol(-1, p)
-    if vb % 2:
-        sym *= legendre_symbol(ua, p)
-    if va % 2:
-        sym *= legendre_symbol(ub, p)
-    return sym
+    sym = legendre_symbol(-1, p) if va * vb % 2 else 1
+    sym *= legendre_symbol(ua, p) if vb % 2 else 1
+    return sym * (legendre_symbol(ub, p) if va % 2 else 1)
 
 
 def hasse_invariant(entries, place) -> int:

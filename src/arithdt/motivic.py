@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArithdtError, GeneratorProductError, InexactDivisionError, json_int
-from .fields import BaseField, QQ
+from .fields import BaseField, QQ, binary_power
 from .gw import (
     GaussianInteger,
     GwAlphaElement,
     GwElement,
-    diagonalize_symmetric,
     gaussian_i_power,
+    trace_form,
 )
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
@@ -156,14 +156,7 @@ class MotivicClass:
     def __pow__(self, n: int) -> "MotivicClass":
         if n < 0:
             raise ArithdtError("negative powers are only defined for monomials; use u_power")
-        out = MotivicClass.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, MotivicClass.one())
 
     def __eq__(self, other) -> bool:
         return (
@@ -273,11 +266,7 @@ def quadratic_point_generator(d: int) -> GeneratorSpec:
     The A^1-Euler characteristic is the trace form of the extension, with
     Gram matrix diag(2, 2d) on the basis (1, sqrt(d)).
     """
-    from .fields import squarefree_part
-
-    if d in (0, 1) or squarefree_part(d) != d:
-        raise ArithdtError(f"d must be a square-free integer != 1, got {d}")
-    chi_a1 = GwAlphaElement.from_even(diagonalize_symmetric([[2, 0], [0, 2 * d]], QQ))
+    chi_a1 = GwAlphaElement.from_even(trace_form(d, 1))
     chi_real = GaussianInteger(2 if d > 0 else 0, 0)
     return GeneratorSpec(f"SpecQ(sqrt({d}))", 2, chi_real, chi_a1)
 

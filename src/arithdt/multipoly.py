@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArithdtError, json_int
+from .fields import binary_power
 
 Exponents = tuple
 
@@ -134,14 +135,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ArithdtError("negative polynomial powers are undefined")
-        out = MultiPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, MultiPoly.constant(self.variables, 1))
 
     def __eq__(self, other) -> bool:
         return (

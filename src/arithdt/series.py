@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
-from .fields import BaseField, QQ
+from .fields import BaseField, QQ, binary_power
 from .gw import GAUSSIAN_ONE, GAUSSIAN_ZERO, GwAlphaElement, GwElement
 from .motivic import MOT_ONE, MOT_ZERO
 
@@ -151,14 +151,7 @@ class TruncatedSeries:
     def __pow__(self, e: int) -> "TruncatedSeries":
         if e < 0:
             return TruncatedSeries.one(self.ring, self.order) / self ** (-e)
-        out = TruncatedSeries.one(self.ring, self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return binary_power(self, e, TruncatedSeries.one(self.ring, self.order))
 
     def map_coeffs(self, fn, ring: CoefficientRing) -> "TruncatedSeries":
         """Apply a ring morphism termwise, landing in the given ring."""

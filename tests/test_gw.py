@@ -181,6 +181,17 @@ def test_hilbert_product_formula():
             assert prod == 1, (a, b)
 
 
+def test_hilbert_symbol_of_fractions_is_that_of_their_square_classes():
+    # 1/a = a * (1/a)^2 and a/s^2 share the class of a, including at primes of the denominators
+    for a in SMALL:
+        for b in SMALL:
+            for p in PLACES:
+                expected = hilbert_symbol(a, b, p)
+                assert hilbert_symbol(Fraction(1, a), b, p) == expected, (a, b, p)
+                assert hilbert_symbol(Fraction(a, 36), Fraction(25 * b, 49), p) == expected, (a, b, p)
+                assert hilbert_symbol(Fraction(a, 1), Fraction(1, b), p) == expected, (a, b, p)
+
+
 def test_hilbert_rejects_bad_place():
     with pytest.raises(ArithdtError):
         hilbert_symbol(2, 3, 6)

@@ -88,3 +88,11 @@ def test_dt_job_loads_no_algebra_modules():
     loaded = _loaded_after("dt-a3", "--order", "5")
     assert "arithdt.dt" in loaded
     assert loaded.isdisjoint({"arithdt.groebner", "arithdt.ekl", "arithdt.multipoly"})
+
+
+def test_ekl_job_does_not_load_motivic(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text('{"vars": ["x", "y"], "polys": [[[[1, 0], "2"]], [[[0, 1], "-2"]]]}')
+    loaded = _loaded_after("ekl", "--map", str(path))
+    assert "arithdt.ekl" in loaded
+    assert "arithdt.motivic" not in loaded
