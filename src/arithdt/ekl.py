@@ -37,6 +37,8 @@ from .groebner import QuotientAlgebra, grevlex_key
 from .gw import GwAlphaElement, GwElement, diagonalize_symmetric, trace_form
 from .multipoly import MultiPoly
 
+_ZERO = Fraction(0)  # start of every Gram entry sum; one shared immutable value
+
 
 @dataclass(frozen=True)
 class EklResult:
@@ -111,28 +113,26 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
         raise DegenerateSystemError("Jacobian determinant vanishes in the local algebra")
     socle = det_j * Fraction(1, dim)
 
-    socle_coords = algebra.coordinates(socle)
     if functional is None:
         lead = max(socle.terms, key=grevlex_key)
-        idx = algebra.standard_monomials.index(lead)
         phi = [Fraction(0)] * dim
-        phi[idx] = 1 / socle.terms[lead]
+        phi[algebra.index[lead]] = 1 / socle.terms[lead]
     else:
         phi = [Fraction(x) for x in functional]
         if len(phi) != dim:
             raise ArithdtError("functional has wrong length")
-    if sum(p * c for p, c in zip(phi, socle_coords)) != 1:
+    # the socle is a normal form, so its monomials are standard
+    if sum(phi[algebra.index[e]] * c for e, c in socle.terms.items()) != 1:
         raise DegenerateSystemError("normalization phi(E) = 1 is not satisfied")
 
     # row walk (module docstring): w_0 = phi, w_i = w_p . M_{x_k} for b_i = x_k * b_p
-    matrices = algebra.multiplication_matrices()
     gram = [phi]
     for mono in algebra.standard_monomials[1:]:
         k = next(v for v, e in enumerate(mono) if e)
         parent = gram[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
         gram.append([
-            sum((parent[l] * c for l, c in column.items() if parent[l]), Fraction(0))
-            for column in matrices[k]
+            sum((parent[l] * c for l, c in column.items() if parent[l]), _ZERO)
+            for column in algebra.matrices[k]
         ])
 
     try:
@@ -313,23 +313,11 @@ def global_degree_univariate(p: MultiPoly, y, field: BaseField = QQ) -> GwElemen
         s = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
         assert s * s == ratio
         root_q = ((-pp / 2, s / 2),)
-        u, v = _eval_univariate_quadratic(deriv, root_q[0], d)
+        u, v = p.partial(0).evaluate_quadratic(root_q, d)
         total = total + trace_form(d, u, v).to_field(field)
         remaining, rem = _poly_divmod(remaining, quad)
         assert not rem
     return total
-
-
-def _eval_univariate_quadratic(c: list, coord, d: int) -> tuple[Fraction, Fraction]:
-    u = Fraction(0)
-    v = Fraction(0)
-    xu, xv = coord
-    pu, pv = Fraction(1), Fraction(0)
-    for coeff in c:
-        u += coeff * pu
-        v += coeff * pv
-        pu, pv = pu * xu + d * pv * xv, pu * xv + pv * xu
-    return u, v
 
 
 def milnor_number_a1(f: MultiPoly, field: BaseField = QQ) -> EklResult:

@@ -44,31 +44,62 @@ def factorize(n: int) -> dict[int, int]:
     stack, budget = [rest] if rest > 1 else [], _RHO_STEPS
     while stack:
         m = stack.pop()
-        if m >= 43 * 43 and not _is_strong_probable_prime(m):
+        if _is_prime_cofactor(m):
+            out[m] = out.get(m, 0) + 1
+        elif power := _perfect_power(m):
+            root, k = power
+            stack += [root] * k
+        else:
             d, budget = _rho_split(m, budget)
             stack += [d, m // d]
-        elif m < _PSI_13:
-            out[m] = out.get(m, 0) + 1
-        else:
-            raise ArithdtError(f"cannot factor {n}: {m} cannot be proved prime, as Miller-Rabin "
-                               f"to 13 bases is a proof only below psi_13 = {_PSI_13}")
     return dict(sorted(out.items()))
 
 
-def _is_strong_probable_prime(n: int) -> bool:
-    """n, odd and > 41, passes Miller-Rabin to every base in _SMALL_PRIMES."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
+def _is_prime_cofactor(m: int) -> bool:
+    """Whether m > 1, with no prime factor up to 41, is prime: a failed base proves it is not.
+
+    Raises ArithdtError when m >= psi_13 passes every base, as no verdict is proved then.
+    """
+    if m < 43 * 43:
+        return True
+    s = ((m - 1) & (1 - m)).bit_length() - 1
     for a in _SMALL_PRIMES:
-        x = pow(a, (n - 1) >> s, n)
-        if x in (1, n - 1):
+        x = pow(a, (m - 1) >> s, m)
+        if x in (1, m - 1):
             continue
         for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+            x = x * x % m
+            if x == m - 1:
                 break
         else:
             return False
+    if m >= _PSI_13:
+        raise ArithdtError(f"{m} cannot be proved prime, as Miller-Rabin to 13 bases "
+                           f"is a proof only below psi_13 = {_PSI_13}")
     return True
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == m for the least prime k that has one, or None.
+
+    m has no prime factor up to 41, so r > 2^5 and k < m.bit_length() / 5.
+    """
+    for k in range(2, m.bit_length() // 5 + 1):
+        if is_prime(k):
+            r = _integer_root(m, k)
+            if r**k == m:
+                return r, k
+    return None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by Newton's iteration on integers from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _rho_split(n: int, budget: int) -> tuple[int, int]:
@@ -106,7 +137,13 @@ def _rho_split(n: int, budget: int) -> tuple[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and factorize(n) == {n: 1}
+    """Whether n is prime, decided without factoring n; refused above psi_13 as in factorize."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    return _is_prime_cofactor(n)
 
 
 def squarefree_part(n: int) -> int:

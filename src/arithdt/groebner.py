@@ -1,19 +1,23 @@
 """Groebner bases over Q in graded reverse lexicographic order.
 
-Plain Buchberger with the coprime-leading-monomial criterion, full normal
-forms, and inter-reduction to the unique reduced monic basis.  The grevlex
-order is fixed package-wide: the degree decides first, ties break on the
-rightmost nonzero exponent difference being negative.
+Plain Buchberger with normal selection (pairs by smallest lcm degree), the
+coprime-leading-monomial criterion, full normal forms, and inter-reduction
+to the unique reduced monic basis.  The grevlex order is fixed
+package-wide: the degree decides first, ties break on the rightmost nonzero
+exponent difference being negative.
 
 QuotientAlgebra presents A = Q[x]/(ideal) for zero-dimensional ideals whose
 only zero over the algebraic closure is the origin; that locality condition
 is what the downstream local-degree constructions need, and it is checked
-by requiring every variable to be nilpotent in A.
+by requiring every variable to be nilpotent in A.  The algebra builds the
+matrices of multiplication by each variable once; every product in A is a
+walk through them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 
 from .errors import (
@@ -78,8 +82,8 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
     return MultiPoly._make(variables, remainder)
 
 
-def _s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    lf, lg = leading_monomial(f), leading_monomial(g)
+def _s_polynomial(f: MultiPoly, g: MultiPoly, lf: tuple, lg: tuple) -> MultiPoly:
+    """S-polynomial of f and g, whose leading monomials are lf and lg."""
     lcm = _mono_lcm(lf, lg)
     mf = MultiPoly._make(f.variables, {_mono_div(lcm, lf): 1 / f.terms[lf]})
     mg = MultiPoly._make(g.variables, {_mono_div(lcm, lg): 1 / g.terms[lg]})
@@ -91,63 +95,64 @@ def _monic(p: MultiPoly) -> MultiPoly:
     return p * (1 / lc)
 
 
-def _interreduce(polys) -> list[MultiPoly]:
-    polys = [_monic(p) for p in polys if not p.is_zero()]
-    # drop generators whose leading monomial another one divides
-    kept = []
-    for i, p in enumerate(polys):
-        lm = leading_monomial(p)
-        if any(
-            j != i and _divides(leading_monomial(q), lm)
-            and not (leading_monomial(q) == lm and j > i)
-            for j, q in enumerate(polys)
-        ):
-            continue
-        kept.append(p)
-    # fully reduce each survivor against the others
-    out = []
-    for i, p in enumerate(kept):
-        rest = kept[:i] + kept[i + 1 :]
-        r = normal_form(p, rest) if rest else p
-        if not r.is_zero():
-            out.append(_monic(r))
-    out.sort(key=lambda q: grevlex_key(leading_monomial(q)))
-    return out
+def _interreduce(basis, lms) -> list[MultiPoly]:
+    """The reduced basis of a monic Groebner basis with leading monomials lms."""
+    # keep the generators whose leading monomial no other one divides (the first of equal ones)
+    kept = sorted(
+        (
+            (lm, p)
+            for i, (lm, p) in enumerate(zip(lms, basis))
+            if not any(
+                j != i and _divides(m, lm) and (m != lm or j < i) for j, m in enumerate(lms)
+            )
+        ),
+        key=lambda t: grevlex_key(t[0]),
+    )
+    polys = [p for _, p in kept]
+    if len(polys) == 1:
+        return polys
+    # no other leading monomial divides a survivor's, so its leading term stays and it stays monic
+    return [normal_form(p, polys[:i] + polys[i + 1 :]) for i, p in enumerate(polys)]
 
 
 def buchberger(generators) -> list[MultiPoly]:
     """Reduced grevlex Groebner basis of the ideal the generators span."""
     basis = [_monic(g) for g in generators if not g.is_zero()]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    lms = [leading_monomial(g) for g in basis]
+    pairs: list[tuple] = []  # heap of (lcm degree, i, j): normal selection
+
+    def add_pairs(i):
+        for j in range(i):
+            lcm = _mono_lcm(lms[i], lms[j])
+            if lcm != _mono_mul(lms[i], lms[j]):  # coprime leading monomials reduce to zero
+                heappush(pairs, (sum(lcm), i, j))
+
+    for i in range(len(basis)):
+        add_pairs(i)
     while pairs:
-        # normal selection: smallest lcm degree first
-        pairs.sort(key=lambda ij: sum(_mono_lcm(
-            leading_monomial(basis[ij[0]]), leading_monomial(basis[ij[1]])
-        )), reverse=True)
-        i, j = pairs.pop()
-        lf, lg = leading_monomial(basis[i]), leading_monomial(basis[j])
-        if _mono_lcm(lf, lg) == _mono_mul(lf, lg):
-            continue  # coprime leading monomials reduce to zero
-        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        _, i, j = heappop(pairs)
+        r = normal_form(_s_polynomial(basis[i], basis[j], lms[i], lms[j]), basis)
         if r.is_zero():
             continue
         basis.append(_monic(r))
-        pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    return _interreduce(basis)
+        lms.append(leading_monomial(basis[-1]))
+        add_pairs(len(basis) - 1)
+    return _interreduce(basis, lms)
 
 
 class QuotientAlgebra:
     """A finite-dimensional quotient Q[x]/(P), supported only at the origin.
 
     Carries the reduced Groebner basis, the ascending-grevlex standard
-    monomial basis and its position index.  Multiplication is computed on
-    demand: per basis pair by ``basis_product``, per variable by
-    ``multiplication_matrices``.
+    monomial basis b_0 = 1, b_1, ..., its position index, and the sparse
+    matrices M_{x_k} of multiplication by each variable, built once here.
+    Entry ``matrices[k][j]`` is column j of M_{x_k}: the coordinate dict of
+    x_k * b_j.  A product that is itself a standard monomial is read off the
+    index; only the others need a normal form.  Every other product in A is
+    a walk through these matrices.
     """
 
-    __slots__ = ("variables", "groebner", "standard_monomials", "dimension", "index")
+    __slots__ = ("variables", "groebner", "standard_monomials", "dimension", "index", "matrices")
 
     def __init__(self, variables, groebner, standard_monomials):
         self.variables = tuple(variables)
@@ -155,9 +160,21 @@ class QuotientAlgebra:
         self.standard_monomials = tuple(standard_monomials)
         self.dimension = len(self.standard_monomials)
         self.index = {m: i for i, m in enumerate(self.standard_monomials)}
+        self.matrices = []
+        for k in range(len(self.variables)):
+            columns = []
+            for mono in self.standard_monomials:
+                shifted = tuple(e + (v == k) for v, e in enumerate(mono))
+                pos = self.index.get(shifted)
+                if pos is not None:
+                    columns.append({pos: Fraction(1)})
+                else:
+                    monomial = MultiPoly._make(self.variables, {shifted: Fraction(1)})
+                    columns.append(self._sparse_coordinates(monomial))
+            self.matrices.append(columns)
 
     @classmethod
-    def of_ideal(cls, generators, require_origin: bool = True) -> "QuotientAlgebra":
+    def of_ideal(cls, generators) -> "QuotientAlgebra":
         generators = list(generators)
         if not generators:
             raise PositiveDimensionalIdealError("empty generating set")
@@ -191,17 +208,16 @@ class QuotientAlgebra:
         ]
         monomials.sort(key=grevlex_key)
         algebra = cls(variables, basis, monomials)
-        if require_origin:
-            for i in range(n):
-                power = tuple(
-                    algebra.dimension if j == i else 0 for j in range(n)
+        for i in range(n):
+            # coordinates of x_i^dim, from those of b_0 = 1
+            power = {0: Fraction(1)}
+            for _ in range(algebra.dimension):
+                power = algebra._times(i, power)
+            if power:
+                raise NotSupportedAtOriginError(
+                    f"{variables[i]} is not nilpotent in the quotient: "
+                    "zero set is not concentrated at the origin"
                 )
-                nf = algebra.normal_form(MultiPoly(variables, {power: 1}))
-                if not nf.is_zero():
-                    raise NotSupportedAtOriginError(
-                        f"{variables[i]} is not nilpotent in the quotient: "
-                        "zero set is not concentrated at the origin"
-                    )
         return algebra
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
@@ -217,6 +233,14 @@ class QuotientAlgebra:
             coords[k] = c
         return dict(sorted(coords.items()))
 
+    def _times(self, k: int, coords: dict) -> dict:
+        """Nonzero coordinates of x_k * v, for v given by its nonzero coordinates."""
+        out: dict = {}
+        for j, c in coords.items():
+            for l, d in self.matrices[k][j].items():
+                out[l] = out.get(l, 0) + c * d
+        return {l: c for l, c in out.items() if c}
+
     def coordinates(self, p: MultiPoly) -> list[Fraction]:
         """Coordinates of the normal form in the standard monomial basis."""
         coords = [Fraction(0)] * self.dimension
@@ -225,9 +249,12 @@ class QuotientAlgebra:
         return coords
 
     def basis_product(self, i: int, j: int) -> dict:
-        """Normal form of the product of basis monomials i and j, as a coordinate dict."""
-        mono = _mono_mul(self.standard_monomials[i], self.standard_monomials[j])
-        return self._sparse_coordinates(self.monomial_poly(mono))
+        """Coordinates {k: c} of b_i * b_j: b_j multiplied by each variable of b_i in turn."""
+        coords = {j: Fraction(1)}
+        for k, e in enumerate(self.standard_monomials[i]):
+            for _ in range(e):
+                coords = self._times(k, coords)
+        return dict(sorted(coords.items()))
 
     def multiplication_table(self) -> dict:
         """Full structure-constant table {(i, j): {k: c}} for i <= j."""
@@ -236,29 +263,6 @@ class QuotientAlgebra:
             for i in range(self.dimension)
             for j in range(i, self.dimension)
         }
-
-    def multiplication_matrices(self) -> list[list[dict]]:
-        """Sparse matrices of multiplication by each variable.
-
-        Entry ``[k][j]`` is column j of M_{x_k}: the coordinate dict of
-        x_k * b_j.  A product that is itself a standard monomial is read off
-        the index; only the others need a normal form.
-        """
-        matrices = []
-        for k in range(len(self.variables)):
-            columns = []
-            for mono in self.standard_monomials:
-                shifted = tuple(e + (v == k) for v, e in enumerate(mono))
-                pos = self.index.get(shifted)
-                if pos is not None:
-                    columns.append({pos: Fraction(1)})
-                else:
-                    columns.append(self._sparse_coordinates(self.monomial_poly(shifted)))
-            matrices.append(columns)
-        return matrices
-
-    def monomial_poly(self, exps) -> MultiPoly:
-        return MultiPoly(self.variables, {tuple(exps): 1})
 
     def __repr__(self) -> str:
         basis = ", ".join(g.render() for g in self.groebner)

@@ -567,7 +567,8 @@ def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
     lexicographically first nonzero off-diagonal pair is consumed as a
     hyperbolic plane.  Deterministic by construction.
     """
-    m = [[Fraction(x) for x in row] for row in mat]
+    # exact entries are copied, not rebuilt
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
     n = len(m)
     for row in m:
         if len(row) != n:
@@ -579,44 +580,38 @@ def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
 
     entries: list[Fraction] = []
     active = list(range(n))
-
-    def eliminate_rows(targets, pivots, coeffs):
-        # rows then columns: S^T M S with S built from the pivot columns.
-        # Rows and columns outside `active` are already zero off the
-        # diagonal, so the update is confined to the active block.
-        for k, cs in zip(targets, coeffs):
-            for piv, c in zip(pivots, cs):
-                if c:
-                    for l in active:
-                        m[k][l] -= c * m[piv][l]
-        for k, cs in zip(targets, coeffs):
-            for piv, c in zip(pivots, cs):
-                if c:
-                    for l in active:
-                        m[l][k] -= c * m[l][piv]
-
     while active:
         pivot = next((i for i in active if m[i][i] != 0), None)
         if pivot is not None:
-            piv = m[pivot][pivot]
-            others = [j for j in active if j != pivot]
-            eliminate_rows(others, [pivot], [[m[j][pivot] / piv] for j in others])
-            entries.append(piv)
+            # 1x1 pivot d = m[p][p]: m[k][l] -= m[k][p] * m[p][l] / d
+            d = m[pivot][pivot]
+            terms = [(pivot, pivot)]
+            entries.append(d)
             active.remove(pivot)
-            continue
-        block = next(
-            ((i, j) for i in active for j in active if i < j and m[i][j] != 0),
-            None,
-        )
-        if block is None:
-            raise SingularMatrixError("matrix is singular")
-        i, j = block
-        b = m[i][j]
-        others = [k for k in active if k not in (i, j)]
-        eliminate_rows(others, [i, j], [[m[k][j] / b, m[k][i] / b] for k in others])
-        entries.extend([Fraction(1), Fraction(-1)])
-        active.remove(i)
-        active.remove(j)
+        else:
+            block = next(
+                ((i, j) for i in active for j in active if i < j and m[i][j] != 0),
+                None,
+            )
+            if block is None:
+                raise SingularMatrixError("matrix is singular")
+            # hyperbolic pivot [[0, d], [d, 0]]:
+            # m[k][l] -= (m[k][j] * m[i][l] + m[k][i] * m[j][l]) / d
+            i, j = block
+            d = m[i][j]
+            terms = [(j, i), (i, j)]
+            entries.extend([Fraction(1), Fraction(-1)])
+            active.remove(i)
+            active.remove(j)
+        # Schur complement on the active block; the pivot rows and columns are dropped
+        for a, b in terms:
+            pivot_row = [(l, m[b][l]) for l in active if m[b][l]]
+            for k in active:
+                if m[k][a]:
+                    c = m[k][a] / d
+                    row = m[k]
+                    for l, x in pivot_row:
+                        row[l] -= c * x
 
     return GwElement.from_diagonal(field, entries)
 

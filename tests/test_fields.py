@@ -22,6 +22,8 @@ from arithdt.motivic import MotivicClass
 
 PSI_13 = 3317044064679887385961981
 M89 = 2**89 - 1  # a Mersenne prime above psi_13
+# primes of 40, 61 and 80 bits; P80 and Q80 are the first primes past 2^80 and 2^80 + 2^70
+P40, M61, P80, Q80 = 1099511627689, 2**61 - 1, 1208925819614629174706189, 1210106411235346586009689
 
 
 # -- the trial-division oracle ------------------------------------------------
@@ -165,14 +167,37 @@ def test_factors_above_psi_13_are_refused(n):
     # PSI_13 itself is composite but passes all 13 bases, so it cannot be decided either
     with pytest.raises(ArithdtError, match="psi_13"):
         factorize(n)
-    with pytest.raises(ArithdtError):
-        is_prime(n)
+    if n % 3:
+        with pytest.raises(ArithdtError, match="psi_13"):
+            is_prime(n)
+    else:
+        # is_prime does not factor: the divisor 3 proves 3 * M89 composite
+        assert not is_prime(n)
 
 
 def test_rho_budget_is_a_refusal(monkeypatch):
     monkeypatch.setattr(fields, "_RHO_STEPS", 1 << 12)
     with pytest.raises(ArithdtError, match="Pollard-Brent"):
-        factorize((2**61 - 1) ** 2)
+        factorize(M61 * P80)
+
+
+PRIME_POWERS = {"P40^2": P40**2, "7*P40^3": 7 * P40**3, "M61^2": M61**2, "3*M61^2": 3 * M61**2,
+                "M61^5": M61**5, "P80^2": P80**2, "2*P80^3": 2 * P80**3, "(P40*M61)^2": (P40 * M61) ** 2,
+                "P40^2*M61^3": P40**2 * M61**3}
+
+
+@pytest.mark.parametrize("n", PRIME_POWERS.values(), ids=PRIME_POWERS.keys())
+def test_prime_powers_answer_as_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert factorize(n) == sympy.factorint(n)
+
+
+def test_is_prime_does_not_factor(monkeypatch):
+    # a failed Miller-Rabin base proves p * q composite, with no rho step taken
+    monkeypatch.setattr(fields, "_rho_split", None)
+    assert not is_prime(P80 * Q80)
+    assert not is_prime(M61**2)
+    assert is_prime(P80)
 
 
 def test_binary_power():
@@ -215,6 +240,22 @@ def test_nineteen_digit_jobs_answer_within_a_second(argv, expected):
     proc, seconds = _cli(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout,stderr",
+    [
+        # 3 * (2^61 - 1)^2, whose square class is <3>
+        (["gw", "--op", "rank", "--a", f"<{3 * M61**2}>"], 0, "1\n", ""),
+        (["gw", "--op", "rank", "--a", "<1>", "--field", f"F{P80 * Q80}"],
+         1, "", "error: finite base fields require an odd prime p\n"),
+    ],
+    ids=["prime-power", "composite-field"],
+)
+def test_prime_powers_and_composite_fields_answer_at_once(argv, code, stdout, stderr):
+    proc, seconds = _cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
     assert seconds < 1.0
 
 

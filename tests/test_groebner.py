@@ -1,12 +1,17 @@
 """Groebner engine: order sanity, reduced bases, quotient algebras.
 
 Dimensions and basis leading terms are cross-checked against an independent
-implementation (sympy) on a suite of zero-dimensional ideals.
+implementation (sympy) on a suite of zero-dimensional ideals.  Products in
+the quotient and its locality check walk the multiplication matrices; one
+normal form per product is the oracle for both.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from test_acceptance import EKL_SUITE
 
 from arithdt.errors import (
     ArithdtError,
@@ -107,6 +112,86 @@ def test_multiplication_table_reflects_relations():
     assert all(i <= j for i, j in table)
 
 
+# -- matrix walks against one normal form per product ---------------------------------
+
+
+def oracle_basis_product(algebra, i, j):
+    """Coordinates of b_i * b_j from the normal form of the product monomial."""
+    mono = tuple(a + b for a, b in zip(algebra.standard_monomials[i], algebra.standard_monomials[j]))
+    nf = algebra.normal_form(MultiPoly(algebra.variables, {mono: 1}))
+    return dict(sorted((algebra.index[e], c) for e, c in nf.terms.items()))
+
+
+def oracle_locality_error(polys):
+    """The error of_ideal should raise, found by reducing x_i^dim for every variable x_i."""
+    variables = polys[0].variables
+    basis = buchberger(polys)
+    lms = [leading_monomial(g) for g in basis]
+    n = len(variables)
+    bounds = []
+    for i in range(n):
+        pure = [lm[i] for lm in lms if lm[i] and not any(lm[j] for j in range(n) if j != i)]
+        if not pure:
+            return PositiveDimensionalIdealError
+        bounds.append(min(pure))
+    dim = sum(
+        1
+        for exps in itertools.product(*(range(b) for b in bounds))
+        if not any(all(x <= y for x, y in zip(lm, exps)) for lm in lms)
+    )
+    powers = [tuple(dim if j == i else 0 for j in range(n)) for i in range(n)]
+    if all(normal_form(MultiPoly(variables, {p: 1}), basis).is_zero() for p in powers):
+        return None
+    return NotSupportedAtOriginError
+
+
+def _dense_forms(seed, n, d):
+    """n dense forms of degree d in n variables with coefficients +-1."""
+    rng = random.Random(seed)
+    monomials = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+    return [MultiPoly(("x", "y", "z")[:n], {e: rng.choice((-1, 1)) for e in monomials}) for _ in range(n)]
+
+
+WALK_CASES = [[P(v, t) for t in ts] for v, ts in EKL_SUITE]
+WALK_CASES += [
+    P(("x", "y"), "x**6 + y**6").gradient(),
+    P(("x", "y"), "x**11 + y**11").gradient(),
+    P(("x", "y", "z"), "x**4 + y**4 + z**4").gradient(),
+]
+# (n, d): seeds whose forms meet only at the origin
+GENERIC_SEEDS = {(2, 3): (0, 1, 2), (2, 4): (0, 1, 2), (2, 5): (0, 2, 4), (3, 2): (0, 2, 5), (3, 3): (0, 2, 3)}
+WALK_CASES += [_dense_forms(seed, n, d) for (n, d), seeds in GENERIC_SEEDS.items() for seed in seeds]
+NON_LOCAL = [
+    ([P(("x", "y"), "x*y")], PositiveDimensionalIdealError),
+    ([P(("x",), "x**2 - 1")], NotSupportedAtOriginError),
+    ([P(("x",), "x**2 - x")], NotSupportedAtOriginError),
+]
+
+
+def _case_id(polys):
+    return " | ".join(map(str, polys))[:40].strip()
+
+
+@pytest.mark.parametrize(
+    "polys,error", [pytest.param(p, e, id=_case_id(p)) for p, e in [(p, None) for p in WALK_CASES] + NON_LOCAL]
+)
+def test_locality_check_matches_reduced_powers(polys, error):
+    assert oracle_locality_error(polys) is error
+    if error is None:
+        QuotientAlgebra.of_ideal(polys)
+    else:
+        with pytest.raises(error):
+            QuotientAlgebra.of_ideal(polys)
+
+
+@pytest.mark.parametrize("polys", WALK_CASES, ids=_case_id)
+def test_basis_product_matches_per_pair_normal_form(polys):
+    algebra = QuotientAlgebra.of_ideal(polys)
+    for i in range(algebra.dimension):
+        for j in range(algebra.dimension):
+            assert algebra.basis_product(i, j) == oracle_basis_product(algebra, i, j), (i, j)
+
+
 SUITE = [
     (("x",), ["x**2"]),
     (("x",), ["x**5"]),
@@ -121,6 +206,9 @@ SUITE = [
     (("x", "y", "z"), ["2*x", "3*y", "5*z"]),
     (("x", "y", "z"), ["x**3", "y**2", "z**2"]),
     (("x", "y"), ["x**2 - y**3", "x*y**2"]),
+    # tails that only the final inter-reduction removes
+    (("x", "y"), ["x**3 + y**2", "y**2"]),
+    (("x", "y", "z"), ["x**3 + y**2*z", "y**2", "z**2"]),
 ]
 
 
@@ -142,6 +230,16 @@ def test_dimensions_against_sympy(variables, texts):
     ]
     ours = sorted(leading_monomial(g) for g in algebra.groebner)
     assert ours == sorted(leading)
+    # the whole reduced basis, each element monic (sympy returns primitive integer multiples)
+    theirs = {sympy.expand(g / sympy.Poly(g, *symbols).LC(order="grevlex")) for g in basis.exprs}
+    ours = {
+        sympy.expand(sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(symbols, exps)))
+            for exps, c in g.terms.items()
+        ))
+        for g in algebra.groebner
+    }
+    assert ours == theirs
 
     import itertools
 

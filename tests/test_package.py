@@ -1,5 +1,6 @@
 """The package loads each submodule on first use, and the CLI only what a job runs."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +97,18 @@ def test_ekl_job_does_not_load_motivic(tmp_path):
     loaded = _loaded_after("ekl", "--map", str(path))
     assert "arithdt.ekl" in loaded
     assert "arithdt.motivic" not in loaded
+
+
+def test_library_imports_only_the_standard_library():
+    package = Path(arithdt.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "arithdt" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
