@@ -262,7 +262,7 @@ def _cmd_ekl(args) -> tuple[dict, str]:
 
 
 def _cmd_nearby(args) -> tuple[dict, str]:
-    from .motivic import chi_a1, chi_complex, chi_real
+    from .motivic import chi_a1
     from .nearby import SncData, local_nearby_class, nearby_class, virtual_class_critical_locus
 
     data = SncData.from_json_dict(_load_json(args.data))
@@ -274,10 +274,11 @@ def _cmd_nearby(args) -> tuple[dict, str]:
         virt = virtual_class_critical_locus(cls, data.central_fiber_class, data.ambient_dimension)
         payload["virtual_class"] = virt.to_json_dict()
         lines.append(f"virtual_class: {virt.render()}")
+    a1 = chi_a1(cls, QQ)
     payload["euler"] = {
-        "complex": chi_complex(cls),
-        "real": chi_real(cls).to_json_dict(),
-        "a1": chi_a1(cls, QQ).to_json_dict(),
+        "complex": a1.numeric_complex(),
+        "real": a1.numeric_real().to_json_dict(),
+        "a1": a1.to_json_dict(),
     }
     return payload, "\n".join(lines)
 

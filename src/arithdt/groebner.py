@@ -54,18 +54,17 @@ def _mono_mul(a, b) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def normal_form(p: MultiPoly, basis) -> MultiPoly:
-    """Full remainder of p on division by the basis (every term reduced)."""
+def normal_form(p: MultiPoly, basis, lms) -> MultiPoly:
+    """Full remainder of p on division by the basis, whose leading monomials are lms."""
     variables = p.variables
     remainder: dict[tuple, Fraction] = {}
     work = dict(p.terms)
-    lms = [(leading_monomial(g), g) for g in basis if not g.is_zero()]
     while work:
         mono = max(work, key=grevlex_key)
         coeff = work.pop(mono)
         if not coeff:
             continue
-        for lm, g in lms:
+        for lm, g in zip(lms, basis):
             if _divides(lm, mono):
                 shift = _mono_div(mono, lm)
                 factor = coeff / g.terms[lm]
@@ -108,11 +107,13 @@ def _interreduce(basis, lms) -> list[MultiPoly]:
         ),
         key=lambda t: grevlex_key(t[0]),
     )
-    polys = [p for _, p in kept]
+    polys, lms = [p for _, p in kept], [lm for lm, _ in kept]
     if len(polys) == 1:
         return polys
     # no other leading monomial divides a survivor's, so its leading term stays and it stays monic
-    return [normal_form(p, polys[:i] + polys[i + 1 :]) for i, p in enumerate(polys)]
+    return [
+        normal_form(p, polys[:i] + polys[i + 1 :], lms[:i] + lms[i + 1 :]) for i, p in enumerate(polys)
+    ]
 
 
 def buchberger(generators) -> list[MultiPoly]:
@@ -131,7 +132,7 @@ def buchberger(generators) -> list[MultiPoly]:
         add_pairs(i)
     while pairs:
         _, i, j = heappop(pairs)
-        r = normal_form(_s_polynomial(basis[i], basis[j], lms[i], lms[j]), basis)
+        r = normal_form(_s_polynomial(basis[i], basis[j], lms[i], lms[j]), basis, lms)
         if r.is_zero():
             continue
         basis.append(_monic(r))
@@ -143,20 +144,23 @@ def buchberger(generators) -> list[MultiPoly]:
 class QuotientAlgebra:
     """A finite-dimensional quotient Q[x]/(P), supported only at the origin.
 
-    Carries the reduced Groebner basis, the ascending-grevlex standard
-    monomial basis b_0 = 1, b_1, ..., its position index, and the sparse
-    matrices M_{x_k} of multiplication by each variable, built once here.
+    Carries the reduced Groebner basis and its leading monomials, the
+    ascending-grevlex standard monomial basis b_0 = 1, b_1, ..., its position
+    index, and the sparse matrices M_{x_k} of multiplication by each variable,
+    built once here.
     Entry ``matrices[k][j]`` is column j of M_{x_k}: the coordinate dict of
     x_k * b_j.  A product that is itself a standard monomial is read off the
     index; only the others need a normal form.  Every other product in A is
     a walk through these matrices.
     """
 
-    __slots__ = ("variables", "groebner", "standard_monomials", "dimension", "index", "matrices")
+    __slots__ = ("variables", "groebner", "leading_monomials", "standard_monomials", "dimension",
+                 "index", "matrices")
 
     def __init__(self, variables, groebner, standard_monomials):
         self.variables = tuple(variables)
         self.groebner = tuple(groebner)
+        self.leading_monomials = tuple(leading_monomial(g) for g in self.groebner)
         self.standard_monomials = tuple(standard_monomials)
         self.dimension = len(self.standard_monomials)
         self.index = {m: i for i, m in enumerate(self.standard_monomials)}
@@ -221,7 +225,7 @@ class QuotientAlgebra:
         return algebra
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
-        return normal_form(p, self.groebner)
+        return normal_form(p, self.groebner, self.leading_monomials)
 
     def _sparse_coordinates(self, p: MultiPoly) -> dict:
         """Nonzero coordinates {basis index: coefficient} of the normal form of p."""

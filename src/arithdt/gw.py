@@ -96,19 +96,11 @@ class GaussianInteger:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GaussianInteger":
-        return cls(int(data["re"]), int(data["im"]))
+        return cls(json_int(data["re"], "re"), json_int(data["im"], "im"))
 
 
 GAUSSIAN_ZERO = GaussianInteger(0, 0)
 GAUSSIAN_ONE = GaussianInteger(1, 0)
-GAUSSIAN_I = GaussianInteger(0, 1)
-
-# i^e for e mod 4
-_I_POWERS = (GAUSSIAN_ONE, GAUSSIAN_I, GaussianInteger(-1, 0), GaussianInteger(0, -1))
-
-
-def gaussian_i_power(e: int) -> GaussianInteger:
-    return _I_POWERS[e % 4]
 
 
 def _sorted_terms(pairs) -> tuple:

@@ -12,28 +12,24 @@ sorted generator name) is set once, by the public constructor.  Ring
 operations sum canonical terms with ``_sum_u`` and build their results
 through the trusted ``MotivicClass._make``.
 
-Three ring morphisms specialize a class:
+Three ring morphisms specialize a class, all through one evaluation:
 
-* ``chi_complex`` sends u to -1 (so L goes to 1): the topological Euler
-  characteristic with compact support;
-* ``chi_real`` sends u to i (so L goes to -1), with values in Z[i];
 * ``chi_a1`` sends u to alpha with alpha^2 = <-1>, with values in
-  GW(k)(alpha): the compactly supported A^1-Euler characteristic.
+  GW(k)(alpha): the compactly supported A^1-Euler characteristic;
+* ``chi_complex`` sends u to -1 (so L goes to 1): the topological Euler
+  characteristic with compact support, the rank of ``chi_a1``;
+* ``chi_real`` sends u to i (so L goes to -1), with values in Z[i]: the
+  signature of ``chi_a1``, taken over R, where square classes are signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .errors import ArithdtError, GeneratorProductError, InexactDivisionError, json_int
-from .fields import BaseField, QQ, binary_power
-from .gw import (
-    GaussianInteger,
-    GwAlphaElement,
-    GwElement,
-    gaussian_i_power,
-    trace_form,
-)
+from .errors import ArithdtError, GeneratorProductError, json_int
+from .fields import BaseField, QQ, RR, binary_power
+from .gw import GaussianInteger, GwAlphaElement, GwElement, trace_form
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
 
@@ -290,29 +286,6 @@ def _resolve_generator(name: str, generators) -> GeneratorSpec:
         raise ArithdtError(f"unknown generator class [{name}]") from None
 
 
-def chi_complex(m: MotivicClass, generators=None) -> int:
-    """Evaluate u -> -1; the compactly supported complex Euler characteristic."""
-    total = sum(c * (-1) ** (e % 2) for e, c in m.u_terms)
-    for name, coeff in m.extras:
-        spec = _resolve_generator(name, generators)
-        total += sum(c * (-1) ** (e % 2) for e, c in coeff) * spec.chi_complex
-    return total
-
-
-def chi_real(m: MotivicClass, generators=None) -> GaussianInteger:
-    """Evaluate u -> i; the compactly supported real Euler characteristic in Z[i]."""
-    total = GaussianInteger(0, 0)
-    for e, c in m.u_terms:
-        total = total + gaussian_i_power(e) * c
-    for name, coeff in m.extras:
-        spec = _resolve_generator(name, generators)
-        part = GaussianInteger(0, 0)
-        for e, c in coeff:
-            part = part + gaussian_i_power(e) * c
-        total = total + part * spec.chi_real
-    return total
-
-
 def _alpha_sum(terms: _UTerms, field: BaseField) -> GwAlphaElement:
     """Sum of c * alpha^e, with coefficients summed by e mod 4.
 
@@ -337,6 +310,22 @@ def chi_a1(m: MotivicClass, field: BaseField = QQ, generators=None) -> GwAlphaEl
     return total
 
 
+def chi_complex(m: MotivicClass, generators=None) -> int:
+    """Evaluate u -> -1; the compactly supported complex Euler characteristic.
+
+    This is the rank of ``chi_a1`` with alpha sent to -1.
+    """
+    return chi_a1(m, RR, generators).numeric_complex()
+
+
+def chi_real(m: MotivicClass, generators=None) -> GaussianInteger:
+    """Evaluate u -> i; the compactly supported real Euler characteristic in Z[i].
+
+    This is the signature of ``chi_a1`` with alpha sent to i.
+    """
+    return chi_a1(m, RR, generators).numeric_real()
+
+
 def projective_space_class(n: int) -> MotivicClass:
     """[P^n] = 1 + L + ... + L^n."""
     if n < 0:
@@ -344,57 +333,19 @@ def projective_space_class(n: int) -> MotivicClass:
     return MotivicClass([(2 * i, 1) for i in range(n + 1)])
 
 
-def _exact_divide_tate(num: MotivicClass, den: MotivicClass) -> MotivicClass:
-    """Exact division in Z[u, u^{-1}]; raises if the quotient is not there."""
-    if not num.is_tate() or not den.is_tate():
-        raise ArithdtError("exact division is only defined on the Tate subring")
-    if den.is_zero():
-        raise ArithdtError("division by zero")
-    if num.is_zero():
-        return MotivicClass.zero()
-    from fractions import Fraction
-
-    shift_num = num.min_u_exponent()
-    shift_den = den.min_u_exponent()
-    a = [Fraction(0)] * (num.max_u_exponent() - shift_num + 1)
-    for e, c in num.u_terms:
-        a[e - shift_num] = Fraction(c)
-    b = [Fraction(0)] * (den.max_u_exponent() - shift_den + 1)
-    for e, c in den.u_terms:
-        b[e - shift_den] = Fraction(c)
-    if len(a) < len(b):
-        raise InexactDivisionError("division is not exact (degree too small)")
-    quot = [Fraction(0)] * (len(a) - len(b) + 1)
-    rem = a[:]
-    for k in range(len(quot) - 1, -1, -1):
-        coeff = rem[k + len(b) - 1] / b[-1]
-        quot[k] = coeff
-        if coeff:
-            for j, bc in enumerate(b):
-                rem[k + j] -= coeff * bc
-    if any(rem):
-        raise InexactDivisionError("division left a nonzero remainder")
-    terms = []
-    for k, c in enumerate(quot):
-        if c:
-            if c.denominator != 1:
-                raise InexactDivisionError("quotient has non-integer coefficients")
-            terms.append((k + shift_num - shift_den, int(c)))
-    return MotivicClass(terms)
-
-
 def grassmannian_class(n: int, k: int) -> MotivicClass:
-    """[Gr(n, k)] as the Gaussian-binomial quotient, by exact division in L.
+    """[Gr(n, k)] as the Gaussian binomial [n choose k]_L.
 
-    An inexact division here signals an implementation bug, not bad input.
+    Built row by row with the q-Pascal rule [m, j] = [m-1, j-1] + L^j [m-1, j].
     """
     if not 0 <= k <= n:
         raise ArithdtError("Grassmannians need 0 <= k <= n")
-
-    def q_factorial(j: int) -> MotivicClass:
-        out = MotivicClass.one()
-        for i in range(1, j + 1):
-            out = out * (MotivicClass.lefschetz(i) - MOT_ONE)
-        return out
-
-    return _exact_divide_tate(q_factorial(n), q_factorial(n - k) * q_factorial(k))
+    # row[j]: coefficients of [m choose j]_L by ascending power of L, for j <= min(m, k)
+    row = [[1]]
+    for m in range(1, n + 1):
+        prev, row = row, [[1]]
+        for j in range(1, min(m, k) + 1):
+            shifted = [0] * j + prev[j] if j < m else []
+            row.append([a + b for a, b in zip_longest(prev[j - 1], shifted, fillvalue=0)])
+    # the coefficients count partitions in a k x (n-k) box: all positive
+    return MotivicClass._make(tuple((2 * i, c) for i, c in enumerate(row[k])))

@@ -33,15 +33,15 @@ class StratumRecord:
     def __post_init__(self) -> None:
         if not self.index_set:
             raise InputDataError("stratum index set must be nonempty")
-        object.__setattr__(self, "index_set", frozenset(self.index_set))
-        mults = dict(self.multiplicities) if not isinstance(self.multiplicities, dict) else self.multiplicities
+        object.__setattr__(
+            self, "index_set", frozenset(json_int(i, "stratum index") for i in self.index_set)
+        )
+        mults = {i: json_int(n, "multiplicity") for i, n in dict(self.multiplicities).items()}
         if set(mults) != set(self.index_set):
             raise InputDataError("multiplicities must be given exactly on the index set")
-        if any(int(n) <= 0 for n in mults.values()):
+        if any(n <= 0 for n in mults.values()):
             raise InputDataError("multiplicities must be positive integers")
-        object.__setattr__(
-            self, "multiplicities", tuple(sorted((i, int(n)) for i, n in mults.items()))
-        )
+        object.__setattr__(self, "multiplicities", tuple(sorted(mults.items())))
 
     @classmethod
     def of(cls, indices, stratum_class: MotivicClass, multiplicities=None) -> "StratumRecord":
@@ -69,7 +69,7 @@ class StratumRecord:
     def from_json_dict(cls, data: dict) -> "StratumRecord":
         try:
             indices = [json_int(i, "stratum index") for i in data["I"]]
-            mults = {int(i): json_int(n, "multiplicity") for i, n in data["mult"].items()}
+            mults = {int(i): n for i, n in data["mult"].items()}
             stratum_class = MotivicClass.from_json_dict(data["class"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"malformed stratum record: {exc}") from exc
@@ -89,7 +89,7 @@ class SncData:
     central_fiber_class: MotivicClass | None = None
 
     def __post_init__(self) -> None:
-        if self.ambient_dimension < 1:
+        if json_int(self.ambient_dimension, "ambient dimension") < 1:
             raise InputDataError("ambient dimension must be at least 1")
         object.__setattr__(self, "strata", tuple(self.strata))
 
@@ -105,7 +105,7 @@ class SncData:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SncData":
         try:
-            dim = json_int(data["dim"], "dim")
+            dim = data["dim"]
             strata = tuple(StratumRecord.from_json_dict(s) for s in data.get("strata", []))
             x0 = data.get("x0_class")
             central = MotivicClass.from_json_dict(x0) if x0 is not None else None

@@ -85,29 +85,27 @@ class VerifyReport:
         return f"mismatch at n={n}: series {series_value} vs enumeration {count}"
 
 
+def _verify(order: int, series_to, count) -> VerifyReport:
+    """Compare the coefficients of series_to(order) with count(n) for n <= order."""
+    if order > 12:
+        raise ArithdtError("verification is capped at order 12")
+    series = series_to(max(order, 1))
+    for n in range(order + 1):
+        counted = count(n)
+        if series.coeffs[n] != counted:
+            return VerifyReport(order, False, (n, series.coeffs[n], counted))
+    return VerifyReport(order, True, None)
+
+
 def verify_macmahon(order: int) -> VerifyReport:
     """Compare the MacMahon series coefficients with exhaustive counts."""
     from .dt import macmahon
 
-    if order > 12:
-        raise ArithdtError("verification is capped at order 12")
-    series = macmahon(max(order, 1))
-    for n in range(order + 1):
-        counted = count_plane_partitions(n)
-        if series.coeffs[n] != counted:
-            return VerifyReport(order, False, (n, series.coeffs[n], counted))
-    return VerifyReport(order, True, None)
+    return _verify(order, macmahon, count_plane_partitions)
 
 
 def verify_symmetric(order: int) -> VerifyReport:
     """Compare the symmetric MacMahon series with exhaustive symmetric counts."""
     from .dt import macmahon_symmetric
 
-    if order > 12:
-        raise ArithdtError("verification is capped at order 12")
-    series = macmahon_symmetric(max(order, 1))
-    for n in range(order + 1):
-        counted = count_symmetric_plane_partitions(n)
-        if series.coeffs[n] != counted:
-            return VerifyReport(order, False, (n, series.coeffs[n], counted))
-    return VerifyReport(order, True, None)
+    return _verify(order, macmahon_symmetric, count_symmetric_plane_partitions)

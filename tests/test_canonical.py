@@ -17,9 +17,10 @@ from arithdt.cli import dispatch
 from arithdt.errors import ArithdtError, GeneratorProductError
 from arithdt.fields import CC, QQ, RR, finite_field, prime_factors, square_class_rep
 from arithdt.groebner import buchberger, leading_monomial, normal_form
-from arithdt.gw import GwElement, hasse_invariant
-from arithdt.motivic import MotivicClass
+from arithdt.gw import GaussianInteger, GwElement, hasse_invariant
+from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly
+from arithdt.nearby import SncData, StratumRecord
 
 FIELDS = (QQ, RR, CC, finite_field(5), finite_field(11))
 
@@ -58,6 +59,15 @@ def forbid_factoring(monkeypatch):
         pytest.param(lambda: MultiPoly(("x",), {(1.5,): 1}), None, id="poly-float-exponent"),
         pytest.param(lambda: MultiPoly(("x",), {(1,): 0.1}), None, id="poly-float-coefficient"),
         pytest.param(lambda: MultiPoly.from_pairs(("x",), [([1], 0.5)]), None, id="poly-pairs-float"),
+        pytest.param(lambda: StratumRecord.of([1], MOT_ONE, {1: 2.7}), None, id="stratum-float-mult"),
+        pytest.param(lambda: StratumRecord.of([1], MOT_ONE, {1: True}), None, id="stratum-bool-mult"),
+        pytest.param(lambda: StratumRecord.of([1], MOT_ONE, {1: "3"}), None, id="stratum-string-mult"),
+        pytest.param(lambda: StratumRecord.of([1.5], MOT_ONE), None, id="stratum-float-index"),
+        pytest.param(lambda: StratumRecord.of(["a", 1], MOT_ONE), None, id="stratum-string-index"),
+        pytest.param(lambda: SncData((), 2.5), None, id="snc-float-dim"),
+        pytest.param(lambda: SncData((), True), None, id="snc-bool-dim"),
+        pytest.param(lambda: GaussianInteger.from_json_dict({"re": 1.9, "im": 2}), None, id="gaussian-float-re"),
+        pytest.param(lambda: GaussianInteger.from_json_dict({"re": 1, "im": "2"}), None, id="gaussian-string-im"),
         pytest.param(
             lambda: MotivicClass((), [("g", [(0, 1)]), ("g", [(0, 1)])]),
             MotivicClass((), {"g": [(0, 2)]}),
@@ -302,6 +312,7 @@ def _naive_normal_form(p, basis):
 def test_normal_form_matches_naive_division(texts):
     rng = random.Random(59)
     basis = buchberger([MultiPoly.parse(VARS, t) for t in texts])
+    lms = [leading_monomial(g) for g in basis]
     for _ in range(40):
         p = _random_poly(rng, degree=4)
-        assert normal_form(p, basis) == _naive_normal_form(p, basis)
+        assert normal_form(p, basis, lms) == _naive_normal_form(p, basis)

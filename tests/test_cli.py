@@ -13,7 +13,7 @@ from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError
 from arithdt.fields import QQ
 from arithdt.gw import GwAlphaElement, GwElement
-from arithdt.motivic import MotivicClass
+from arithdt.motivic import MotivicClass, chi_a1, chi_complex, chi_real
 
 
 def run_cli(argv, capsys):
@@ -130,6 +130,30 @@ def test_nearby_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(["nearby", "--data", str(path), "--local"], capsys)
     assert code == 0
     assert "local_nearby_class" in out
+
+
+def test_nearby_euler_block_matches_the_specializations(tmp_path, capsys):
+    # half powers and a SpecC part, so the alpha part and the generator part both count
+    stratum = {"u_coeffs": [[1, 3], [-3, 2], [2, -1]], "extras": {"SpecC": [[1, 1], [0, 2]]}}
+    snc = {
+        "dim": 3,
+        "strata": [
+            {"I": [1], "mult": {"1": 2}, "class": stratum},
+            {"I": [1, 2], "mult": {"1": 2, "2": 3}, "class": {"u_coeffs": [[-1, 5]], "extras": {}}},
+        ],
+    }
+    path = tmp_path / "snc.json"
+    path.write_text(json.dumps(snc))
+    code, out, _ = run_cli(["nearby", "--data", str(path), "--json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    cls = MotivicClass.from_json_dict(data["nearby_class"])
+    assert data["euler"] == {
+        "complex": chi_complex(cls),
+        "real": chi_real(cls).to_json_dict(),
+        "a1": chi_a1(cls, QQ).to_json_dict(),
+    }
+    assert data["euler"]["complex"] != chi_a1(cls).rank()
 
 
 def test_gv_subcommand(capsys):

@@ -21,7 +21,7 @@ from arithdt.dt import (
     z_motivic,
 )
 from arithdt.fields import QQ, finite_field
-from arithdt.gw import gaussian_i_power
+from arithdt.gw import GaussianInteger
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex
 from arithdt.partitions import count_plane_partitions
 from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
@@ -88,7 +88,7 @@ def test_signature_specialization_is_symmetric_macmahon_at_minus_it():
     za = z_arithmetic(order)
     ms = macmahon_symmetric(order)
     assert tuple(q.numeric_real() for q in za.coeffs) == tuple(
-        gaussian_i_power(-n) * ms.coeffs[n] for n in range(order + 1)
+        GaussianInteger(0, 1) ** (-n % 4) * ms.coeffs[n] for n in range(order + 1)
     )
 
 

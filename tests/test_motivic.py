@@ -1,6 +1,7 @@
 """Motivic weight ring: Laurent arithmetic, cell classes, specializations."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -17,7 +18,6 @@ from arithdt.motivic import (
     L_INV,
     MOT_ONE,
     MotivicClass,
-    _exact_divide_tate,
     chi_a1,
     chi_complex,
     chi_real,
@@ -60,10 +60,68 @@ def test_grassmannian_duality_and_rank():
             assert chi_complex(grassmannian_class(n, k)) == comb(n, k)
 
 
+# -- the Gaussian binomial against the q-factorial quotient ---------------------------
+
+
+def _exact_divide_tate(num: MotivicClass, den: MotivicClass) -> MotivicClass:
+    """Exact division in Z[u, u^{-1}] by long division over Q; raises if the quotient is not there."""
+    if not num.is_tate() or not den.is_tate():
+        raise ArithdtError("exact division is only defined on the Tate subring")
+    if den.is_zero():
+        raise ArithdtError("division by zero")
+    if num.is_zero():
+        return MotivicClass.zero()
+    shift_num = num.min_u_exponent()
+    shift_den = den.min_u_exponent()
+    a = [Fraction(0)] * (num.max_u_exponent() - shift_num + 1)
+    for e, c in num.u_terms:
+        a[e - shift_num] = Fraction(c)
+    b = [Fraction(0)] * (den.max_u_exponent() - shift_den + 1)
+    for e, c in den.u_terms:
+        b[e - shift_den] = Fraction(c)
+    if len(a) < len(b):
+        raise InexactDivisionError("division is not exact (degree too small)")
+    quot = [Fraction(0)] * (len(a) - len(b) + 1)
+    rem = a[:]
+    for k in range(len(quot) - 1, -1, -1):
+        coeff = rem[k + len(b) - 1] / b[-1]
+        quot[k] = coeff
+        if coeff:
+            for j, bc in enumerate(b):
+                rem[k + j] -= coeff * bc
+    if any(rem):
+        raise InexactDivisionError("division left a nonzero remainder")
+    terms = []
+    for k, c in enumerate(quot):
+        if c:
+            if c.denominator != 1:
+                raise InexactDivisionError("quotient has non-integer coefficients")
+            terms.append((k + shift_num - shift_den, int(c)))
+    return MotivicClass(terms)
+
+
+def _q_factorial(j: int) -> MotivicClass:
+    """(L - 1)(L^2 - 1)...(L^j - 1)."""
+    out = MOT_ONE
+    for i in range(1, j + 1):
+        out = out * (MotivicClass.lefschetz(i) - MOT_ONE)
+    return out
+
+
+def _grassmannian_by_division(n: int, k: int) -> MotivicClass:
+    return _exact_divide_tate(_q_factorial(n), _q_factorial(n - k) * _q_factorial(k))
+
+
 def test_exact_division_guard():
     with pytest.raises(InexactDivisionError):
         _exact_divide_tate(L + 1, L - 1)
     assert _exact_divide_tate(L * L - 1, L - 1) == L + 1
+
+
+def test_grassmannian_matches_q_factorial_quotient():
+    for n in range(13):
+        for k in range(n + 1):
+            assert grassmannian_class(n, k) == _grassmannian_by_division(n, k), (n, k)
 
 
 def test_chi_complex_golden():
@@ -169,7 +227,42 @@ def test_json_round_trip():
     assert MotivicClass.from_json_dict(cls.to_json_dict()) == cls
 
 
-# -- chi_a1 against the term-by-term sum --------------------------------------------
+# -- the three specializations against term-by-term sums ------------------------------
+
+# SpecC and SpecQ(i) have no real points; SpecQ(sqrt(3)) has two
+SPEC_QI = quadratic_point_generator(-1)
+SPEC_Q3 = quadratic_point_generator(3)
+GENERATORS = {spec.name: spec for spec in (SPEC_C, SPEC_QI, SPEC_Q3)}
+
+# i^e for e mod 4
+_I_POWERS = (GaussianInteger(1, 0), GaussianInteger(0, 1), GaussianInteger(-1, 0), GaussianInteger(0, -1))
+
+
+def _chi_complex_termwise(m, generators):
+    """u -> -1 one term at a time."""
+
+    def minus_one_sum(terms):
+        return sum(c * (-1) ** (e % 2) for e, c in terms)
+
+    total = minus_one_sum(m.u_terms)
+    for name, coeff in m.extras:
+        total += minus_one_sum(coeff) * generators[name].chi_complex
+    return total
+
+
+def _chi_real_termwise(m, generators):
+    """u -> i one term at a time, each i^e read from the table."""
+
+    def i_sum(terms):
+        part = GaussianInteger(0, 0)
+        for e, c in terms:
+            part = part + _I_POWERS[e % 4] * c
+        return part
+
+    total = i_sum(m.u_terms)
+    for name, coeff in m.extras:
+        total = total + i_sum(coeff) * generators[name].chi_real
+    return total
 
 
 def _chi_a1_termwise(m, field, generators):
@@ -185,19 +278,36 @@ def _chi_a1_termwise(m, field, generators):
     return total
 
 
-# F_5 has -1 as a square, F_7 does not
-@pytest.mark.parametrize("field", [QQ, RR, CC, finite_field(5), finite_field(7)], ids=str)
-def test_chi_a1_matches_termwise_sum(field):
-    rng = random.Random(67)
-    quad = quadratic_point_generator(-1)
-    generators = {SPEC_C.name: SPEC_C, quad.name: quad}
+def _seeded_classes(seed, count):
+    """(class, extra names): Tate parts and up to three generator parts, some empty."""
+    rng = random.Random(seed)
 
     def terms(spread):
         return [(rng.randint(-spread, spread), rng.randint(-4, 4)) for _ in range(rng.randint(0, 8))]
 
-    for _ in range(150):
-        names = rng.sample(sorted(generators), rng.randint(0, 2))
-        m = MotivicClass(terms(9), [(n, terms(5)) for n in names])
-        assert chi_a1(m, field, generators) == _chi_a1_termwise(m, field, generators)
-        if quad.name not in names:
+    for _ in range(count):
+        names = rng.sample(sorted(GENERATORS), rng.randint(0, 3))
+        yield MotivicClass(terms(9), [(n, terms(5)) for n in names]), names
+
+
+def test_chi_complex_and_chi_real_match_termwise_sums():
+    for m, names in _seeded_classes(71, 400):
+        assert chi_complex(m, GENERATORS) == _chi_complex_termwise(m, GENERATORS)
+        assert chi_real(m, GENERATORS) == _chi_real_termwise(m, GENERATORS)
+        if set(names) <= {SPEC_C.name}:
+            assert chi_complex(m) == _chi_complex_termwise(m, DEFAULT_GENERATORS)
+            assert chi_real(m) == _chi_real_termwise(m, DEFAULT_GENERATORS)
+
+
+# F_5 has -1 as a square, F_7 does not
+@pytest.mark.parametrize("field", [QQ, RR, CC, finite_field(5), finite_field(7)], ids=str)
+def test_chi_a1_matches_termwise_sum(field):
+    for m, names in _seeded_classes(67, 150):
+        image = chi_a1(m, field, GENERATORS)
+        assert image == _chi_a1_termwise(m, field, GENERATORS)
+        # the rank (and over an ordered field the signature) gives the other two counts
+        assert image.numeric_complex() == _chi_complex_termwise(m, GENERATORS)
+        if field.is_ordered:
+            assert image.numeric_real() == _chi_real_termwise(m, GENERATORS)
+        if set(names) <= {SPEC_C.name}:
             assert chi_a1(m, field) == _chi_a1_termwise(m, field, DEFAULT_GENERATORS)
