@@ -6,14 +6,14 @@ N = C(m+3, 3) - C(m-2, 3) - 1, so its motivic virtual class is
 
     L^{N/2 + 2} (L^{N+1} - 1)(L^5 - 1) / (L - 1)^2 = L^{N/2+2} [P^N][P^4].
 
-Direct evaluation of the A^1-Euler characteristic of that class is the
-authoritative refined count here.  A piecewise closed form for the same
-evaluation is also implemented, literally, for comparison reports only: as
-stated it is inconsistent with direct evaluation (its m = 0,1 (mod 4)
-branch produces half-integer multiplicities at m = 1, and the m = 2,3
-(mod 4) branch omits the overall alpha factor forced by the odd half power
-L^{(N+4)/2}).  The comparison report records the discrepancies rather than
-silently repairing them.
+Direct evaluation of the A^1-Euler characteristic of that class, through
+the morphism's values on [P^N] and [P^4], is the authoritative refined count
+here.  A piecewise closed form for the same evaluation is also implemented,
+literally, for comparison reports only: as stated it is inconsistent with
+direct evaluation (its m = 0,1 (mod 4) branch produces half-integer
+multiplicities at m = 1, and the m = 2,3 (mod 4) branch omits the overall
+alpha factor forced by the odd half power L^{(N+4)/2}).  The comparison
+report records the discrepancies rather than silently repairing them.
 """
 
 from __future__ import annotations
@@ -79,8 +79,17 @@ def gv_virtual_class_motivic(m: int) -> MotivicClass:
 
 
 def gv_arithmetic_direct(m: int, field: BaseField = QQ) -> GwAlphaElement:
-    """chi_a1 of the motivic virtual class; the authoritative refined count."""
-    return chi_a1(gv_virtual_class_motivic(m), field)
+    """chi_a1 of the motivic virtual class; the authoritative refined count.
+
+    chi_a1 is a ring morphism sending u to alpha and L = u^2 to <-1>, so
+    [P^n] goes to ceil((n+1)/2) <1> + floor((n+1)/2) <-1>.  The class, of
+    about 2.5 m^2 terms, therefore has the image of the two-term class
+    u^{N+4} (c_+ + c_- L), where c_+ <1> + c_- <-1> is the image of
+    [P^N][P^4]: O(1) work however large m is.
+    """
+    n = fiber_dimension(m)
+    a, b = (n + 2) // 2, (n + 1) // 2  # [P^N] -> a<1> + b<-1>, and [P^4] -> 3<1> + 2<-1>
+    return chi_a1(MotivicClass([(n + 4, 3 * a + 2 * b), (n + 6, 2 * a + 3 * b)]), field)
 
 
 def gv_closed_form(m: int, field: BaseField = QQ) -> GwAlphaElement:

@@ -14,6 +14,9 @@ Truncation lemma: the m-th factor of each infinite product is 1 + O(t^m),
 so a series of order N only needs the finitely many factors with m <= N;
 the truncated result is exact.  Each factor (1 - c t^m ...)^{-e} is applied
 by one in-place division, result / factor**e, over its few nonzero terms.
+The m linear factors of the motivic series that share t^m are applied as
+one: their product, expanded by the q-binomial theorem, has nonzero terms
+only at t^{jm} for j <= min(m, N // m).
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -29,7 +32,7 @@ from fractions import Fraction
 from .errors import ArithdtError
 from .fields import BaseField, QQ
 from .gw import GwAlphaElement, GwElement, alpha_power
-from .motivic import MotivicClass, chi_a1
+from .motivic import MotivicClass, chi_a1, grassmannian_class
 from .series import (
     GAUSSIAN_RING,
     INT_RING,
@@ -40,13 +43,25 @@ from .series import (
 
 
 def z_motivic(order: int) -> TruncatedSeries:
-    """Motivic partition function, coefficients in Z[L^{1/2}, L^{-1/2}]."""
+    """Motivic partition function, coefficients in Z[L^{1/2}, L^{-1/2}].
+
+    For each m the linear factors 1 - L^k x, k < m, with x = L^{2-m/2} t^m,
+    multiply out by the q-binomial theorem (Andrews, *The Theory of
+    Partitions*, ch. 3) to
+
+        prod_{k<m} (1 - L^k x) = sum_j (-1)^j L^{j(j-1)/2} [m choose j]_L x^j,
+
+    so the series is divided once per m, by that sum truncated at t^N,
+    instead of once per linear factor.
+    """
     result = TruncatedSeries.one(MOTIVIC_RING, order)
     for m in range(1, order + 1):
-        for k in range(m):
-            c = MotivicClass.u_power(2 * k + 4 - m)
-            factor = TruncatedSeries.from_terms(MOTIVIC_RING, order, {0: MOTIVIC_RING.one, m: -c})
-            result = result / factor
+        # prod_{k<m} (1 - L^k x) at x = u^{4-m} t^m, expanded by the q-binomial theorem
+        terms = {0: MOTIVIC_RING.one}
+        for j in range(1, min(m, order // m) + 1):
+            shift = MotivicClass.u_power(j * (j - 1) + (4 - m) * j, (-1) ** j)
+            terms[j * m] = shift * grassmannian_class(m, j)
+        result = result / TruncatedSeries.from_terms(MOTIVIC_RING, order, terms)
     return result
 
 

@@ -22,7 +22,8 @@ from .errors import ArithdtError
 # (Sorenson-Webster, Math. Comp. 2017); the same primes are divided out first.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
-# Pollard-Brent steps per factorization, over all seeds: a refusal comes within
+# Pollard-Brent steps per factorization, over all seeds, with steps on long
+# composites charged by their cost (_rho_split): a refusal comes within
 # seconds, and seeded products of two 40-bit primes split inside it.
 _RHO_STEPS = 1 << 22
 
@@ -107,14 +108,20 @@ def _rho_split(n: int, budget: int) -> tuple[int, int]:
 
     Brent's cycle search on x -> x^2 + c with seeds c = 1, 2, ...; gcds are
     batched over 128 steps, and a batch that hits n is retraced step by step.
+    A step on n is charged the power of two at or below bits^2 / 90000, and
+    at least one: about its cost against a short step, once schoolbook
+    products outweigh the interpreter.  A power of two keeps the budget a
+    whole number of the doubling rounds, and n under 425 bits pays one.
     """
+    bits = n.bit_length()
+    cost = 1 << (max(1, bits * bits // 90_000).bit_length() - 1)
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            budget -= 2 * r
+            budget -= 2 * r * cost
             if budget < 0:
-                raise ArithdtError(f"cannot factor the {n.bit_length()}-bit composite {n} "
-                                   f"within {_RHO_STEPS} Pollard-Brent steps")
+                raise ArithdtError(f"cannot factor the {bits}-bit composite {n} "
+                                   f"within {_RHO_STEPS // cost} Pollard-Brent steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

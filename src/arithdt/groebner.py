@@ -144,10 +144,10 @@ def buchberger(generators) -> list[MultiPoly]:
 class QuotientAlgebra:
     """A finite-dimensional quotient Q[x]/(P), supported only at the origin.
 
-    Carries the reduced Groebner basis and its leading monomials, the
-    ascending-grevlex standard monomial basis b_0 = 1, b_1, ..., its position
-    index, and the sparse matrices M_{x_k} of multiplication by each variable,
-    built once here.
+    Carries the reduced Groebner basis and its leading monomials (worked out
+    once, by ``of_ideal``), the ascending-grevlex standard monomial basis
+    b_0 = 1, b_1, ..., its position index, and the sparse matrices M_{x_k} of
+    multiplication by each variable, built once here.
     Entry ``matrices[k][j]`` is column j of M_{x_k}: the coordinate dict of
     x_k * b_j.  A product that is itself a standard monomial is read off the
     index; only the others need a normal form.  Every other product in A is
@@ -157,10 +157,10 @@ class QuotientAlgebra:
     __slots__ = ("variables", "groebner", "leading_monomials", "standard_monomials", "dimension",
                  "index", "matrices")
 
-    def __init__(self, variables, groebner, standard_monomials):
+    def __init__(self, variables, groebner, leading_monomials, standard_monomials):
         self.variables = tuple(variables)
         self.groebner = tuple(groebner)
-        self.leading_monomials = tuple(leading_monomial(g) for g in self.groebner)
+        self.leading_monomials = tuple(leading_monomials)
         self.standard_monomials = tuple(standard_monomials)
         self.dimension = len(self.standard_monomials)
         self.index = {m: i for i, m in enumerate(self.standard_monomials)}
@@ -211,7 +211,7 @@ class QuotientAlgebra:
             if not any(_divides(lm, exps) for lm in lms)
         ]
         monomials.sort(key=grevlex_key)
-        algebra = cls(variables, basis, monomials)
+        algebra = cls(variables, basis, lms, monomials)
         for i in range(n):
             # coordinates of x_i^dim, from those of b_0 = 1
             power = {0: Fraction(1)}

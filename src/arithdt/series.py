@@ -4,7 +4,10 @@ Coefficients live in any commutative ring whose elements support +, -, *
 and ==; the ring itself is described by a small adapter carrying its zero
 and one.  A series of order N stores coefficients of t^0 .. t^N and every
 operation truncates eagerly at that order.  Inverses, negative powers and
-each Euler factor in dt.py are applied by one in-place division, __truediv__.
+each Euler factor in dt.py are applied by one in-place division, __truediv__,
+whose cost is the divisor's nonzero terms times the order: dt.py hands it
+whole products of factors, such as the q-binomial expansion of the m-th
+motivic factor, rather than one linear factor at a time.
 """
 
 from __future__ import annotations

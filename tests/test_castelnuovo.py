@@ -1,9 +1,14 @@
 """Genus-bound bookkeeping and the refined fiber-integral comparisons."""
 
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import arithdt
 from arithdt.castelnuovo import (
     CastelnuovoInput,
     castelnuovo_bound,
@@ -14,9 +19,16 @@ from arithdt.castelnuovo import (
     gv_virtual_class_motivic,
 )
 from arithdt.errors import ArithdtError, NonIntegralCoefficientError
-from arithdt.fields import QQ
+from arithdt.fields import QQ, finite_field
 from arithdt.gw import GwAlphaElement, GwElement
-from arithdt.motivic import L, MOT_ONE, MotivicClass, chi_complex, projective_space_class
+from arithdt.motivic import (
+    L,
+    MOT_ONE,
+    MotivicClass,
+    chi_a1,
+    chi_complex,
+    projective_space_class,
+)
 
 ALPHA = GwAlphaElement.alpha(QQ)
 H = GwElement.hyperbolic(QQ)
@@ -82,6 +94,26 @@ def test_direct_values():
     assert gv_arithmetic_direct(2) == ALPHA * GwAlphaElement.from_even(H * 25)
     m4 = gv_arithmetic_direct(4)
     assert m4 == GwAlphaElement.from_even(GwElement.one(QQ) * 87 + GwElement.unit(QQ, -1) * 88)
+
+
+@pytest.mark.parametrize("field", [QQ, finite_field(7)], ids=str)
+def test_direct_value_matches_the_enumerated_class(field):
+    # the oracle sums chi_a1 over all ~2.5 m^2 terms of the class itself
+    for m in range(1, 41):
+        assert gv_arithmetic_direct(m, field) == chi_a1(gv_virtual_class_motivic(m), field)
+
+
+def test_large_m_answers_at_once():
+    src = Path(arithdt.__file__).resolve().parent.parent
+    t = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithdt", "gv", "--m", "100000", "--compare"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("m=100000 (N=24999750004): 62499375013*<1> + 62499375012*<-1>")
+    assert time.perf_counter() - t < 1.0
 
 
 def test_alpha_parity_of_direct_value():

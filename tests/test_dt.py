@@ -123,6 +123,22 @@ def test_euler_products_match_closed_form_oracle():
     assert macmahon_symmetric(order) == _euler_product(INT_RING, order, odd + even)
 
 
+def _z_motivic_linear_factors(order):
+    """The motivic series divided by its N(N+1)/2 linear factors one at a time."""
+    result = TruncatedSeries.one(MOTIVIC_RING, order)
+    for m in range(1, order + 1):
+        for k in range(m):
+            c = MotivicClass.u_power(2 * k + 4 - m)
+            factor = TruncatedSeries.from_terms(MOTIVIC_RING, order, {0: MOTIVIC_RING.one, m: -c})
+            result = result / factor
+    return result
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_whole_euler_factors_match_linear_factors(order):
+    assert z_motivic(order) == _z_motivic_linear_factors(order)
+
+
 def _digest(series):
     return hashlib.sha256(json.dumps(series.to_json_dict(), sort_keys=True).encode()).hexdigest()
 

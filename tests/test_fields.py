@@ -176,8 +176,9 @@ def test_factors_above_psi_13_are_refused(n):
 
 
 def test_rho_budget_is_a_refusal(monkeypatch):
+    # M61 * P80 has 141 bits, below 425, so each step costs one unit of the whole budget
     monkeypatch.setattr(fields, "_RHO_STEPS", 1 << 12)
-    with pytest.raises(ArithdtError, match="Pollard-Brent"):
+    with pytest.raises(ArithdtError, match="within 4096 Pollard-Brent steps"):
         factorize(M61 * P80)
 
 
@@ -271,3 +272,19 @@ def test_unprovable_primes_exit_one_with_one_line(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert seconds < 5.0
+
+
+# primes of 501 bits, the first past 2^500 and past 2^500 + 2^490; rho does not split their product
+P500, Q500 = 2**500 + 55, 2**500 + 2**490 + 191
+
+
+def test_long_composite_is_refused_in_seconds():
+    # a rho step on 1001 bits costs about eleven short ones and is charged eight;
+    # a budget that counted steps alone took 14-24 s to refuse it
+    proc, seconds = _cli("gw", "--op", "rank", "--a", f"<{P500 * Q500}>")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot factor the 1001-bit composite")
+    assert "Pollard-Brent" in lines[0]
+    assert seconds < 5.0
+

@@ -52,6 +52,27 @@ def test_normal_form_is_linear_and_idempotent():
     assert nf(f * g).total_degree() <= max(nf(f).total_degree() + nf(g).total_degree(), 0)
 
 
+def test_algebra_leading_monomials_are_worked_out_once(monkeypatch):
+    import arithdt.groebner as groebner
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return leading_monomial(p)
+
+    monkeypatch.setattr(groebner, "leading_monomial", counting)
+    for variables, texts in EKL_SUITE:
+        calls.clear()
+        buchberger([P(variables, t) for t in texts])
+        in_buchberger = len(calls)
+        calls.clear()
+        algebra = QuotientAlgebra.of_ideal([P(variables, t) for t in texts])
+        # buchberger's own calls, then one per element of the reduced basis
+        assert len(calls) == in_buchberger + len(algebra.groebner)
+        assert algebra.leading_monomials == tuple(leading_monomial(g) for g in algebra.groebner)
+
+
 def test_reduced_basis_properties():
     variables = ("x", "y")
     basis = buchberger([P(variables, "x**2 + y**3"), P(variables, "y**4")])
