@@ -1,10 +1,13 @@
 """Groebner bases over Q in graded reverse lexicographic order.
 
-Plain Buchberger with normal selection (pairs by smallest lcm degree), the
-coprime-leading-monomial criterion, full normal forms, and inter-reduction
-to the unique reduced monic basis.  The grevlex order is fixed
-package-wide: the degree decides first, ties break on the rightmost nonzero
-exponent difference being negative.
+Buchberger's algorithm with normal selection (pairs by smallest lcm
+degree), full normal forms, and inter-reduction to the unique reduced monic
+basis.  Two criteria skip S-pairs that need no reduction: pairs with coprime
+leading monomials are never queued, and a pair (i, j) is dropped when some
+lm_k divides lcm(lm_i, lm_j) and the pairs (i, k), (j, k) are already done
+(Buchberger's chain criterion; Cox-Little-O'Shea, ch. 2 sec. 10).  The
+grevlex order is fixed package-wide: the degree decides first, ties break
+on the rightmost nonzero exponent difference being negative.
 
 QuotientAlgebra presents A = Q[x]/(ideal) for zero-dimensional ideals whose
 only zero over the algebraic closure is the origin; that locality condition
@@ -121,17 +124,33 @@ def buchberger(generators) -> list[MultiPoly]:
     basis = [_monic(g) for g in generators if not g.is_zero()]
     lms = [leading_monomial(g) for g in basis]
     pairs: list[tuple] = []  # heap of (lcm degree, i, j): normal selection
+    pending: set[tuple] = set()  # the (i, j), i > j, still on the heap
 
     def add_pairs(i):
         for j in range(i):
             lcm = _mono_lcm(lms[i], lms[j])
             if lcm != _mono_mul(lms[i], lms[j]):  # coprime leading monomials reduce to zero
                 heappush(pairs, (sum(lcm), i, j))
+                pending.add((i, j))
+
+    def chain(i, j):
+        """Some lm_k divides lcm(lm_i, lm_j), and the pairs (i, k), (j, k) are done."""
+        lcm = _mono_lcm(lms[i], lms[j])
+        return any(
+            k != i and k != j
+            and _divides(lm, lcm)
+            and (max(i, k), min(i, k)) not in pending
+            and (max(j, k), min(j, k)) not in pending
+            for k, lm in enumerate(lms)
+        )
 
     for i in range(len(basis)):
         add_pairs(i)
     while pairs:
         _, i, j = heappop(pairs)
+        pending.remove((i, j))
+        if chain(i, j):
+            continue
         r = normal_form(_s_polynomial(basis[i], basis[j], lms[i], lms[j]), basis, lms)
         if r.is_zero():
             continue

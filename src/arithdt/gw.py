@@ -558,52 +558,74 @@ def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
     used as a pivot; when every remaining diagonal entry vanishes, the
     lexicographically first nonzero off-diagonal pair is consumed as a
     hyperbolic plane.  Deterministic by construction.
+
+    The matrix is held as one dict of nonzeros per row, and each
+    Schur-complement update walks only the nonzeros of the pivot rows
+    (column a is read off row a, by symmetry); entries that cancel are
+    dropped.  A block-sparse matrix, such as a graded Gram matrix, is thus
+    reduced block by block, with the pivots of the dense reduction.
     """
-    # exact entries are copied, not rebuilt
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in mat]
-    n = len(m)
-    for row in m:
+    n = len(mat)
+    rows: list[dict] = []
+    for row in mat:
         if len(row) != n:
             raise ArithdtError("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+        # exact entries are copied, not rebuilt; the zeros of a dense row are
+        # mostly one object, which an identity test skips without Fraction.__bool__
+        nonzeros, zero = {}, 0
+        for j, x in enumerate(row):
+            if x is zero:
+                continue
+            value = x if isinstance(x, Fraction) else Fraction(x)
+            if value:
+                nonzeros[j] = value
+            else:
+                zero = x
+        rows.append(nonzeros)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if rows[j].get(i) != x:
                 raise ArithdtError("matrix is not symmetric")
 
     entries: list[Fraction] = []
     active = list(range(n))
     while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
+        pivot = next((i for i in active if i in rows[i]), None)
         if pivot is not None:
             # 1x1 pivot d = m[p][p]: m[k][l] -= m[k][p] * m[p][l] / d
-            d = m[pivot][pivot]
+            d = rows[pivot][pivot]
             terms = [(pivot, pivot)]
             entries.append(d)
             active.remove(pivot)
         else:
-            block = next(
-                ((i, j) for i in active for j in active if i < j and m[i][j] != 0),
-                None,
-            )
+            # the rows of active indices hold only active columns
+            block = next(((i, j) for i in active for j in sorted(rows[i]) if j > i), None)
             if block is None:
                 raise SingularMatrixError("matrix is singular")
             # hyperbolic pivot [[0, d], [d, 0]]:
             # m[k][l] -= (m[k][j] * m[i][l] + m[k][i] * m[j][l]) / d
             i, j = block
-            d = m[i][j]
+            d = rows[i][j]
             terms = [(j, i), (i, j)]
             entries.extend([Fraction(1), Fraction(-1)])
             active.remove(i)
             active.remove(j)
         # Schur complement on the active block; the pivot rows and columns are dropped
+        pivots = {a for a, _ in terms}
         for a, b in terms:
-            pivot_row = [(l, m[b][l]) for l in active if m[b][l]]
-            for k in active:
-                if m[k][a]:
-                    c = m[k][a] / d
-                    row = m[k]
-                    for l, x in pivot_row:
-                        row[l] -= c * x
+            pivot_row = [(l, x) for l, x in rows[b].items() if l not in pivots]
+            for k, y in rows[a].items():
+                if k in pivots:
+                    continue
+                c = y / d
+                row = rows[k]
+                del row[a]
+                for l, x in pivot_row:
+                    value = row.get(l, 0) - c * x
+                    if value:
+                        row[l] = value
+                    else:
+                        del row[l]
 
     return GwElement.from_diagonal(field, entries)
 

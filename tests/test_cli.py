@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -306,3 +307,39 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == arithdt.__version__
+
+
+def _ekl_process(tmp_path, payload):
+    """Run ``arithdt ekl --map`` as a whole process; its result and wall time."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    src = Path(arithdt.__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithdt", "ekl", "--map", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_ekl_ten_variable_map_in_bounded_time(tmp_path):
+    """{x_i^2 : i < 10}: ~0.5 s; a Laplace expansion without memo took ~37 s."""
+    n = 10
+    payload = {
+        "vars": [f"x{i}" for i in range(n)],
+        "polys": [[[[2 * (j == i) for j in range(n)], "1"]] for i in range(n)],
+    }
+    proc, seconds = _ekl_process(tmp_path, payload)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["512*<1> + 512*<-1>", "rank: 1024"]
+    assert seconds < 10
+
+
+def test_ekl_milnor_dimension_1089_in_bounded_time(tmp_path):
+    """The gradient of x^34 + y^34: ~0.3 s; the dense Gram row walk took ~2-2.6 s."""
+    payload = {"vars": ["x", "y"], "polys": [[[[33, 0], "34"]], [[[0, 33], "34"]]]}
+    proc, seconds = _ekl_process(tmp_path, payload)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:3] == ["545*<1> + 544*<-1>", "rank: 1089", "signature: 1"]
+    assert seconds < 5

@@ -206,6 +206,33 @@ def test_gram_equals_per_pair_oracle(system):
     assert result.gram == per_pair_gram(result)
 
 
+def column_walk_gram(result):
+    """Gram matrix from the dense row walk, entry j of row i from column j of M_{x_k}.
+
+    The oracle for ekl_class, which walks the nonzeros of the parent row only.
+    """
+    algebra = result.algebra
+    gram = [base_functional(result)]
+    for mono in algebra.standard_monomials[1:]:
+        k = next(v for v, e in enumerate(mono) if e)
+        parent = gram[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
+        gram.append([
+            sum((parent[l] * c for l, c in column.items() if parent[l]), Fraction(0))
+            for column in algebra.matrices[k]
+        ])
+    return tuple(tuple(row) for row in gram)
+
+
+# seeds whose dense ternary cubics meet only at the origin
+WALK_CASES = GRAM_CASES + [_dense_ternary_cubics(seed) for seed in (2, 3, 6)]
+
+
+@pytest.mark.parametrize("system", WALK_CASES, ids=lambda s: " | ".join(map(str, s))[:40])
+def test_gram_equals_column_walk_oracle(system):
+    result = ekl_class(system)
+    assert result.gram == column_walk_gram(result)
+
+
 # -- signature against a topological winding oracle -----------------------------------
 
 

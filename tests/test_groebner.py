@@ -1,11 +1,14 @@
 """Groebner engine: order sanity, reduced bases, quotient algebras.
 
 Dimensions and basis leading terms are cross-checked against an independent
-implementation (sympy) on a suite of zero-dimensional ideals.  Products in
-the quotient and its locality check walk the multiplication matrices; one
-normal form per product is the oracle for both.
+implementation (sympy) on a suite of zero-dimensional ideals.  The plain
+pair loop, which reduces every S-pair with non-coprime leading monomials, is
+the oracle for the chain criterion of buchberger.  Products in the quotient
+and its locality check walk the multiplication matrices; one normal form per
+product is the oracle for both.
 """
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +21,7 @@ from arithdt.errors import (
     NotSupportedAtOriginError,
     PositiveDimensionalIdealError,
 )
+import arithdt.groebner as groebner
 from arithdt.groebner import (
     QuotientAlgebra,
     buchberger,
@@ -214,6 +218,34 @@ def test_basis_product_matches_per_pair_normal_form(polys):
             assert algebra.basis_product(i, j) == oracle_basis_product(algebra, i, j), (i, j)
 
 
+def plain_buchberger(generators):
+    """Reduced basis from the pair loop that skips coprime leading monomials only.
+
+    Pairs are popped by smallest lcm degree, as in buchberger, which adds the
+    chain criterion.
+    """
+    basis = [groebner._monic(g) for g in generators if not g.is_zero()]
+    lms = [leading_monomial(g) for g in basis]
+    pairs = []
+
+    def add_pairs(i):
+        for j in range(i):
+            lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+            if lcm != tuple(a + b for a, b in zip(lms[i], lms[j])):
+                heapq.heappush(pairs, (sum(lcm), i, j))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        r = normal_form(groebner._s_polynomial(basis[i], basis[j], lms[i], lms[j]), basis, lms)
+        if not r.is_zero():
+            basis.append(groebner._monic(r))
+            lms.append(leading_monomial(basis[-1]))
+            add_pairs(len(basis) - 1)
+    return groebner._interreduce(basis, lms)
+
+
 SUITE = [
     (("x",), ["x**2"]),
     (("x",), ["x**5"]),
@@ -274,6 +306,32 @@ def test_dimensions_against_sympy(variables, texts):
         if not any(all(x <= y for x, y in zip(lm, exps)) for lm in leading):
             count += 1
     assert algebra.dimension == count
+
+
+GENERIC_CASES = [_dense_forms(seed, n, d) for (n, d), seeds in GENERIC_SEEDS.items() for seed in seeds]
+
+
+@pytest.mark.parametrize(
+    "polys",
+    [[P(v, t) for t in ts] for v, ts in SUITE] + GENERIC_CASES,
+    ids=_case_id,
+)
+def test_buchberger_matches_plain_pair_loop(polys):
+    assert buchberger(polys) == plain_buchberger(polys)
+
+
+def test_chain_criterion_skips_s_pairs(monkeypatch):
+    """S-pair normal forms on one dense ternary quartic: the plain pair loop makes 116."""
+    polys = _dense_forms(0, 3, 4)
+    made = []
+    s_polynomial = groebner._s_polynomial
+    monkeypatch.setattr(groebner, "_s_polynomial", lambda *a: made.append(a) or s_polynomial(*a))
+    plain = plain_buchberger(polys)
+    in_plain = len(made)
+    made.clear()
+    assert buchberger(polys) == plain
+    assert in_plain == 116
+    assert len(made) <= 40
 
 
 def test_multipoly_basics():

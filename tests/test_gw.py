@@ -318,6 +318,13 @@ def test_diagonalize_rejects_singular_and_asymmetric():
         diagonalize_symmetric([[1, 1], [1, 1]])
     with pytest.raises(ArithdtError):
         diagonalize_symmetric([[0, 1], [2, 0]])
+    # an entry whose mirror is zero is not stored on the mirror's row
+    for mat in ([[1, 2], [0, 1]], [[1, 0], [2, 1]], [[0, 0, 3], [0, 1, 0], [0, 0, 0]]):
+        with pytest.raises(ArithdtError, match="not symmetric"):
+            diagonalize_symmetric(mat)
+    for mat in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ArithdtError, match="not square"):
+            diagonalize_symmetric(mat)
 
 
 def _random_unimodular(rng, n):
@@ -431,6 +438,135 @@ def test_diagonalize_matches_full_width_oracle():
         outcomes.add((trial % 3, expected == "singular"))
     # every kind of matrix was drawn, and the singular ones were refused
     assert {(0, False), (1, False), (2, True)} <= outcomes
+
+
+def dense_diagonalize(mat):
+    """Diagonal entries from the dense reduction over the active rows and columns.
+
+    The oracle for diagonalize_symmetric, which makes the same pivots and
+    Schur updates over dicts of nonzeros.
+    """
+    m = [[Fraction(x) for x in row] for row in mat]
+    entries = []
+    active = list(range(len(m)))
+    while active:
+        pivot = next((i for i in active if m[i][i] != 0), None)
+        if pivot is not None:
+            d = m[pivot][pivot]
+            terms = [(pivot, pivot)]
+            entries.append(d)
+            active.remove(pivot)
+        else:
+            block = next(
+                ((i, j) for i in active for j in active if i < j and m[i][j] != 0),
+                None,
+            )
+            if block is None:
+                raise SingularMatrixError("matrix is singular")
+            i, j = block
+            d = m[i][j]
+            terms = [(j, i), (i, j)]
+            entries.extend([Fraction(1), Fraction(-1)])
+            active.remove(i)
+            active.remove(j)
+        for a, b in terms:
+            pivot_row = [(l, m[b][l]) for l in active if m[b][l]]
+            for k in active:
+                if m[k][a]:
+                    c = m[k][a] / d
+                    for l, x in pivot_row:
+                        m[k][l] -= c * x
+    return entries
+
+
+def _sparse_block(rng, n, zero_diagonal):
+    """A symmetric n x n block with about two nonzeros per row."""
+    m = [[0] * n for _ in range(n)]
+    for _ in range(n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j or not zero_diagonal:
+            m[i][j] = m[j][i] = rng.choice((-3, -2, -1, 1, 2, 5))
+    return m
+
+
+def _graded(rng, sizes):
+    """Anti-diagonal blocks: entry (i, j) is zero unless deg i + deg j = top.
+
+    Indices are sorted by degree, as the standard monomials of a graded
+    algebra are; the pairing of degree d with top - d is a random block.
+    """
+    degrees = [d for d, size in enumerate(sizes) for _ in range(size)]
+    top = len(sizes) - 1
+    n = len(degrees)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if degrees[i] + degrees[j] == top and rng.random() < 0.6:
+                m[i][j] = m[j][i] = rng.choice((-2, -1, 1, 1, 3))
+    return m
+
+
+def _congruent_to_diagonal(rng, n):
+    """U^T D U for a sparse unit upper-triangular U: the Schur updates cancel U's fill-in."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        i, j = sorted(rng.sample(range(n), 2))
+        u[i][j] = rng.choice((-1, 1))
+    diag = [rng.choice((-2, -1, 1, 3)) for _ in range(n)]
+    return [[sum(u[k][i] * diag[k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _cancels_in_first_update(mat):
+    """Some nonzero entry becomes zero in the Schur update of the first pivot."""
+    d = mat[0][0]
+    n = len(mat)
+    return d != 0 and any(
+        mat[k][l] and mat[k][l] - Fraction(mat[k][0] * mat[0][l], d) == 0
+        for k in range(1, n)
+        for l in range(1, n)
+    )
+
+
+def _sparse_symmetric(rng, kind):
+    if kind == "graded":
+        return _graded(rng, [rng.randint(1, 3) for _ in range(rng.randint(2, 6))])
+    if kind == "zero-diagonal":
+        return _sparse_block(rng, rng.randint(2, 14), zero_diagonal=True)
+    if kind == "cancel":
+        return _congruent_to_diagonal(rng, rng.randint(3, 10))
+    # singular: a zero row and column, or a repeated one, inside a sparse block
+    m = _sparse_block(rng, rng.randint(2, 12), zero_diagonal=rng.random() < 0.5)
+    i, j = rng.sample(range(len(m)), 2)
+    for k in range(len(m)):
+        m[j][k] = m[k][j] = m[i][k] if rng.random() < 0.5 else 0
+    m[j][j] = m[i][i] if m[j][i] else 0
+    return m
+
+
+SPARSE_KINDS = ("graded", "zero-diagonal", "cancel", "singular")
+
+
+def test_diagonalize_matches_dense_oracle_on_sparse_matrices():
+    rng = random.Random(2031)
+    seen = {kind: set() for kind in SPARSE_KINDS}
+    for trial in range(160):
+        kind = SPARSE_KINDS[trial % len(SPARSE_KINDS)]
+        mat = _sparse_symmetric(rng, kind)
+        expected = _diagonal_or_singular(dense_diagonalize, mat)
+        got = _diagonal_or_singular(diagonalize_symmetric, mat)
+        if expected == "singular":
+            assert got == "singular"
+        else:
+            assert got == GwElement.from_diagonal(QQ, expected)
+        seen[kind].add(expected == "singular")
+        if kind == "cancel" and _cancels_in_first_update(mat):
+            seen[kind].add("cancels")
+    # each kind was drawn in the form it is meant to test; a nonsingular
+    # zero-diagonal matrix starts with a hyperbolic pivot
+    assert False in seen["graded"]
+    assert False in seen["zero-diagonal"]
+    assert {False, "cancels"} <= seen["cancel"]
+    assert True in seen["singular"]
 
 
 # -- trace forms -----------------------------------------------------------------------
