@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -42,43 +41,27 @@ def max_series_order() -> int:
     return value
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    artifact_version: str
-    outputs: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "artifact_version": self.artifact_version,
-            "outputs": self.outputs,
-        }
-
-
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args, manifest: RunManifest, payload: dict, text: str) -> None:
+def _emit(args, manifest: dict, payload: dict, text: str) -> None:
     out_path = getattr(args, "out", None)
     as_json = getattr(args, "json", False) or out_path is not None
     if out_path:
-        manifest.outputs.append(out_path)
+        manifest["outputs"].append(out_path)
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(_dump(payload))
             with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-                fh.write(_dump(manifest.to_json_dict()))
+                fh.write(_dump(manifest))
         except OSError as exc:
             raise InputDataError(f"cannot write {out_path}: {exc}") from exc
         return
-    manifest.outputs.append("stdout")
+    manifest["outputs"].append("stdout")
     if as_json:
         payload = dict(payload)
-        payload["manifest"] = manifest.to_json_dict()
+        payload["manifest"] = manifest
         sys.stdout.write(_dump(payload))
     else:
         sys.stdout.write(text + "\n")
@@ -409,12 +392,12 @@ def _manifest_parameters(args) -> dict:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        parameters=_manifest_parameters(args),
-        artifact_version=__version__,
-        outputs=[],
-    )
+    manifest = {
+        "subcommand": args.subcommand,
+        "parameters": _manifest_parameters(args),
+        "artifact_version": __version__,
+        "outputs": [],
+    }
     try:
         payload, text = args.handler(args)
         _emit(args, manifest, payload, text)

@@ -15,7 +15,9 @@ standard monomial.  Row 0 is phi (b_0 = 1); every other b_i is x_k * b_p
 for an earlier standard monomial b_p, and its row is w_p . M_{x_k}: the sum
 of row l of M_{x_k} times w_p[l] over the nonzeros of w_p only.  With the
 default phi on a monomial algebra each w_p has one nonzero, so a row costs
-O(1) arithmetic.
+O(1) arithmetic.  Each row is kept as a dict of its nonzeros, which the
+elimination kernel of ``gw`` reduces directly; the dense rows are written
+once, for ``EklResult.gram``.
 
 The gradient version refines the Milnor number of an isolated hypersurface
 singularity, and a report-producing checker compares it against the
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .fields import BaseField, QQ, factorize, squarefree_part
 from .groebner import QuotientAlgebra, grevlex_key
-from .gw import GwAlphaElement, GwElement, diagonalize_symmetric, trace_form
+from .gw import GwAlphaElement, GwElement, _diagonalize_rows, trace_form
 from .multipoly import MultiPoly
 
 _ZERO = Fraction(0)  # start of every Gram entry sum; one shared immutable value
@@ -146,30 +148,31 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
             for l, c in column.items():
                 rows[l][j] = c
         matrix_rows.append(rows)
-    nonzeros = [{l: x for l, x in enumerate(phi) if x}]
-    gram = [phi]
+    gram_rows = [{l: x for l, x in enumerate(phi) if x}]
+    gram = [tuple(phi)]
     for mono in algebra.standard_monomials[1:]:
         k = next(v for v, e in enumerate(mono) if e)
-        parent = nonzeros[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
+        parent = gram_rows[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
         w: dict = {}
         for l, x in parent.items():
             for j, c in matrix_rows[k][l].items():
                 w[j] = w.get(j, _ZERO) + x * c
         w = {j: x for j, x in w.items() if x}
-        nonzeros.append(w)
+        gram_rows.append(w)
+        # the dense row is frozen now: the elimination consumes the dicts
         row = [_ZERO] * dim
         for j, x in w.items():
             row[j] = x
-        gram.append(row)
+        gram.append(tuple(row))
 
     try:
-        gw_class = diagonalize_symmetric(gram, field)
+        gw_class = _diagonalize_rows(gram_rows, field)
     except SingularMatrixError as exc:
         raise DegenerateSystemError(f"residue pairing is degenerate: {exc}") from exc
     return EklResult(
         gw_class=gw_class,
         rank=dim,
-        gram=tuple(tuple(row) for row in gram),
+        gram=tuple(gram),
         distinguished_socle=socle,
         algebra=algebra,
     )

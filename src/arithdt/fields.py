@@ -177,6 +177,24 @@ def binary_power(x, n: int, one):
     return out
 
 
+def render_sum(pieces) -> str:
+    """Signed sum of (symbol, nonzero coefficient) pairs, "0" when there are none.
+
+    A coefficient c shows as ``c*symbol``, or as the bare symbol when |c| = 1;
+    the symbol of a constant is "", which shows |c| alone.  The leading sign
+    is "-" or nothing, the others are joined as " + " or " - ".
+    """
+    out = []
+    for sym, c in pieces:
+        mag = abs(c)
+        body = str(mag) if not sym else sym if mag == 1 else f"{mag}*{sym}"
+        if out:
+            out.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            out.append(f"-{body}" if c < 0 else body)
+    return " ".join(out) or "0"
+
+
 def legendre_symbol(a: int, p: int) -> int:
     a %= p
     if a == 0:

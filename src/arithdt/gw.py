@@ -42,6 +42,7 @@ from .fields import (
     is_prime,
     legendre_symbol,
     prime_factors,
+    render_sum,
     square_class_rep,
     squarefree_part,
 )
@@ -304,7 +305,7 @@ class GwElement:
 
     def render(self, contract_h: bool = False) -> str:
         terms = dict(self.terms)
-        pieces: list[str] = []
+        pieces: list[tuple[str, int]] = []
         if contract_h:
             m_pos, m_neg = terms.get(1, 0), terms.get(-1, 0)
             h = 0
@@ -318,21 +319,8 @@ class GwElement:
                     if not terms[rep]:
                         del terms[rep]
                 pieces.append(("H", h))
-        entries = [(f"<{r}>", m) for r, m in terms.items()]
-        if contract_h and pieces:
-            entries = pieces + entries
-        if not entries:
-            return "0"
-        out = []
-        for idx, (sym, mult) in enumerate(entries):
-            sign = "-" if mult < 0 else "+"
-            mag = abs(mult)
-            body = sym if mag == 1 else f"{mag}*{sym}"
-            if idx == 0:
-                out.append(body if mult > 0 else f"-{body}")
-            else:
-                out.append(f"{sign} {body}")
-        return " ".join(out)
+        pieces += [(f"<{r}>", m) for r, m in terms.items()]
+        return render_sum(pieces)
 
     def __str__(self) -> str:
         return self.render()
@@ -554,41 +542,38 @@ def _hasse_of_terms(terms, place) -> int:
 def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
     """GW class of a nondegenerate symmetric rational matrix.
 
+    Each entry is read with ``Fraction(x)``, so ints, Fractions and strings
+    such as "1/2" are accepted.  The nonzeros of each row go to
+    ``_diagonalize_rows``, the one elimination kernel, as a dict.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ArithdtError("matrix is not square")
+    rows = [{j: value for j, value in enumerate(map(Fraction, row)) if value} for row in mat]
+    return _diagonalize_rows(rows, field)
+
+
+def _diagonalize_rows(rows: list, field: BaseField) -> GwElement:
+    """GW class of a symmetric matrix given as {column: nonzero Fraction} per row.
+
     Symmetric congruence reduction: the first nonzero diagonal entry is
     used as a pivot; when every remaining diagonal entry vanishes, the
     lexicographically first nonzero off-diagonal pair is consumed as a
     hyperbolic plane.  Deterministic by construction.
 
-    The matrix is held as one dict of nonzeros per row, and each
-    Schur-complement update walks only the nonzeros of the pivot rows
+    Each Schur-complement update walks only the nonzeros of the pivot rows
     (column a is read off row a, by symmetry); entries that cancel are
     dropped.  A block-sparse matrix, such as a graded Gram matrix, is thus
-    reduced block by block, with the pivots of the dense reduction.
+    reduced block by block, with the pivots of the dense reduction.  The
+    row dicts are consumed.
     """
-    n = len(mat)
-    rows: list[dict] = []
-    for row in mat:
-        if len(row) != n:
-            raise ArithdtError("matrix is not square")
-        # exact entries are copied, not rebuilt; the zeros of a dense row are
-        # mostly one object, which an identity test skips without Fraction.__bool__
-        nonzeros, zero = {}, 0
-        for j, x in enumerate(row):
-            if x is zero:
-                continue
-            value = x if isinstance(x, Fraction) else Fraction(x)
-            if value:
-                nonzeros[j] = value
-            else:
-                zero = x
-        rows.append(nonzeros)
     for i, row in enumerate(rows):
         for j, x in row.items():
             if rows[j].get(i) != x:
                 raise ArithdtError("matrix is not symmetric")
 
     entries: list[Fraction] = []
-    active = list(range(n))
+    active = list(range(len(rows)))
     while active:
         pivot = next((i for i in active if i in rows[i]), None)
         if pivot is not None:

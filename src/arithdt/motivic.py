@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
-from .fields import BaseField, QQ, RR, binary_power
+from .fields import BaseField, QQ, RR, binary_power, render_sum
 from .gw import GaussianInteger, GwAlphaElement, GwElement, trace_form
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
@@ -182,7 +182,7 @@ class MotivicClass:
     @staticmethod
     def _render_u_power(e: int) -> str:
         if e == 0:
-            return "1"
+            return ""
         if e == 2:
             return "L"
         if e % 2 == 0:
@@ -190,26 +190,14 @@ class MotivicClass:
         return f"L^{{{e}/2}}"
 
     def render(self) -> str:
-        pieces: list[tuple[str, int]] = []
-        for e, c in reversed(self.u_terms):
-            pieces.append((self._render_u_power(e), c))
+        pieces = [(self._render_u_power(e), c) for e, c in reversed(self.u_terms)]
         for name, coeff in self.extras:
             if len(coeff) == 1 and coeff[0][0] == 0:
                 pieces.append((f"[{name}]", coeff[0][1]))
             else:
                 inner = MotivicClass._make(coeff).render()
                 pieces.append((f"({inner})*[{name}]", 1))
-        if not pieces:
-            return "0"
-        out = []
-        for idx, (sym, c) in enumerate(pieces):
-            mag = abs(c)
-            body = sym if (mag == 1 and sym != "1") else (str(mag) if sym == "1" else f"{mag}*{sym}")
-            if idx == 0:
-                out.append(body if c > 0 else f"-{body}")
-            else:
-                out.append(f"{'-' if c < 0 else '+'} {body}")
-        return " ".join(out)
+        return render_sum(pieces)
 
     def __str__(self) -> str:
         return self.render()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArithdtError, json_int
-from .fields import binary_power
+from .fields import binary_power, render_sum
 
 Exponents = tuple
 
@@ -207,9 +207,7 @@ class MultiPoly:
         return [[list(e), str(c)] for e, c in sorted(self.terms.items())]
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        monos = []
+        pieces = []
         for e, c in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
             parts = []
             for name, k in zip(self.variables, e):
@@ -217,20 +215,8 @@ class MultiPoly:
                     parts.append(name)
                 elif k > 1:
                     parts.append(f"{name}^{k}")
-            body = "*".join(parts)
-            if not body:
-                monos.append((str(abs(c)), c < 0))
-            elif abs(c) == 1:
-                monos.append((body, c < 0))
-            else:
-                monos.append((f"{abs(c)}*{body}", c < 0))
-        out = []
-        for idx, (body, negative) in enumerate(monos):
-            if idx == 0:
-                out.append(f"-{body}" if negative else body)
-            else:
-                out.append(f"{'-' if negative else '+'} {body}")
-        return " ".join(out)
+            pieces.append(("*".join(parts), c))
+        return render_sum(pieces)
 
     def __str__(self) -> str:
         return self.render()

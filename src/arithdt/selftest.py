@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .castelnuovo import fiber_dimension, gv_arithmetic_direct, gv_compare
-from .dt import MatrixTriple, gradient_vanishes, macmahon, partition_function
+from .dt import MatrixTriple, commutator, gradient_vanishes, macmahon, partition_function
 from .ekl import ekl_class, milnor_number_a1
 from .fields import QQ
 from .gw import GwAlphaElement, GwElement, hilbert_symbol
@@ -100,8 +100,6 @@ def run_selftest() -> list[tuple[str, bool]]:
             for _ in range(3)
         ]
         t = MatrixTriple.of(*mats)
-        from .dt import commutator
-
         zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
         commuting = all(
             commutator(x, y) == zero for x, y in ((t.a, t.b), (t.b, t.c), (t.c, t.a))

@@ -78,7 +78,7 @@ class TruncatedSeries:
             if deg < 0:
                 raise ArithdtError("power series have no negative degrees")
             if deg <= order:
-                coeffs[deg] = coeffs[deg] + c if coeffs[deg] != ring.zero else c
+                coeffs[deg] = c
         return cls(ring, order, coeffs)
 
     # -- arithmetic ------------------------------------------------------------

@@ -343,3 +343,35 @@ def test_ekl_milnor_dimension_1089_in_bounded_time(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:3] == ["545*<1> + 544*<-1>", "rank: 1089", "signature: 1"]
     assert seconds < 5
+
+
+def test_ekl_milnor_dimension_4225_in_bounded_time_and_memory(tmp_path):
+    """The gradient of x^66 + y^66: ~1.2 s at ~160 MB peak RSS.
+
+    A dense list-of-lists Gram, copied into a tuple and read back into row
+    dicts by the elimination, took 297 MB.  The peak is read in a fresh
+    child as its own RUSAGE_SELF, so no earlier test's children count.
+    """
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "polys": [[[[65, 0], "66"]], [[[0, 65], "66"]]]}))
+    script = (
+        "import resource, sys\n"
+        "from arithdt.cli import dispatch\n"
+        "code = dispatch(['ekl', '--map', sys.argv[1]])\n"
+        "print('peak_rss_kb:', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(arithdt.__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["2113*<1> + 2112*<-1>", "rank: 4225"]
+    peak_mb = int(lines[-1].split()[1]) / 1024
+    assert seconds < 10
+    assert peak_mb < 220

@@ -22,7 +22,7 @@ from arithdt.errors import (
     UnsupportedExtensionError,
 )
 from arithdt.fields import QQ, RR
-from arithdt.gw import GwElement
+from arithdt.gw import GwElement, diagonalize_symmetric
 from arithdt.motivic import (
     DEFAULT_GENERATORS,
     L,
@@ -231,6 +231,21 @@ WALK_CASES = GRAM_CASES + [_dense_ternary_cubics(seed) for seed in (2, 3, 6)]
 def test_gram_equals_column_walk_oracle(system):
     result = ekl_class(system)
     assert result.gram == column_walk_gram(result)
+
+
+@pytest.mark.parametrize("system", WALK_CASES, ids=lambda s: " | ".join(map(str, s))[:40])
+def test_class_equals_dense_reader_of_gram(system):
+    """ekl_class eliminates its own row dicts; the public dense reader of the Gram agrees."""
+    for field in (QQ, RR):
+        result = ekl_class(system, field)
+        assert result.gw_class == diagonalize_symmetric(result.gram, field)
+
+
+def test_class_equals_dense_reader_with_dense_functional():
+    # E = x^2 on Q[x]/(x^3), and phi(x^2) = 1 with every coordinate nonzero
+    result = ekl_class([P(("x",), "x**3")], functional=[5, -2, 1])
+    assert all(result.gram[0])
+    assert result.gw_class == diagonalize_symmetric(result.gram)
 
 
 # -- signature against a topological winding oracle -----------------------------------

@@ -325,6 +325,14 @@ def test_diagonalize_rejects_singular_and_asymmetric():
     for mat in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
         with pytest.raises(ArithdtError, match="not square"):
             diagonalize_symmetric(mat)
+    # the dense reader takes anything Fraction() reads; 0, "0" and Fraction(0) are zeros
+    for zero in (0, "0", Fraction(0)):
+        assert diagonalize_symmetric([[zero, 1], [1, zero]]) == hyper()
+        assert diagonalize_symmetric([["1/2", zero], [zero, -2]]) == unit(2) + unit(-2)
+        with pytest.raises(SingularMatrixError):
+            diagonalize_symmetric([[1, zero], [zero, zero]])
+    with pytest.raises(TypeError):
+        diagonalize_symmetric([[1, None], [None, 1]])
 
 
 def _random_unimodular(rng, n):
