@@ -19,6 +19,10 @@ O(1) arithmetic.  Each row is kept as a dict of its nonzeros, which the
 elimination kernel of ``gw`` reduces directly; the dense rows are written
 once, for ``EklResult.gram``.
 
+A univariate map has a global degree over a whole fiber as well: the class
+of the fiber's Euler-Jacobi residue form, a Hankel matrix handed to the same
+elimination kernel, whatever the residue fields of the fiber's points.
+
 The gradient version refines the Milnor number of an isolated hypersurface
 singularity, and a report-producing checker compares it against the
 A^1-Euler characteristic of a user-supplied motivic Milnor fiber.
@@ -29,16 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
 
 from .errors import (
     ArithdtError,
     DegenerateSystemError,
     InputDataError,
     SingularMatrixError,
-    UnsupportedExtensionError,
+    json_int,
 )
-from .fields import BaseField, QQ, factorize, squarefree_part
+from .fields import BaseField, QQ, squarefree_part
 from .groebner import QuotientAlgebra, grevlex_key
 from .gw import GwAlphaElement, GwElement, _diagonalize_rows, trace_form
 from .multipoly import MultiPoly
@@ -65,7 +68,7 @@ class ConjugatePair:
     coords: tuple
 
     def __post_init__(self) -> None:
-        if self.d in (0, 1) or squarefree_part(self.d) != self.d:
+        if json_int(self.d, "d") in (0, 1) or squarefree_part(self.d) != self.d:
             raise ArithdtError("d must be a square-free integer != 1")
 
 
@@ -206,13 +209,6 @@ def _poly_deriv(c: list) -> list:
     return [k * c[k] for k in range(1, len(c))]
 
 
-def _poly_eval(c: list, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(c):
-        total = total * x + coeff
-    return total
-
-
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     a = a[:]
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
@@ -237,70 +233,18 @@ def _poly_gcd_is_constant(a: list, b: list) -> bool:
     return len(_poly_trim(a)) <= 1
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive and negative divisors of n != 0, ascending."""
-    pos = [1]
-    for p, e in factorize(n).items():
-        pos = [d * p**k for d in pos for k in range(e + 1)]
-    return sorted(pos + [-d for d in pos])
-
-
-def _primitive_integer(c: list) -> list[int]:
-    denom = lcm(*(x.denominator for x in c))
-    ints = [int(x * denom) for x in c]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g else ints
-
-
-def _rational_roots(c: list) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial (Fraction coefficients)."""
-    roots = []
-    work = c[:]
-    while work and work[0] == 0:
-        roots.append(Fraction(0))
-        work = work[1:]
-    ints = _primitive_integer(work)
-    if len(ints) <= 1:
-        return sorted(set(roots))
-    cands = {Fraction(p, q) for p in _divisors(ints[0]) for q in _divisors(ints[-1]) if q > 0}
-    roots += [x for x in cands if _poly_eval(work, x) == 0]
-    return sorted(set(roots))
-
-
-def _kronecker_quadratic_factor(c: list) -> list | None:
-    """A quadratic factor of an integer polynomial via value interpolation.
-
-    Any factor g satisfies g(k) | c(k); interpolating candidate quadratics
-    through divisor triples at -1, 0, 1 and testing exact division finds a
-    degree-2 factor whenever one exists.  Desk-scale inputs only.
-    """
-    ints = _primitive_integer(c)
-    vals = [
-        _poly_eval([Fraction(x) for x in ints], Fraction(t)) for t in (-1, 0, 1)
-    ]
-    if any(v == 0 for v in vals):
-        return None  # a rational root remains; not this helper's job
-    for d0 in _divisors(int(vals[1])):
-        for d1 in _divisors(int(vals[2])):
-            for dm1 in _divisors(int(vals[0])):
-                if (d1 + dm1) % 2 or (d1 - dm1) % 2:
-                    continue
-                c2 = (d1 + dm1) // 2 - d0
-                c1 = (d1 - dm1) // 2
-                if c2 == 0:
-                    continue
-                g = [Fraction(d0), Fraction(c1), Fraction(c2)]
-                q, r = _poly_divmod([Fraction(x) for x in ints], g)
-                if not r:
-                    return g
-    return None
-
-
 def global_degree_univariate(p: MultiPoly, y, field: BaseField = QQ) -> GwElement:
-    """Degree of a univariate polynomial map as a sum of local degrees over a fiber.
+    """Degree of a univariate polynomial map: the class of the fiber's residue form.
 
-    The preimages of y may be rational or quadratic over Q; an irreducible
-    fiber factor of degree three or more is reported as unsupported.
+    For f = p - y of degree n with leading coefficient c, the Euler-Jacobi
+    residue form on Q[x]/(f) is (a, b) -> sum over the roots t of
+    a(t) b(t) / f'(t) (Scheja-Storch).  On the basis 1, x, ..., x^(n-1) its
+    Gram matrix is the Hankel matrix s_(i+j) of s_k = sum t^k / f'(t), which
+    are 0 for k < n - 1 and 1/c at k = n - 1, and then follow f's own
+    recurrence.  Its class is the sum over the fiber's points of the local
+    degrees <f'(t)>, each transferred from the point's residue field
+    (Kass-Wickelgren), so a fiber with any residue fields answers and no root
+    is ever found.
     """
     if len(p.variables) != 1:
         raise ArithdtError("global degrees are implemented for univariate maps")
@@ -313,41 +257,15 @@ def global_degree_univariate(p: MultiPoly, y, field: BaseField = QQ) -> GwElemen
     _poly_trim(coeffs)
     if len(coeffs) <= 1:
         raise DegenerateSystemError("constant map has no degree")
-    deriv = _poly_deriv(coeffs)
-    if not _poly_gcd_is_constant(coeffs, deriv):
+    if not _poly_gcd_is_constant(coeffs, _poly_deriv(coeffs)):
         raise DegenerateSystemError("fiber has repeated roots; y is not a regular value")
 
-    total = GwElement.zero(field)
-    remaining = coeffs[:]
-    for root in _rational_roots(coeffs):
-        jet = _poly_eval(deriv, root)
-        total = total + GwElement.unit(field, jet)
-        remaining, rem = _poly_divmod(remaining, [-root, Fraction(1)])
-        assert not rem
-    while len(remaining) - 1 >= 2:
-        if len(remaining) - 1 == 2:
-            quad = remaining
-        else:
-            quad = _kronecker_quadratic_factor(remaining)
-            if quad is None:
-                raise UnsupportedExtensionError(
-                    "fiber contains an irreducible factor of degree >= 3; "
-                    "only quadratic residue fields are supported"
-                )
-        c0, c1, c2 = quad
-        # monic x^2 + px + q with root -p/2 + sqrt(disc)/2
-        pp, qq = c1 / c2, c0 / c2
-        disc = pp * pp - 4 * qq
-        d = squarefree_part(disc.numerator * disc.denominator)
-        ratio = disc / d
-        s = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
-        assert s * s == ratio
-        root_q = ((-pp / 2, s / 2),)
-        u, v = p.partial(0).evaluate_quadratic(root_q, d)
-        total = total + trace_form(d, u, v).to_field(field)
-        remaining, rem = _poly_divmod(remaining, quad)
-        assert not rem
-    return total
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    s = [_ZERO] * (n - 1) + [1 / lead]
+    for k in range(n, 2 * n - 1):
+        s.append(-sum(coeffs[i] * s[k - n + i] for i in range(n)) / lead)
+    rows = [{j: s[i + j] for j in range(n) if s[i + j]} for i in range(n)]
+    return _diagonalize_rows(rows, field)
 
 
 def milnor_number_a1(f: MultiPoly, field: BaseField = QQ) -> EklResult:

@@ -34,7 +34,10 @@ class GeneratorProductError(ArithdtError):
 
 
 class InexactDivisionError(ArithdtError):
-    """A polynomial division that must be exact left a remainder."""
+    """A polynomial division that must be exact left a remainder.
+
+    No longer raised by the library; kept for callers that catch it.
+    """
 
 
 class PositiveDimensionalIdealError(ArithdtError):
@@ -50,7 +53,11 @@ class DegenerateSystemError(ArithdtError):
 
 
 class UnsupportedExtensionError(ArithdtError):
-    """A residue field extension beyond quadratic is required but unsupported."""
+    """A residue field extension beyond quadratic is required but unsupported.
+
+    No longer raised by the library, since global degrees take any residue
+    field; kept for callers that catch it.
+    """
 
 
 class NonIntegralCoefficientError(ArithdtError):

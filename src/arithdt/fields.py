@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, prod
 
-from .errors import ArithdtError
+from .errors import ArithdtError, json_int
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below psi_13
@@ -230,7 +230,7 @@ class BaseField:
         if self.kind not in (self.RATIONALS, self.REALS, self.COMPLEXES, self.FINITE):
             raise ArithdtError(f"unknown base field kind: {self.kind!r}")
         if self.kind == self.FINITE:
-            if self.p is None or self.p == 2 or not is_prime(self.p):
+            if self.p is None or json_int(self.p, "p") == 2 or not is_prime(self.p):
                 raise ArithdtError("finite base fields require an odd prime p")
         elif self.p is not None:
             raise ArithdtError("p is only meaningful for finite fields")

@@ -621,7 +621,7 @@ def trace_form(d: int, u, v=0) -> GwElement:
     The Gram matrix of x -> Tr(beta * x^2) on the basis (1, sqrt(d)) is
     [[2u, 2dv], [2dv, 2du]]; the result is its diagonalization in GW(Q).
     """
-    d = int(d)
+    d = json_int(d, "d")
     if d in (0, 1) or squarefree_part(d) != d:
         raise ArithdtError(f"d must be a square-free integer != 1, got {d}")
     u = Fraction(u)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .castelnuovo import fiber_dimension, gv_arithmetic_direct, gv_compare
 from .dt import MatrixTriple, commutator, gradient_vanishes, macmahon, partition_function
-from .ekl import ekl_class, milnor_number_a1
+from .ekl import ekl_class, global_degree_univariate, milnor_number_a1
 from .fields import QQ
 from .gw import GwAlphaElement, GwElement, hilbert_symbol
 from .motivic import (
@@ -70,6 +70,8 @@ def run_selftest() -> list[tuple[str, bool]]:
     f = MultiPoly.parse(("x", "y"), "x**2 - y**2")
     check("ekl: mu(x^2-y^2) = <-1>",
           milnor_number_a1(f).gw_class.gw_equal(GwElement.unit(QQ, -1)))
+    cubic = global_degree_univariate(MultiPoly.parse(("x",), "x**3 - 2"), 0)
+    check("ekl: deg(x^3 - 2) has rank 3, signature 1", (cubic.rank(), cubic.signature()) == (3, 1))
 
     lines = L - MOT_ONE
     glob = SncData(

@@ -175,19 +175,12 @@ class TruncatedSeries:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"TruncatedSeries[{self.ring.name}; order {self.order}]({inner})"
 
-    def to_json_dict(self, encode=None) -> dict:
-        if encode is None:
-            encode = _default_encode
-        return {
-            "ring": self.ring.name,
-            "order": self.order,
-            "coeffs": [encode(c) for c in self.coeffs],
-        }
-
-
-def _default_encode(c):
-    if hasattr(c, "to_json_dict"):
-        return c.to_json_dict()
-    if isinstance(c, Fraction):
-        return str(c)
-    return c
+    def to_json_dict(self) -> dict:
+        coeffs = []
+        for c in self.coeffs:
+            if hasattr(c, "to_json_dict"):
+                c = c.to_json_dict()
+            elif isinstance(c, Fraction):
+                c = str(c)
+            coeffs.append(c)
+        return {"ring": self.ring.name, "order": self.order, "coeffs": coeffs}

@@ -14,10 +14,11 @@ import pytest
 
 from arithdt import fields
 from arithdt.cli import dispatch
+from arithdt.ekl import ConjugatePair
 from arithdt.errors import ArithdtError, GeneratorProductError
-from arithdt.fields import CC, QQ, RR, finite_field, prime_factors, square_class_rep
+from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors, square_class_rep
 from arithdt.groebner import buchberger, leading_monomial, normal_form
-from arithdt.gw import GaussianInteger, GwElement, hasse_invariant
+from arithdt.gw import GaussianInteger, GwElement, hasse_invariant, trace_form
 from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
@@ -68,6 +69,13 @@ def forbid_factoring(monkeypatch):
         pytest.param(lambda: SncData((), True), None, id="snc-bool-dim"),
         pytest.param(lambda: GaussianInteger.from_json_dict({"re": 1.9, "im": 2}), None, id="gaussian-float-re"),
         pytest.param(lambda: GaussianInteger.from_json_dict({"re": 1, "im": "2"}), None, id="gaussian-string-im"),
+        pytest.param(lambda: trace_form(2.7, 1), None, id="trace-form-float-d"),
+        pytest.param(lambda: trace_form(Fraction(7, 2), 1), None, id="trace-form-fraction-d"),
+        pytest.param(lambda: trace_form("3", 1), None, id="trace-form-string-d"),
+        pytest.param(lambda: ConjugatePair(2.5, ((0, 1),)), None, id="conjugate-pair-float-d"),
+        pytest.param(lambda: finite_field(7.0), None, id="field-float-p"),
+        pytest.param(lambda: finite_field("7"), None, id="field-string-p"),
+        pytest.param(lambda: BaseField(BaseField.FINITE, Fraction(7)), None, id="field-fraction-p"),
         pytest.param(
             lambda: MotivicClass((), [("g", [(0, 1)]), ("g", [(0, 1)])]),
             MotivicClass((), {"g": [(0, 2)]}),

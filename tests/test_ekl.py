@@ -3,12 +3,16 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from arithdt.ekl import (
     ConjugatePair,
+    _poly_deriv,
+    _poly_divmod,
+    _poly_gcd_is_constant,
     ekl_class,
     global_degree_univariate,
     local_degree_simple,
@@ -21,8 +25,8 @@ from arithdt.errors import (
     InputDataError,
     UnsupportedExtensionError,
 )
-from arithdt.fields import QQ, RR
-from arithdt.gw import GwElement, diagonalize_symmetric
+from arithdt.fields import CC, QQ, RR, factorize, finite_field, squarefree_part
+from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
 from arithdt.motivic import (
     DEFAULT_GENERATORS,
     L,
@@ -324,11 +328,276 @@ def test_global_degree_of_squaring_is_y_independent():
         assert global_degree_univariate(squaring, y).gw_equal(H)
 
 
+# The per-root route the library used before the residue form, kept as an oracle:
+# <f'(r)> at each rational root r, found among the ratios of divisors of the end
+# coefficients, then the transfer from Q(sqrt(d)) of each quadratic factor, found by a
+# Kronecker search; any other irreducible factor is refused.
+
+
+def _poly_eval(c, x):
+    total = Fraction(0)
+    for coeff in reversed(c):
+        total = total * x + coeff
+    return total
+
+
+def _divisors(n):
+    """Positive and negative divisors of n != 0, ascending."""
+    pos = [1]
+    for p, e in factorize(n).items():
+        pos = [d * p**k for d in pos for k in range(e + 1)]
+    return sorted(pos + [-d for d in pos])
+
+
+def _primitive_integer(c):
+    denom = math.lcm(*(x.denominator for x in c))
+    ints = [int(x * denom) for x in c]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g else ints
+
+
+def _rational_roots(c):
+    roots = []
+    work = c[:]
+    while work and work[0] == 0:
+        roots.append(Fraction(0))
+        work = work[1:]
+    ints = _primitive_integer(work)
+    if len(ints) <= 1:
+        return sorted(set(roots))
+    cands = {Fraction(p, q) for p in _divisors(ints[0]) for q in _divisors(ints[-1]) if q > 0}
+    roots += [x for x in cands if _poly_eval(work, x) == 0]
+    return sorted(set(roots))
+
+
+def _kronecker_quadratic_factor(c):
+    """A quadratic factor through divisor triples of the values at -1, 0, 1, or None."""
+    ints = [Fraction(x) for x in _primitive_integer(c)]
+    vals = [_poly_eval(ints, Fraction(t)) for t in (-1, 0, 1)]
+    if any(v == 0 for v in vals):
+        return None
+    for d0 in _divisors(int(vals[1])):
+        for d1 in _divisors(int(vals[2])):
+            for dm1 in _divisors(int(vals[0])):
+                if (d1 + dm1) % 2 or (d1 - dm1) % 2:
+                    continue
+                c2 = (d1 + dm1) // 2 - d0
+                c1 = (d1 - dm1) // 2
+                if c2 == 0:
+                    continue
+                g = [Fraction(d0), Fraction(c1), Fraction(c2)]
+                if not _poly_divmod(ints, g)[1]:
+                    return g
+    return None
+
+
+def per_root_global_degree(coeffs, field=QQ):
+    """Sum of the local degrees over the rational and quadratic points of f = 0."""
+    deriv = _poly_deriv(coeffs)
+    total = GwElement.zero(field)
+    remaining = coeffs[:]
+    for root in _rational_roots(coeffs):
+        total = total + GwElement.unit(field, _poly_eval(deriv, root))
+        remaining, rem = _poly_divmod(remaining, [-root, Fraction(1)])
+        assert not rem
+    while len(remaining) - 1 >= 2:
+        quad = remaining if len(remaining) == 3 else _kronecker_quadratic_factor(remaining)
+        if quad is None:
+            raise UnsupportedExtensionError("irreducible fiber factor of degree >= 3")
+        c0, c1, c2 = quad
+        pp, qq = c1 / c2, c0 / c2
+        disc = pp * pp - 4 * qq
+        d = squarefree_part(disc.numerator * disc.denominator)
+        ratio = disc / d
+        s = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+        assert s * s == ratio
+        # the root -pp/2 + (s/2) sqrt(d), and f' there as u + v sqrt(d)
+        u, v = _poly(deriv).evaluate_quadratic(((-pp / 2, s / 2),), d)
+        total = total + trace_form(d, u, v).to_field(field)
+        remaining, rem = _poly_divmod(remaining, quad)
+        assert not rem
+    return total
+
+
+def trace_form_gram(coeffs):
+    """Gram matrix of (a, b) -> Tr(a b / f'(x)) on Q[x]/(f), from the companion matrix.
+
+    M is multiplication by x on the basis 1, x, ..., x^(n-1); the trace of
+    M^(i+j) f'(M)^-1 is the (i, j) entry.  A sum over the roots of f, so it is
+    the residue form whatever the residue fields are.
+    """
+    n = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs]
+    comp = [[Fraction(int(i == j + 1)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        comp[i][n - 1] = -monic[i]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    deriv = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(_poly_deriv(coeffs)):  # Horner on matrices
+        deriv = mul(deriv, comp)
+        for i in range(n):
+            deriv[i][i] += c
+    # Gauss-Jordan inverse of f'(M), a unit since f is square-free
+    work = [row[:] + ident[i][:] for i, row in enumerate(deriv)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if work[r][col])
+        work[col], work[piv] = work[piv], work[col]
+        scale = work[col][col]
+        work[col] = [x / scale for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    inverse = [row[n:] for row in work]
+    powers = [ident]
+    for _ in range(2 * n - 2):
+        powers.append(mul(powers[-1], comp))
+    traces = [sum(m[i][k] * inverse[k][i] for i in range(n) for k in range(n)) for m in powers]
+    return [[traces[i + j] for j in range(n)] for i in range(n)]
+
+
+def _coeffs(p, y=0):
+    out = [Fraction(0)] * (p.total_degree() + 1)
+    for e, c in p.terms.items():
+        out[e[0]] = c
+    out[0] -= y
+    return out
+
+
+def _poly(coeffs):
+    return MultiPoly.from_pairs(("x",), [([k], c) for k, c in enumerate(coeffs) if c])
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return out
+
+
+def _fibers_with_quadratic_points(count, seed):
+    """(f, y) with f - y = lead * (product of x - r) * (product of x^2 + b x + e), square-free."""
+    rng = random.Random(seed)
+    roots = sorted({Fraction(a, q) for a in range(-5, 6) for q in (1, 2, 3)})
+    out = []
+    while len(out) < count:
+        n_roots, n_quads = rng.randint(0, 3), rng.randint(0, 2)
+        if n_roots + n_quads == 0 or n_roots + 2 * n_quads > 6:
+            continue
+        f = [Fraction(rng.choice((1, -1, 2, -3, 5)))]
+        for r in rng.sample(roots, n_roots):
+            f = _poly_mul(f, [-r, Fraction(1)])
+        for _ in range(n_quads):
+            f = _poly_mul(f, [Fraction(rng.randint(-6, 8)), Fraction(rng.randint(-4, 4)), Fraction(1)])
+        if _poly_gcd_is_constant(f, _poly_deriv(f)):
+            y = rng.randint(-4, 4)
+            out.append((_poly([f[0] + y] + f[1:]), y))
+    return out
+
+
+FIBERS = _fibers_with_quadratic_points(320, seed=12)
+
+# Indices into FIBERS answered by one side only over F_p.  Each side reduces its own
+# rationals mod p, the Hankel pivots or the values f'(r) and trace-form entries,
+# and refuses when one of them is not a p-unit.
+ONE_SIDED_OVER_FINITE_FIELDS = {
+    ("F5", "residue form"): [
+        1, 2, 7, 8, 13, 29, 31, 34, 41, 44, 45, 50, 51, 52, 65, 73, 74, 81, 83, 87, 90, 92, 104,
+        105, 108, 115, 120, 123, 132, 137, 139, 140, 148, 154, 161, 171, 178, 186, 192, 201, 207,
+        210, 214, 218, 226, 232, 235, 236, 239, 240, 253, 259, 260, 270, 275, 276, 283, 288, 302,
+        307, 319,
+    ],
+    ("F5", "per-root"): [16, 17, 67, 72, 76, 100, 141, 158, 184, 193, 200, 216, 217, 228, 298, 309],
+    ("F7", "residue form"): [
+        2, 5, 9, 13, 17, 19, 22, 28, 29, 34, 40, 41, 43, 44, 46, 50, 52, 53, 54, 56, 57, 59, 66, 73,
+        74, 92, 99, 103, 108, 111, 113, 116, 123, 126, 133, 135, 136, 144, 148, 149, 151, 155, 164,
+        169, 170, 174, 175, 177, 180, 182, 186, 196, 199, 201, 209, 210, 215, 222, 223, 234, 237,
+        241, 244, 255, 256, 257, 262, 265, 275, 277, 283, 284, 298, 302, 303,
+    ],
+    ("F7", "per-root"): [
+        21, 31, 35, 58, 77, 84, 102, 107, 129, 141, 165, 192, 207, 213, 219, 226, 229, 236, 273,
+        288, 297, 319,
+    ],
+}
+
+
+def test_global_degree_matches_per_root_route():
+    for p, y in FIBERS:
+        f = _coeffs(p, y)
+        for field in (QQ, RR, CC):
+            assert global_degree_univariate(p, y, field).gw_equal(per_root_global_degree(f, field)), (p, y)
+
+
+def _answer(fn):
+    try:
+        return fn()
+    except ArithdtError:
+        return None
+
+
+def test_global_degree_matches_per_root_route_over_finite_fields():
+    one_sided, both = {}, 0
+    for field in (finite_field(5), finite_field(7)):
+        for i, (p, y) in enumerate(FIBERS):
+            new = _answer(lambda: global_degree_univariate(p, y, field))
+            old = _answer(lambda: per_root_global_degree(_coeffs(p, y), field))
+            if new is not None and old is not None:
+                assert new.gw_equal(old), (field, p, y)
+                both += 1
+            elif new is not None or old is not None:
+                side = "residue form" if new is not None else "per-root"
+                one_sided.setdefault((field.label(), side), []).append(i)
+    assert one_sided == ONE_SIDED_OVER_FINITE_FIELDS
+    assert both == 333
+
+
+def _integer_fibers(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        f = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(2, 6))] + [Fraction(rng.choice((1, -1, 2, 3)))]
+        if _poly_gcd_is_constant(f, _poly_deriv(f)):
+            out.append(_poly(f))
+    return out
+
+
+IRREDUCIBLE = ["x**3 - 2", "x**3 - x - 1", "2*x**3 + 3*x + 5", "x**4 - 2", "x**4 + x + 1", "x**4 - 10*x**2 + 1"]
+
+
+def test_global_degree_matches_trace_form_oracle():
+    fibers = [P(("x",), t) for t in IRREDUCIBLE] + _integer_fibers(150, seed=5)
+    refused = 0
+    for p in fibers:
+        f = _coeffs(p)
+        gram = trace_form_gram(f)
+        for field in (QQ, RR):
+            assert global_degree_univariate(p, 0, field).gw_equal(diagonalize_symmetric(gram, field)), p
+        refused += _answer(lambda: per_root_global_degree(f)) is None
+    # irreducible cubics and quartics among them, which only the residue form answers
+    assert refused == 111
+
+
+def test_global_degree_is_hyperbolic_but_for_the_leading_coefficient():
+    # s_k = 0 for k < n - 1 makes the first n // 2 basis vectors totally isotropic,
+    # so the class is (n // 2) H, plus <c> when n is odd: y and the lower
+    # coefficients never show in it
+    for p, y in FIBERS:
+        n, lead = p.total_degree(), _coeffs(p)[-1]
+        expected = H * (n // 2) + (GwElement.unit(QQ, lead) if n % 2 else GwElement.zero(QQ))
+        assert global_degree_univariate(p, y).gw_equal(expected), (p, y)
+
+
 def test_global_degree_misc():
     assert global_degree_univariate(P(("x",), "x"), 7) == ONE
-    # three simple rational zeros
+    # three simple rational zeros: the Hankel pivots give another diagonal representative
     value = global_degree_univariate(P(("x",), "x**3 - x"), 0)
-    assert value == MINUS + GwElement.unit(QQ, 2) * 2
+    assert value == ONE * 2 + MINUS
+    assert value.gw_equal(MINUS + GwElement.unit(QQ, 2) * 2)
     # two conjugate quadratic pairs
     quartic = global_degree_univariate(P(("x",), "x**4 + 3*x**2 + 2"), 0)
     assert quartic.gw_equal(H * 2)
@@ -337,10 +606,21 @@ def test_global_degree_misc():
 def test_global_degree_error_paths():
     with pytest.raises(DegenerateSystemError):
         global_degree_univariate(P(("x",), "x**2"), 0)  # double root
-    with pytest.raises(UnsupportedExtensionError):
-        global_degree_univariate(P(("x",), "x**3"), 2)  # irreducible cubic fiber
+    with pytest.raises(DegenerateSystemError):
+        global_degree_univariate(P(("x",), "3"), 0)  # constant map
     with pytest.raises(ArithdtError):
         global_degree_univariate(P(("x", "y"), "x*y"), 1)
+    # an irreducible cubic fiber, Q(cbrt 2): one real point, one complex pair
+    cubic = global_degree_univariate(P(("x",), "x**3"), 2)
+    assert cubic.gw_equal(diagonalize_symmetric(trace_form_gram(_coeffs(P(("x",), "x**3 - 2")))))
+    assert (cubic.rank(), cubic.signature()) == (3, 1)
+
+
+def test_global_degree_with_large_coefficients_answers_at_once():
+    start = time.perf_counter()
+    value = global_degree_univariate(P(("x",), "x**6 + 963761198400"), 0)
+    assert time.perf_counter() - start < 1
+    assert (value.rank(), value.signature()) == (6, 0)
 
 
 def test_field_parameter_renormalizes():

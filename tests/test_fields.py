@@ -8,14 +8,12 @@ import random
 import subprocess
 import sys
 import time
-from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import arithdt
 from arithdt import fields
-from arithdt.ekl import _divisors
 from arithdt.errors import ArithdtError
 from arithdt.fields import binary_power, factorize, is_prime, prime_factors, squarefree_part
 from arithdt.motivic import MotivicClass
@@ -76,15 +74,6 @@ def oracle_prime_factors(n):
     return out
 
 
-def oracle_divisors(n):
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.update((d, n // d, -d, -(n // d)))
-    return sorted(out)
-
-
 def oracle_factorize(n):
     out = {}
     n = abs(n)
@@ -113,7 +102,6 @@ def test_views_match_trial_division():
         assert is_prime(n) == oracle_is_prime(n), n
         assert squarefree_part(n) == oracle_squarefree_part(n), n
         assert prime_factors(n) == oracle_prime_factors(n), n
-        assert _divisors(n) == oracle_divisors(n), n
 
 
 def test_every_small_n_matches_trial_division():
