@@ -155,7 +155,8 @@ def gv_compare(m: int, field: BaseField = QQ) -> GvComparison:
     alpha_factor_match = None
     if closed is not None:
         gw_equal_verdict = direct.gw_equal(closed)
-        signatures_agree = direct.numeric_real() == closed.numeric_real()
+        if field.is_ordered:
+            signatures_agree = direct.numeric_real() == closed.numeric_real()
         alpha_factor_match = direct.gw_equal(GwAlphaElement.alpha(field) * closed)
 
     if closed_error is not None:

@@ -18,10 +18,9 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .errors import ArithdtError, InputDataError, json_int
+from .errors import ArithdtError, InputDataError
 from .fields import QQ, parse_field_label
 from .gw import GwElement, diagonalize_symmetric
 
@@ -69,50 +68,24 @@ def _emit(args, manifest: dict, payload: dict, text: str) -> None:
 
 # -- GW expression parsing -------------------------------------------------------
 
-_GW_TOKEN = re.compile(r"\s*(H|<\s*(-?\d+(?:/\d+)?)\s*>|\+|-|(\d+)\s*\*)\s*")
+# one signed term: [+|-] [n*] (H | <rational>); the sign is required after the first
+_GW_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(?:(H)|<\s*(-?\d+(?:/\d+)?)\s*>)\s*")
 
 
 def parse_gw(text: str, field) -> GwElement:
     """Parse '3*<1> + 2*<-1> - H' style expressions; blank or '0' is zero."""
-    if text.strip() in ("", "0"):
-        return GwElement.zero(field)
-    pos = 0
-    sign = 1
-    coeff = 1
-    pending_coeff = False
     result = GwElement.zero(field)
-    saw_term = False
+    if text.strip() in ("", "0"):
+        return result
+    pos = 0
     while pos < len(text):
-        match = _GW_TOKEN.match(text, pos)
-        if not match:
+        match = _GW_TERM.match(text, pos)
+        if not match or (pos and not match.group(1)):
             raise InputDataError(f"cannot parse GW expression at: {text[pos:]!r}")
-        token = match.group(1)
-        if token == "+":
-            if pending_coeff:
-                raise InputDataError("dangling coefficient in GW expression")
-            sign, coeff = 1, 1
-        elif token == "-":
-            if pending_coeff:
-                raise InputDataError("dangling coefficient in GW expression")
-            sign, coeff = -sign, 1
-        elif match.group(3) is not None:
-            coeff = int(match.group(3))
-            pending_coeff = True
-        elif token == "H":
-            result = result + GwElement.hyperbolic(field) * (sign * coeff)
-            sign, coeff, pending_coeff, saw_term = 1, 1, False, True
-        else:
-            try:
-                value = Fraction(match.group(2))
-            except ZeroDivisionError:
-                raise InputDataError(f"zero denominator in GW expression: {text!r}") from None
-            result = result + GwElement.unit(field, value) * (sign * coeff)
-            sign, coeff, pending_coeff, saw_term = 1, 1, False, True
+        sign, coeff, hyperbolic, rep = match.groups()
+        term = GwElement.hyperbolic(field) if hyperbolic else GwElement.unit(field, rep)
+        result = result + term * ((-1 if sign == "-" else 1) * int(coeff or 1))
         pos = match.end()
-    if pending_coeff:
-        raise InputDataError("dangling coefficient in GW expression")
-    if not saw_term:
-        raise InputDataError(f"empty GW expression: {text!r}")
     return result
 
 
@@ -124,20 +97,14 @@ def _load_json(path: str):
         raise InputDataError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _rational(value) -> Fraction:
-    """An exact number from JSON: an integer or a rational string, never a float."""
-    if type(value) is not int and not isinstance(value, str):
-        raise TypeError(f"expected an integer or a rational string, got {value!r}")
-    return Fraction(value)
-
-
 def _parse_matrix(text: str) -> list:
+    """JSON rows; ``diagonalize_symmetric`` reads each entry as an exact rational."""
     try:
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("expected a JSON list of rows")
-        return [[_rational(x) for x in row] for row in rows]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return rows
+    except ValueError as exc:
         raise InputDataError(f"malformed --matrix: {exc}") from exc
 
 
@@ -146,13 +113,8 @@ def _polys_from_json(data: dict) -> list:
 
     try:
         variables = tuple(str(v) for v in data["vars"])
-        polys = [
-            MultiPoly(variables, [
-                ([json_int(e, "exponent") for e in exps], _rational(c)) for exps, c in pairs
-            ])
-            for pairs in data["polys"]
-        ]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        polys = [MultiPoly(variables, pairs) for pairs in data["polys"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed polynomial payload: {exc}") from exc
     if len(set(variables)) != len(variables):
         raise InputDataError(f"duplicate variable names in {list(variables)}")

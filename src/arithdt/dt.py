@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import ArithdtError
 from .fields import BaseField, QQ
 from .gw import GwAlphaElement, GwElement, alpha_power
-from .motivic import MotivicClass, chi_a1, grassmannian_class
+from .motivic import MotivicClass, chi_a1, chi_complex, chi_real, grassmannian_class
 from .series import (
     GAUSSIAN_RING,
     INT_RING,
@@ -122,10 +122,11 @@ class PartitionFunctionResult:
 
 
 def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionResult:
+    """The series over ``field``; the complex and real images do not depend on it."""
     motivic = z_motivic(order)
     arithmetic = motivic.map_coeffs(lambda c: chi_a1(c, field), gw_alpha_ring(field))
-    complex_series = arithmetic.map_coeffs(lambda q: q.numeric_complex(), INT_RING)
-    real_series = arithmetic.map_coeffs(lambda q: q.numeric_real(), GAUSSIAN_RING)
+    complex_series = motivic.map_coeffs(chi_complex, INT_RING)
+    real_series = motivic.map_coeffs(chi_real, GAUSSIAN_RING)
     return PartitionFunctionResult(motivic, arithmetic, complex_series, real_series)
 
 

@@ -20,8 +20,10 @@ elimination kernel of ``gw`` reduces directly; the dense rows are written
 once, for ``EklResult.gram``.
 
 A univariate map has a global degree over a whole fiber as well: the class
-of the fiber's Euler-Jacobi residue form, a Hankel matrix handed to the same
-elimination kernel, whatever the residue fields of the fiber's points.
+of the fiber's Euler-Jacobi residue form, whatever the residue fields of the
+fiber's points.  Its Hankel Gram matrix is hyperbolic but for the leading
+coefficient, so the class is read off in closed form, once the Groebner
+kernel has shown the fiber to be reduced.
 
 The gradient version refines the Milnor number of an isolated hypersurface
 singularity, and a report-producing checker compares it against the
@@ -40,9 +42,10 @@ from .errors import (
     InputDataError,
     SingularMatrixError,
     json_int,
+    json_rational,
 )
 from .fields import BaseField, QQ, squarefree_part
-from .groebner import QuotientAlgebra, grevlex_key
+from .groebner import QuotientAlgebra, buchberger, grevlex_key
 from .gw import GwAlphaElement, GwElement, _diagonalize_rows, trace_form
 from .multipoly import MultiPoly
 
@@ -135,7 +138,7 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
         phi = [Fraction(0)] * dim
         phi[algebra.index[lead]] = 1 / socle.terms[lead]
     else:
-        phi = [Fraction(x) for x in functional]
+        phi = [json_rational(x, "functional entry") for x in functional]
         if len(phi) != dim:
             raise ArithdtError("functional has wrong length")
     # the socle is a normal form, so its monomials are standard
@@ -196,76 +199,32 @@ def local_degree_simple(system, point, field: BaseField = QQ) -> GwElement:
     return GwElement.unit(field, value)
 
 
-# -- univariate fiber machinery ------------------------------------------------
-
-
-def _poly_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_deriv(c: list) -> list:
-    return [k * c[k] for k in range(1, len(c))]
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        _poly_trim(a)
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[k] = factor
-        for i, bc in enumerate(b):
-            a[k + i] -= factor * bc
-        _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd_is_constant(a: list, b: list) -> bool:
-    a, b = a[:], b[:]
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return len(_poly_trim(a)) <= 1
-
-
 def global_degree_univariate(p: MultiPoly, y, field: BaseField = QQ) -> GwElement:
     """Degree of a univariate polynomial map: the class of the fiber's residue form.
 
     For f = p - y of degree n with leading coefficient c, the Euler-Jacobi
     residue form on Q[x]/(f) is (a, b) -> sum over the roots t of
-    a(t) b(t) / f'(t) (Scheja-Storch).  On the basis 1, x, ..., x^(n-1) its
-    Gram matrix is the Hankel matrix s_(i+j) of s_k = sum t^k / f'(t), which
-    are 0 for k < n - 1 and 1/c at k = n - 1, and then follow f's own
-    recurrence.  Its class is the sum over the fiber's points of the local
-    degrees <f'(t)>, each transferred from the point's residue field
-    (Kass-Wickelgren), so a fiber with any residue fields answers and no root
-    is ever found.
+    a(t) b(t) / f'(t) (Scheja-Storch).  Its class is the sum over the fiber's
+    points of the local degrees <f'(t)>, each transferred from the point's
+    residue field (Kass-Wickelgren).  On the basis 1, x, ..., x^(n-1) its Gram
+    matrix is the Hankel matrix s_(i+j) of s_k = sum t^k / f'(t), which are 0
+    for k < n - 1 and 1/c at k = n - 1.  So the first n // 2 basis vectors
+    span a totally isotropic subspace, and the class is (n // 2) H, plus <c>
+    when n is odd, whatever y and the lower coefficients are; over any other
+    field it is that class read there.
+
+    y must be a regular value: f and f' generate the unit ideal, which the
+    reduced Groebner basis of (f, f'), their monic gcd, shows.
     """
     if len(p.variables) != 1:
         raise ArithdtError("global degrees are implemented for univariate maps")
-    y = Fraction(y)
-    deg = p.total_degree()
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        coeffs[e[0]] = c
-    coeffs[0] -= y
-    _poly_trim(coeffs)
-    if len(coeffs) <= 1:
+    f = p - MultiPoly.constant(p.variables, json_rational(y, "y"))
+    n = f.total_degree()
+    if n < 1:
         raise DegenerateSystemError("constant map has no degree")
-    if not _poly_gcd_is_constant(coeffs, _poly_deriv(coeffs)):
+    if buchberger([f, f.partial(0)])[0].total_degree() > 0:
         raise DegenerateSystemError("fiber has repeated roots; y is not a regular value")
-
-    n, lead = len(coeffs) - 1, coeffs[-1]
-    s = [_ZERO] * (n - 1) + [1 / lead]
-    for k in range(n, 2 * n - 1):
-        s.append(-sum(coeffs[i] * s[k - n + i] for i in range(n)) / lead)
-    rows = [{j: s[i + j] for j in range(n) if s[i + j]} for i in range(n)]
-    return _diagonalize_rows(rows, field)
+    return GwElement(field, [(1, n // 2), (-1, n // 2), (f.terms[(n,)], n % 2)])
 
 
 def milnor_number_a1(f: MultiPoly, field: BaseField = QQ) -> EklResult:

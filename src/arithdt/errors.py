@@ -4,6 +4,8 @@ Every domain error raised by library code derives from ArithdtError so the
 CLI can map it to a single exit code; usage errors are left to argparse.
 """
 
+from fractions import Fraction
+
 
 class ArithdtError(Exception):
     """Base class for domain errors raised by this package."""
@@ -74,3 +76,14 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise InputDataError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction if it is an int, a Fraction or a rational string;
+    floats and bools are refused, never read as binary fractions."""
+    if type(value) is not int and not isinstance(value, (Fraction, str)):
+        raise InputDataError(f"{what} must be an integer, a fraction or a rational string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InputDataError(f"{what} is not a rational number: {value!r}") from None

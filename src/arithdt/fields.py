@@ -11,11 +11,10 @@ integer the package factors goes through ``factorize``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import gcd, prod
 
-from .errors import ArithdtError, json_int
+from .errors import ArithdtError, json_int, json_rational
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below psi_13
@@ -274,7 +273,7 @@ def parse_field_label(label: str) -> BaseField:
 
 def square_class_rep(field: BaseField, value) -> int:
     """Canonical integer representative of the square class of value."""
-    value = Fraction(value)
+    value = json_rational(value, "value")
     if value == 0:
         raise ArithdtError("square classes are indexed by nonzero elements")
     kind = field.kind

@@ -33,6 +33,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedFieldError,
     json_int,
+    json_rational,
 )
 from .fields import (
     BaseField,
@@ -542,14 +543,17 @@ def _hasse_of_terms(terms, place) -> int:
 def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
     """GW class of a nondegenerate symmetric rational matrix.
 
-    Each entry is read with ``Fraction(x)``, so ints, Fractions and strings
-    such as "1/2" are accepted.  The nonzeros of each row go to
-    ``_diagonalize_rows``, the one elimination kernel, as a dict.
+    Each entry is read with ``json_rational``, so ints, Fractions and strings
+    such as "1/2" are accepted and floats are refused.  The nonzeros of each
+    row go to ``_diagonalize_rows``, the one elimination kernel, as a dict.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArithdtError("matrix is not square")
-    rows = [{j: value for j, value in enumerate(map(Fraction, row)) if value} for row in mat]
+    rows = [
+        {j: value for j, value in enumerate(json_rational(x, "matrix entry") for x in row) if value}
+        for row in mat
+    ]
     return _diagonalize_rows(rows, field)
 
 
@@ -624,8 +628,8 @@ def trace_form(d: int, u, v=0) -> GwElement:
     d = json_int(d, "d")
     if d in (0, 1) or squarefree_part(d) != d:
         raise ArithdtError(f"d must be a square-free integer != 1, got {d}")
-    u = Fraction(u)
-    v = Fraction(v)
+    u = json_rational(u, "u")
+    v = json_rational(v, "v")
     if u == 0 and v == 0:
         raise ArithdtError("beta must be nonzero")
     gram = [[2 * u, 2 * d * v], [2 * d * v, 2 * d * u]]

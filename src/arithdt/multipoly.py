@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArithdtError, json_int
+from .errors import ArithdtError, json_int, json_rational
 from .fields import binary_power, render_sum
 
 Exponents = tuple
@@ -31,9 +31,7 @@ class MultiPoly:
                     raise ArithdtError("exponent vector length does not match variables")
                 if any(e < 0 for e in exps):
                     raise ArithdtError("exponents must be nonnegative")
-                if isinstance(coeff, float):
-                    raise ArithdtError(f"polynomial coefficients must be exact, got {coeff!r}")
-                cleaned[exps] = cleaned.get(exps, 0) + Fraction(coeff)
+                cleaned[exps] = cleaned.get(exps, 0) + json_rational(coeff, "polynomial coefficient")
         self.terms = {e: c for e, c in cleaned.items() if c}
 
     @classmethod

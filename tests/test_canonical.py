@@ -14,11 +14,11 @@ import pytest
 
 from arithdt import fields
 from arithdt.cli import dispatch
-from arithdt.ekl import ConjugatePair
+from arithdt.ekl import ConjugatePair, ekl_class, global_degree_univariate
 from arithdt.errors import ArithdtError, GeneratorProductError
 from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors, square_class_rep
 from arithdt.groebner import buchberger, leading_monomial, normal_form
-from arithdt.gw import GaussianInteger, GwElement, hasse_invariant, trace_form
+from arithdt.gw import GaussianInteger, GwElement, diagonalize_symmetric, hasse_invariant, trace_form
 from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
@@ -72,6 +72,16 @@ def forbid_factoring(monkeypatch):
         pytest.param(lambda: trace_form(2.7, 1), None, id="trace-form-float-d"),
         pytest.param(lambda: trace_form(Fraction(7, 2), 1), None, id="trace-form-fraction-d"),
         pytest.param(lambda: trace_form("3", 1), None, id="trace-form-string-d"),
+        pytest.param(lambda: trace_form(2, 0.1), None, id="trace-form-float-u"),
+        pytest.param(lambda: trace_form(2, 1, 0.5), None, id="trace-form-float-v"),
+        pytest.param(lambda: diagonalize_symmetric([[0.5]]), None, id="diagonalize-float-entry"),
+        pytest.param(lambda: square_class_rep(QQ, 0.5), None, id="square-class-float"),
+        pytest.param(lambda: square_class_rep(QQ, True), None, id="square-class-bool"),
+        pytest.param(lambda: ekl_class([MultiPoly.parse(("x",), "x**2")], functional=[0, 1.0]), None,
+                     id="ekl-float-functional"),
+        pytest.param(lambda: global_degree_univariate(MultiPoly.parse(("x",), "x"), 0.5), None,
+                     id="global-degree-float-y"),
+        pytest.param(lambda: MultiPoly(("x",), {(1,): True}), None, id="poly-bool-coefficient"),
         pytest.param(lambda: ConjugatePair(2.5, ((0, 1),)), None, id="conjugate-pair-float-d"),
         pytest.param(lambda: finite_field(7.0), None, id="field-float-p"),
         pytest.param(lambda: finite_field("7"), None, id="field-string-p"),

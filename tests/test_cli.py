@@ -32,6 +32,10 @@ def test_gw_expression_parser():
     assert parse_gw("0", QQ) == GwElement.zero(QQ)
     with pytest.raises(InputDataError):
         parse_gw("2 + 2", QQ)
+    # terms run together, a dangling or doubled sign
+    for text in ("<1><2>", "H H", "<1> +", "- - <1>", "<1> + - <2>"):
+        with pytest.raises(InputDataError):
+            parse_gw(text, QQ)
     from arithdt.errors import ArithdtError
 
     with pytest.raises(ArithdtError):
@@ -63,6 +67,15 @@ def test_dt_a3_complex_golden(capsys):
     code, out, _ = run_cli(["dt-a3", "--order", "6", "--output", "complex"], capsys)
     assert code == 0
     assert out.strip() == "1, -1, 3, -6, 13, -24, 48"
+
+
+def test_dt_a3_takes_every_field(capsys):
+    # the complex and real images, and the motivic series, do not depend on the field
+    code, out, _ = run_cli(["dt-a3", "--order", "6", "--field", "C"], capsys)
+    assert code == 0 and out.strip() == "1, -1, 3, -6, 13, -24, 48"
+    _, over_q, _ = run_cli(["dt-a3", "--order", "6", "--field", "Q", "--output", "motivic"], capsys)
+    code, over_f5, _ = run_cli(["dt-a3", "--order", "6", "--field", "F5", "--output", "motivic"], capsys)
+    assert code == 0 and over_f5 == over_q
 
 
 def test_dt_a3_motivic_json_round_trip(capsys):
@@ -167,6 +180,15 @@ def test_gv_subcommand(capsys):
     direct = GwAlphaElement.from_json_dict(data["direct"])
     assert direct.rank() == 50
     assert data["compare"]["alpha_factor_match"] is True
+
+
+def test_gv_over_unordered_fields(capsys):
+    code, out, _ = run_cli(["gv", "--m", "3", "--field", "C"], capsys)
+    assert code == 0 and out.startswith("m=3 (N=19): ")
+    for label in ("C", "F5"):
+        code, out, _ = run_cli(["gv", "--m", "3", "--field", label, "--compare", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["compare"]["signatures_agree"] is None
 
 
 def test_oracle_subcommand(capsys):

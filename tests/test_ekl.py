@@ -10,9 +10,6 @@ import pytest
 
 from arithdt.ekl import (
     ConjugatePair,
-    _poly_deriv,
-    _poly_divmod,
-    _poly_gcd_is_constant,
     ekl_class,
     global_degree_univariate,
     local_degree_simple,
@@ -328,6 +325,40 @@ def test_global_degree_of_squaring_is_y_independent():
         assert global_degree_univariate(squaring, y).gw_equal(H)
 
 
+# List-coefficient polynomial arithmetic for the oracles: c[k] is the coefficient of x^k.
+
+
+def _poly_trim(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _poly_deriv(c):
+    return [k * c[k] for k in range(1, len(c))]
+
+
+def _poly_divmod(a, b):
+    a = a[:]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(_poly_trim(a)) >= len(b):
+        k = len(a) - len(b)
+        q[k] = a[-1] / b[-1]
+        for i, bc in enumerate(b):
+            a[k + i] -= q[k] * bc
+        a.pop()  # the leading term cancels exactly
+    return _poly_trim(q), a
+
+
+def _poly_gcd_is_constant(a, b):
+    """Euclid with monic remainders, so the coefficients stay small."""
+    a, b = _poly_trim(a[:]), _poly_trim(b[:])
+    while b:
+        r = _poly_divmod(a, b)[1]
+        a, b = b, [x / r[-1] for x in r] if r else r
+    return len(a) <= 1
+
+
 # The per-root route the library used before the residue form, kept as an oracle:
 # <f'(r)> at each rational root r, found among the ratios of divisors of the end
 # coefficients, then the transfer from Q(sqrt(d)) of each quadratic factor, found by a
@@ -502,28 +533,19 @@ def _fibers_with_quadratic_points(count, seed):
 
 FIBERS = _fibers_with_quadratic_points(320, seed=12)
 
-# Indices into FIBERS answered by one side only over F_p.  Each side reduces its own
-# rationals mod p, the Hankel pivots or the values f'(r) and trace-form entries,
-# and refuses when one of them is not a p-unit.
-ONE_SIDED_OVER_FINITE_FIELDS = {
-    ("F5", "residue form"): [
-        1, 2, 7, 8, 13, 29, 31, 34, 41, 44, 45, 50, 51, 52, 65, 73, 74, 81, 83, 87, 90, 92, 104,
-        105, 108, 115, 120, 123, 132, 137, 139, 140, 148, 154, 161, 171, 178, 186, 192, 201, 207,
-        210, 214, 218, 226, 232, 235, 236, 239, 240, 253, 259, 260, 270, 275, 276, 283, 288, 302,
-        307, 319,
-    ],
-    ("F5", "per-root"): [16, 17, 67, 72, 76, 100, 141, 158, 184, 193, 200, 216, 217, 228, 298, 309],
-    ("F7", "residue form"): [
-        2, 5, 9, 13, 17, 19, 22, 28, 29, 34, 40, 41, 43, 44, 46, 50, 52, 53, 54, 56, 57, 59, 66, 73,
-        74, 92, 99, 103, 108, 111, 113, 116, 123, 126, 133, 135, 136, 144, 148, 149, 151, 155, 164,
-        169, 170, 174, 175, 177, 180, 182, 186, 196, 199, 201, 209, 210, 215, 222, 223, 234, 237,
-        241, 244, 255, 256, 257, 262, 265, 275, 277, 283, 284, 298, 302, 303,
-    ],
-    ("F7", "per-root"): [
-        21, 31, 35, 58, 77, 84, 102, 107, 129, 141, 165, 192, 207, 213, 219, 226, 229, 236, 273,
-        288, 297, 319,
-    ],
-}
+
+def hankel_global_degree(coeffs, field=QQ):
+    """The residue form's Hankel Gram matrix s_(i+j), diagonalized.
+
+    s_k = sum over the roots t of t^k / f'(t) is 0 for k < n - 1 and 1/c at
+    k = n - 1, and follows f's own recurrence after that (the route the
+    library took before the closed form).
+    """
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    s = [Fraction(0)] * (n - 1) + [1 / lead]
+    for k in range(n, 2 * n - 1):
+        s.append(-sum(coeffs[i] * s[k - n + i] for i in range(n)) / lead)
+    return diagonalize_symmetric([[s[i + j] for j in range(n)] for i in range(n)], field)
 
 
 def test_global_degree_matches_per_root_route():
@@ -533,6 +555,13 @@ def test_global_degree_matches_per_root_route():
             assert global_degree_univariate(p, y, field).gw_equal(per_root_global_degree(f, field)), (p, y)
 
 
+def test_global_degree_matches_hankel_oracle():
+    for p, y in FIBERS:
+        f = _coeffs(p, y)
+        for field in (QQ, RR, CC):
+            assert global_degree_univariate(p, y, field).gw_equal(hankel_global_degree(f, field)), (p, y)
+
+
 def _answer(fn):
     try:
         return fn()
@@ -540,20 +569,40 @@ def _answer(fn):
         return None
 
 
+def test_global_degree_is_the_rational_class_read_over_each_field():
+    for field in (RR, CC, finite_field(5), finite_field(7)):
+        for p, y in FIBERS:
+            rational = _answer(lambda: global_degree_univariate(p, y, QQ).to_field(field))
+            if rational is not None:
+                assert global_degree_univariate(p, y, field) == rational, (field, p, y)
+
+
 def test_global_degree_matches_per_root_route_over_finite_fields():
-    one_sided, both = {}, 0
+    # the closed form is refused over F_p exactly when n is odd and the leading
+    # coefficient c is not a p-unit; the per-root route, which reduces f'(r) and
+    # the trace-form entries mod p, answers no fiber the closed form refuses
+    answered = 0
     for field in (finite_field(5), finite_field(7)):
-        for i, (p, y) in enumerate(FIBERS):
+        for p, y in FIBERS:
+            f = _coeffs(p, y)
+            n, lead = len(f) - 1, f[-1]
             new = _answer(lambda: global_degree_univariate(p, y, field))
-            old = _answer(lambda: per_root_global_degree(_coeffs(p, y), field))
-            if new is not None and old is not None:
-                assert new.gw_equal(old), (field, p, y)
-                both += 1
-            elif new is not None or old is not None:
-                side = "residue form" if new is not None else "per-root"
-                one_sided.setdefault((field.label(), side), []).append(i)
-    assert one_sided == ONE_SIDED_OVER_FINITE_FIELDS
-    assert both == 333
+            old = _answer(lambda: per_root_global_degree(f, field))
+            unit = lead.numerator % field.p and lead.denominator % field.p
+            assert (new is None) == (n % 2 == 1 and not unit), (field, p, y)
+            if old is not None:
+                assert new is not None and new.gw_equal(old), (field, p, y)
+            answered += new is not None
+    assert answered == 611
+
+
+def test_global_degree_of_degree_100_answers_in_seconds():
+    rng = random.Random(100)
+    coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(100)] + [Fraction(3)]
+    start = time.perf_counter()
+    value = global_degree_univariate(_poly(coeffs), 0)
+    assert time.perf_counter() - start < 10
+    assert value.gw_equal(H * 50)
 
 
 def _integer_fibers(count, seed):
@@ -575,7 +624,7 @@ def test_global_degree_matches_trace_form_oracle():
     for p in fibers:
         f = _coeffs(p)
         gram = trace_form_gram(f)
-        for field in (QQ, RR):
+        for field in (QQ, RR, CC):
             assert global_degree_univariate(p, 0, field).gw_equal(diagonalize_symmetric(gram, field)), p
         refused += _answer(lambda: per_root_global_degree(f)) is None
     # irreducible cubics and quartics among them, which only the residue form answers
@@ -594,7 +643,7 @@ def test_global_degree_is_hyperbolic_but_for_the_leading_coefficient():
 
 def test_global_degree_misc():
     assert global_degree_univariate(P(("x",), "x"), 7) == ONE
-    # three simple rational zeros: the Hankel pivots give another diagonal representative
+    # three simple rational zeros: the closed form H + <1> is another diagonal representative
     value = global_degree_univariate(P(("x",), "x**3 - x"), 0)
     assert value == ONE * 2 + MINUS
     assert value.gw_equal(MINUS + GwElement.unit(QQ, 2) * 2)

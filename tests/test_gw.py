@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from arithdt import gw
-from arithdt.errors import ArithdtError, FieldMismatchError, SingularMatrixError, UnsupportedFieldError
+from arithdt.errors import (
+    ArithdtError,
+    FieldMismatchError,
+    InputDataError,
+    SingularMatrixError,
+    UnsupportedFieldError,
+)
 from arithdt.fields import CC, QQ, RR, SquareClass, finite_field, prime_factors, square_class_rep, squarefree_part
 from arithdt.gw import (
     GaussianInteger,
@@ -325,14 +331,16 @@ def test_diagonalize_rejects_singular_and_asymmetric():
     for mat in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
         with pytest.raises(ArithdtError, match="not square"):
             diagonalize_symmetric(mat)
-    # the dense reader takes anything Fraction() reads; 0, "0" and Fraction(0) are zeros
+    # the dense reader takes ints, Fractions and rational strings; 0, "0" and Fraction(0) are zeros
     for zero in (0, "0", Fraction(0)):
         assert diagonalize_symmetric([[zero, 1], [1, zero]]) == hyper()
         assert diagonalize_symmetric([["1/2", zero], [zero, -2]]) == unit(2) + unit(-2)
         with pytest.raises(SingularMatrixError):
             diagonalize_symmetric([[1, zero], [zero, zero]])
-    with pytest.raises(TypeError):
-        diagonalize_symmetric([[1, None], [None, 1]])
+    # anything else, a float included, is refused as bad input, not read inexactly
+    for bad in (None, 0.5):
+        with pytest.raises(InputDataError):
+            diagonalize_symmetric([[1, bad], [bad, 1]])
 
 
 def _random_unimodular(rng, n):
