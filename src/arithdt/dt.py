@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArithdtError
-from .fields import BaseField, QQ
+from .errors import ArithdtError, json_rational
+from .fields import BaseField, QQ, RR
 from .gw import GwAlphaElement, GwElement, alpha_power
-from .motivic import MotivicClass, chi_a1, chi_complex, chi_real, grassmannian_class
+from .motivic import MotivicClass, chi_a1, grassmannian_class
 from .series import (
     GAUSSIAN_RING,
     INT_RING,
@@ -125,8 +125,10 @@ def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionRe
     """The series over ``field``; the complex and real images do not depend on it."""
     motivic = z_motivic(order)
     arithmetic = motivic.map_coeffs(lambda c: chi_a1(c, field), gw_alpha_ring(field))
-    complex_series = motivic.map_coeffs(chi_complex, INT_RING)
-    real_series = motivic.map_coeffs(chi_real, GAUSSIAN_RING)
+    # one chi_a1 over R per coefficient: chi_complex and chi_real are its rank and signature
+    over_r = motivic.map_coeffs(lambda c: chi_a1(c, RR), gw_alpha_ring(RR))
+    complex_series = over_r.map_coeffs(GwAlphaElement.numeric_complex, INT_RING)
+    real_series = over_r.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING)
     return PartitionFunctionResult(motivic, arithmetic, complex_series, real_series)
 
 
@@ -134,7 +136,7 @@ def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionRe
 
 
 def _as_matrix(rows, n: int) -> tuple:
-    rows = [tuple(Fraction(x) for x in row) for row in rows]
+    rows = [tuple(json_rational(x, "matrix entry") for x in row) for row in rows]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ArithdtError("matrices must be square and of equal size")
     return tuple(rows)
@@ -154,7 +156,7 @@ class MatrixTriple:
         n = len(a)
         if v is None:
             v = [0] * n
-        v = tuple(Fraction(x) for x in v)
+        v = tuple(json_rational(x, "vector entry") for x in v)
         if len(v) != n:
             raise ArithdtError("vector length must match matrix size")
         return cls(_as_matrix(a, n), _as_matrix(b, n), _as_matrix(c, n), v)

@@ -44,12 +44,12 @@ from .errors import (
     json_int,
     json_rational,
 )
-from .fields import BaseField, QQ, squarefree_part
+from .fields import BaseField, QQ, linear_sum, squarefree_part
 from .groebner import QuotientAlgebra, buchberger, grevlex_key
 from .gw import GwAlphaElement, GwElement, _diagonalize_rows, trace_form
 from .multipoly import MultiPoly
 
-_ZERO = Fraction(0)  # start of every Gram entry sum; one shared immutable value
+_ZERO = Fraction(0)  # every zero slot of a dense Gram row; one shared immutable value
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,8 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
     for mono in algebra.standard_monomials[1:]:
         k = next(v for v, e in enumerate(mono) if e)
         parent = gram_rows[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
-        w: dict = {}
-        for l, x in parent.items():
-            for j, c in matrix_rows[k][l].items():
-                w[j] = w.get(j, _ZERO) + x * c
-        w = {j: x for j, x in w.items() if x}
+        rows = matrix_rows[k]
+        w = linear_sum((j, x * c) for l, x in parent.items() for j, c in rows[l].items())
         gram_rows.append(w)
         # the dense row is frozen now: the elimination consumes the dicts
         row = [_ZERO] * dim

@@ -176,6 +176,17 @@ def binary_power(x, n: int, one):
     return out
 
 
+def linear_sum(pairs) -> dict:
+    """{key: sum of its coefficients} over (key, coefficient) pairs, zero sums dropped.
+
+    The sparse sum behind every ring's + and *; keys keep their first-seen order.
+    """
+    acc: dict = {}
+    for key, c in pairs:
+        acc[key] = acc[key] + c if key in acc else c
+    return acc if all(acc.values()) else {key: c for key, c in acc.items() if c}
+
+
 def render_sum(pieces) -> str:
     """Signed sum of (symbol, nonzero coefficient) pairs, "0" when there are none.
 

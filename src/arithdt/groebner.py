@@ -28,6 +28,7 @@ from .errors import (
     NotSupportedAtOriginError,
     PositiveDimensionalIdealError,
 )
+from .fields import linear_sum
 from .multipoly import MultiPoly
 
 
@@ -258,11 +259,8 @@ class QuotientAlgebra:
 
     def _times(self, k: int, coords: dict) -> dict:
         """Nonzero coordinates of x_k * v, for v given by its nonzero coordinates."""
-        out: dict = {}
-        for j, c in coords.items():
-            for l, d in self.matrices[k][j].items():
-                out[l] = out.get(l, 0) + c * d
-        return {l: c for l, c in out.items() if c}
+        columns = self.matrices[k]
+        return linear_sum((l, c * d) for j, c in coords.items() for l, d in columns[j].items())
 
     def coordinates(self, p: MultiPoly) -> list[Fraction]:
         """Coordinates of the normal form in the standard monomial basis."""

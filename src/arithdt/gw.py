@@ -4,7 +4,8 @@ A GwElement is a finite integer combination of rank-one forms <a> with a in
 canonical square-class form.  Multiplicities may be negative: the ring is a
 group completion, so elements are virtual differences of genuine quadratic
 forms.  Canonical form is set once, by the public constructor; ring
-operations build their results from canonical reps through the trusted
+operations sum their terms with the shared sparse sum ``fields.linear_sum``
+and build their results from canonical reps through the trusted
 ``GwElement._make``, which factors nothing.  Structural equality (`==`)
 compares canonical term lists; semantic equality (`gw_equal`) decides whether
 two virtual forms define the same class, using the complete system of
@@ -42,6 +43,7 @@ from .fields import (
     binary_power,
     is_prime,
     legendre_symbol,
+    linear_sum,
     prime_factors,
     render_sum,
     square_class_rep,
@@ -129,17 +131,13 @@ class GwElement:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: BaseField, terms=()):
-        acc: dict[int, int] = {}
         if hasattr(terms, "items"):
             terms = terms.items()
-        for rep, mult in terms:
-            mult = json_int(mult, "multiplicity")
-            if mult == 0:
-                continue
-            rep = square_class_rep(field, rep)
-            acc[rep] = acc.get(rep, 0) + mult
+        # each multiplicity is read before its rep, and the rep of a zero one is never read
+        mults = ((rep, json_int(mult, "multiplicity")) for rep, mult in terms)
+        canonical = linear_sum((square_class_rep(field, rep), mult) for rep, mult in mults if mult)
         self.field = field
-        self.terms = _sorted_terms(acc.items())
+        self.terms = _sorted_terms(canonical.items())
 
     @classmethod
     def _make(cls, field: BaseField, pairs) -> "GwElement":
@@ -184,10 +182,7 @@ class GwElement:
         if not isinstance(other, GwElement):
             return NotImplemented
         self._check_field(other)
-        acc = dict(self.terms)
-        for rep, mult in other.terms:
-            acc[rep] = acc.get(rep, 0) + mult
-        return GwElement._make(self.field, acc.items())
+        return GwElement._make(self.field, linear_sum(self.terms + other.terms).items())
 
     def __sub__(self, other: "GwElement") -> "GwElement":
         return self + (-other)
@@ -201,12 +196,10 @@ class GwElement:
         if not isinstance(other, GwElement):
             return NotImplemented
         self._check_field(other)
-        acc: dict[int, int] = {}
-        for r1, m1 in self.terms:
-            for r2, m2 in other.terms:
-                rep = _mul_reps(self.field, r1, r2)
-                acc[rep] = acc.get(rep, 0) + m1 * m2
-        return GwElement._make(self.field, acc.items())
+        products = (
+            (_mul_reps(self.field, r1, r2), m1 * m2) for r1, m1 in self.terms for r2, m2 in other.terms
+        )
+        return GwElement._make(self.field, linear_sum(products).items())
 
     __rmul__ = __mul__
 
@@ -307,19 +300,12 @@ class GwElement:
     def render(self, contract_h: bool = False) -> str:
         terms = dict(self.terms)
         pieces: list[tuple[str, int]] = []
-        if contract_h:
-            m_pos, m_neg = terms.get(1, 0), terms.get(-1, 0)
-            h = 0
-            if m_pos > 0 and m_neg > 0:
-                h = min(m_pos, m_neg)
-            elif m_pos < 0 and m_neg < 0:
-                h = max(m_pos, m_neg)
-            if h:
-                for rep in (1, -1):
-                    terms[rep] -= h
-                    if not terms[rep]:
-                        del terms[rep]
-                pieces.append(("H", h))
+        m_pos, m_neg = terms.get(1, 0), terms.get(-1, 0)
+        if contract_h and m_pos * m_neg > 0:
+            # h copies of H = <1> + <-1>, h the same-signed multiplicity nearer zero
+            h = min(m_pos, m_neg, key=abs)
+            terms = linear_sum([*self.terms, (1, -h), (-1, -h)])
+            pieces.append(("H", h))
         pieces += [(f"<{r}>", m) for r, m in terms.items()]
         return render_sum(pieces)
 
@@ -467,15 +453,24 @@ class GwAlphaElement:
         return cls(GwElement.from_json_dict(data["even"]), GwElement.from_json_dict(data["odd"]))
 
 
+def _alpha_sum(terms, field: BaseField) -> GwAlphaElement:
+    """Sum of c * alpha^e over (e, c) pairs, with coefficients summed by e mod 4.
+
+    alpha^e = <(-1)^(e//2)> * alpha^(e%2), so e = 0, 1, 2, 3 mod 4 give
+    <1>, <1>alpha, <-1>, <-1>alpha.
+    """
+    b = [0, 0, 0, 0]
+    for e, c in terms:
+        b[e % 4] += c
+    return GwAlphaElement(
+        GwElement(field, [(1, b[0]), (-1, b[2])]),
+        GwElement(field, [(1, b[1]), (-1, b[3])]),
+    )
+
+
 def alpha_power(field: BaseField, e: int) -> GwAlphaElement:
     """alpha^e for any integer e, using alpha^2 = <-1> and alpha^-1 = <-1>alpha."""
-    if e % 2 == 0:
-        j = e // 2
-        rep = -1 if j % 2 else 1
-        return GwAlphaElement.from_even(GwElement.unit(field, rep))
-    j = (e - 1) // 2
-    rep = -1 if j % 2 else 1
-    return GwAlphaElement(GwElement.zero(field), GwElement.unit(field, rep))
+    return _alpha_sum(((e, 1),), field)
 
 
 # -- local symbols and form classification ----------------------------------
@@ -492,8 +487,8 @@ def _p_adic_split(x: Fraction, p: int) -> tuple[int, int]:
 
 def hilbert_symbol(a, b, place) -> int:
     """The local Hilbert symbol (a, b) at a finite prime or at infinity."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a = json_rational(a, "a")
+    b = json_rational(b, "b")
     if a == 0 or b == 0:
         raise ArithdtError("Hilbert symbols require nonzero arguments")
     if place == INFINITE_PLACE:
@@ -515,13 +510,11 @@ def hilbert_symbol(a, b, place) -> int:
 
 
 def hasse_invariant(entries, place) -> int:
-    """Hasse invariant of the diagonal form <a_1,...,a_n> at one place."""
-    entries = list(entries)
-    sym = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            sym *= hilbert_symbol(entries[i], entries[j], place)
-    return sym
+    """Hasse invariant of the diagonal form <a_1,...,a_n> at one place, equal entries grouped."""
+    terms = linear_sum((json_rational(a, "diagonal entry"), 1) for a in entries)
+    if 0 in terms:
+        raise ArithdtError("Hilbert symbols require nonzero arguments")
+    return _hasse_of_terms(tuple(terms.items()), place)
 
 
 def _hasse_of_terms(terms, place) -> int:

@@ -9,7 +9,8 @@ parts fall outside the supported subring and are rejected.
 
 Canonical form (ascending exponents, nonzero int coefficients, one entry per
 sorted generator name) is set once, by the public constructor.  Ring
-operations sum canonical terms with ``_sum_u`` and build their results
+operations sum canonical terms with ``_sum_u``, which is the shared sparse
+sum ``fields.linear_sum`` put in ascending order, and build their results
 through the trusted ``MotivicClass._make``.
 
 Three ring morphisms specialize a class, all through one evaluation:
@@ -25,22 +26,18 @@ Three ring morphisms specialize a class, all through one evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
-from .fields import BaseField, QQ, RR, binary_power, render_sum
-from .gw import GaussianInteger, GwAlphaElement, GwElement, trace_form
+from .fields import BaseField, QQ, RR, binary_power, linear_sum, render_sum
+from .gw import GaussianInteger, GwAlphaElement, GwElement, _alpha_sum, trace_form
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
 
 
 def _sum_u(*parts) -> _UTerms:
     """Canonical sum of (exponent, coefficient) pairs with int entries."""
-    acc: dict[int, int] = {}
-    for part in parts:
-        for e, c in part:
-            acc[e] = acc.get(e, 0) + c
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
+    return tuple(sorted(linear_sum(chain.from_iterable(parts)).items()))
 
 
 def _exact_u(terms) -> list:
@@ -272,21 +269,6 @@ def _resolve_generator(name: str, generators) -> GeneratorSpec:
         return table[name]
     except KeyError:
         raise ArithdtError(f"unknown generator class [{name}]") from None
-
-
-def _alpha_sum(terms: _UTerms, field: BaseField) -> GwAlphaElement:
-    """Sum of c * alpha^e, with coefficients summed by e mod 4.
-
-    alpha^e = <(-1)^(e//2)> * alpha^(e%2), so e = 0, 1, 2, 3 mod 4 give
-    <1>, <1>alpha, <-1>, <-1>alpha.
-    """
-    b = [0, 0, 0, 0]
-    for e, c in terms:
-        b[e % 4] += c
-    return GwAlphaElement(
-        GwElement(field, [(1, b[0]), (-1, b[2])]),
-        GwElement(field, [(1, b[1]), (-1, b[3])]),
-    )
 
 
 def chi_a1(m: MotivicClass, field: BaseField = QQ, generators=None) -> GwAlphaElement:

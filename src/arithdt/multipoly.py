@@ -3,7 +3,8 @@
 Terms map exponent vectors to nonzero Fraction coefficients; instances are
 treated as immutable after construction.  This is the input language for the
 quotient-algebra and local-degree machinery.  Canonical form is set once, by
-the public constructor; ring operations, ``partial`` and
+the public constructor; ring operations and ``partial`` sum their terms with
+the shared sparse sum ``fields.linear_sum``, and they and
 ``groebner.normal_form`` build their results through the trusted ``_make``.
 """
 
@@ -12,9 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArithdtError, json_int, json_rational
-from .fields import binary_power, render_sum
-
-Exponents = tuple
+from .fields import binary_power, linear_sum, render_sum
 
 
 class MultiPoly:
@@ -22,17 +21,15 @@ class MultiPoly:
 
     def __init__(self, variables, terms=None):
         self.variables: tuple[str, ...] = tuple(variables)
-        cleaned: dict[Exponents, Fraction] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for exps, coeff in items:
-                exps = tuple(json_int(e, "exponent") for e in exps)
-                if len(exps) != len(self.variables):
-                    raise ArithdtError("exponent vector length does not match variables")
-                if any(e < 0 for e in exps):
-                    raise ArithdtError("exponents must be nonnegative")
-                cleaned[exps] = cleaned.get(exps, 0) + json_rational(coeff, "polynomial coefficient")
-        self.terms = {e: c for e, c in cleaned.items() if c}
+        pairs = []
+        for exps, coeff in (terms.items() if hasattr(terms, "items") else terms) if terms else ():
+            exps = tuple(json_int(e, "exponent") for e in exps)
+            if len(exps) != len(self.variables):
+                raise ArithdtError("exponent vector length does not match variables")
+            if any(e < 0 for e in exps):
+                raise ArithdtError("exponents must be nonnegative")
+            pairs.append((exps, json_rational(coeff, "polynomial coefficient")))
+        self.terms = linear_sum(pairs)
 
     @classmethod
     def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
@@ -96,10 +93,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return MultiPoly._make(self.variables, acc)
+        return MultiPoly._make(self.variables, linear_sum([*self.terms.items(), *other.terms.items()]))
 
     __radd__ = __add__
 
@@ -121,12 +115,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly._make(self.variables, acc)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return MultiPoly._make(self.variables, linear_sum(products))
 
     __rmul__ = __mul__
 
@@ -156,19 +150,15 @@ class MultiPoly:
     # -- calculus and evaluation ----------------------------------------------
 
     def partial(self, index: int) -> "MultiPoly":
-        acc: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[index] == 0:
-                continue
-            key = tuple(v - 1 if i == index else v for i, v in enumerate(e))
-            acc[key] = acc.get(key, Fraction(0)) + c * e[index]
-        return MultiPoly._make(self.variables, acc)
+        i = index
+        lowered = ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in self.terms.items() if e[i])
+        return MultiPoly._make(self.variables, linear_sum(lowered))
 
     def gradient(self) -> list["MultiPoly"]:
         return [self.partial(i) for i in range(len(self.variables))]
 
     def evaluate(self, point) -> Fraction:
-        point = [Fraction(x) for x in point]
+        point = [json_rational(x, "point coordinate") for x in point]
         if len(point) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
         total = Fraction(0)
@@ -182,7 +172,7 @@ class MultiPoly:
 
     def evaluate_quadratic(self, point, d: int) -> tuple[Fraction, Fraction]:
         """Evaluate at a point of Q(sqrt(d)); coordinates are (u, v) pairs u + v*sqrt(d)."""
-        coords = [(Fraction(u), Fraction(v)) for u, v in point]
+        coords = [(json_rational(u, "u"), json_rational(v, "v")) for u, v in point]
         if len(coords) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
 

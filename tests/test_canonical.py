@@ -14,14 +14,24 @@ import pytest
 
 from arithdt import fields
 from arithdt.cli import dispatch
-from arithdt.ekl import ConjugatePair, ekl_class, global_degree_univariate
+from arithdt.dt import MatrixTriple
+from arithdt.ekl import ConjugatePair, ekl_class, global_degree_univariate, local_degree_simple
 from arithdt.errors import ArithdtError, GeneratorProductError
 from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors, square_class_rep
 from arithdt.groebner import buchberger, leading_monomial, normal_form
-from arithdt.gw import GaussianInteger, GwElement, diagonalize_symmetric, hasse_invariant, trace_form
+from arithdt.gw import (
+    GaussianInteger,
+    GwElement,
+    diagonalize_symmetric,
+    hasse_invariant,
+    hilbert_symbol,
+    trace_form,
+)
 from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
+
+from test_gw import naive_hasse
 
 FIELDS = (QQ, RR, CC, finite_field(5), finite_field(11))
 
@@ -82,6 +92,23 @@ def forbid_factoring(monkeypatch):
         pytest.param(lambda: global_degree_univariate(MultiPoly.parse(("x",), "x"), 0.5), None,
                      id="global-degree-float-y"),
         pytest.param(lambda: MultiPoly(("x",), {(1,): True}), None, id="poly-bool-coefficient"),
+        pytest.param(lambda: hilbert_symbol(0.1, 3, 5), None, id="hilbert-float-a"),
+        pytest.param(lambda: hilbert_symbol(True, 3, 5), None, id="hilbert-bool-a"),
+        pytest.param(lambda: hilbert_symbol(3, 0.5, "inf"), None, id="hilbert-float-b"),
+        pytest.param(lambda: hasse_invariant([0.5, 0.5, 0.5, 0.5], 2), None, id="hasse-float-entry"),
+        pytest.param(lambda: MatrixTriple.of([[0.1]], [[0]], [[0]]), None, id="triple-float-matrix"),
+        pytest.param(lambda: MatrixTriple.of([[0]], [[0]], [[True]]), None, id="triple-bool-matrix"),
+        pytest.param(lambda: MatrixTriple.of([[0]], [[0]], [[0]], [0.5]), None, id="triple-float-vector"),
+        pytest.param(lambda: MultiPoly.parse(("x",), "x").evaluate([0.1]), None, id="evaluate-float-point"),
+        pytest.param(lambda: MultiPoly.parse(("x",), "x").evaluate_quadratic([(0.5, 0.25)], 2), None,
+                     id="evaluate-quadratic-float-point"),
+        pytest.param(lambda: local_degree_simple([MultiPoly.parse(("x",), "x**2 - 1")], [1.0]), None,
+                     id="local-degree-float-point"),
+        pytest.param(
+            lambda: local_degree_simple([MultiPoly.parse(("x",), "x**2 - 2")], ConjugatePair(2, ((0, 1.0),))),
+            None,
+            id="local-degree-float-pair",
+        ),
         pytest.param(lambda: ConjugatePair(2.5, ((0, 1),)), None, id="conjugate-pair-float-d"),
         pytest.param(lambda: finite_field(7.0), None, id="field-float-p"),
         pytest.param(lambda: finite_field("7"), None, id="field-string-p"),
@@ -169,7 +196,7 @@ def _same_class(field, a, b):
     if square_class_rep(field, prod(x)) != square_class_rep(field, prod(y)):
         return False
     places = {2}.union(*(prime_factors(e) for e in x + y))
-    return all(hasse_invariant(x, p) == hasse_invariant(y, p) for p in places)
+    return all(naive_hasse(x, p) == naive_hasse(y, p) for p in places)
 
 
 def _equal_partner(rng, field, a):

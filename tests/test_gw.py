@@ -25,6 +25,7 @@ from arithdt.gw import (
     hilbert_symbol,
     trace_form,
 )
+from arithdt.motivic import MotivicClass, chi_a1
 
 F5 = finite_field(5)
 ALL_FIELDS = (QQ, RR, CC, F5)
@@ -634,6 +635,12 @@ def test_alpha_powers():
     assert (alpha_power(QQ, -1) * GwAlphaElement.alpha(QQ)) == GwAlphaElement.one(QQ)
 
 
+@pytest.mark.parametrize("field", [QQ, RR, CC, finite_field(5), finite_field(7)], ids=str)
+def test_alpha_power_is_chi_a1_of_u_power(field):
+    for e in range(-9, 10):
+        assert alpha_power(field, e) == chi_a1(MotivicClass.u_power(e), field), e
+
+
 def test_numeric_specializations():
     alpha = GwAlphaElement.alpha(QQ)
     ten_h = GwAlphaElement.from_even(hyper() * 10)
@@ -673,6 +680,33 @@ def test_json_round_trip():
 # -- gw_equal on multiplicities ---------------------------------------------------------
 
 
+def naive_hasse(entries, place):
+    """Hasse invariant as the product of (a_i, a_j) over all pairs i < j: the oracle."""
+    entries = list(entries)
+    sym = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            sym *= hilbert_symbol(entries[i], entries[j], place)
+    return sym
+
+
+@pytest.mark.parametrize("place", [2, 3, 5, 7, 11, "inf"])
+def test_hasse_invariant_matches_pairwise_product(place):
+    rng = random.Random(f"hasse:{place}")
+    values = [1, -1, 2, -2, 3, -3, 5, -6, 7, 10, -14, 15, Fraction(1, 2), Fraction(-3, 4), Fraction(7, 5)]
+    for _ in range(150):
+        entries = [rng.choice(values) for _ in range(rng.randint(0, 9))]
+        entries += rng.choices(entries, k=rng.randint(0, 4)) if entries else []
+        rng.shuffle(entries)
+        assert hasse_invariant(entries, place) == naive_hasse(entries, place), entries
+
+
+@pytest.mark.parametrize("entries", [[0], [0, 3, 3]])
+def test_hasse_invariant_refuses_zero_entries(entries):
+    with pytest.raises(ArithdtError):
+        hasse_invariant(entries, 3)
+
+
 def _gw_equal_expanded(a, b):
     """gw_equal over Q through the multiplicity-expanded diagonal entries."""
     pos, neg = (a - b)._split()
@@ -682,7 +716,7 @@ def _gw_equal_expanded(a, b):
     if pos.discriminant() != neg.discriminant():
         return False
     places = {2}.union(*(prime_factors(e) for e in x + y))
-    return all(hasse_invariant(x, p) == hasse_invariant(y, p) for p in places)
+    return all(naive_hasse(x, p) == naive_hasse(y, p) for p in places)
 
 
 def _random_terms(rng):
