@@ -18,12 +18,11 @@ report records the discrepancies rather than silently repairing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import ArithdtError, NonIntegralCoefficientError
-from .fields import BaseField, QQ
+from .fields import BaseField, Frozen, QQ
 from .gw import GwAlphaElement, GwElement
 from .motivic import MotivicClass, chi_a1, projective_space_class
 
@@ -46,15 +45,26 @@ def fiber_dimension(m: int) -> int:
     return _choose3(m + 3) - _choose3(m - 2) - 1
 
 
-@dataclass(frozen=True)
-class CastelnuovoInput:
-    """Degree d = 5m at the bound, with the derived genus and dimensions."""
+class CastelnuovoInput(Frozen):
+    """Degree d = 5m at the bound, with the derived genus g and dimensions.
 
-    m: int
-    d: int
-    genus: int
-    holomorphic_euler: int  # n = 1 - g
-    fiber_dim: int
+    holomorphic_euler is n = 1 - g.
+    """
+
+    __slots__ = __match_args__ = ("m", "d", "genus", "holomorphic_euler", "fiber_dim")
+
+    def __init__(self, m: int, d: int, genus: int, holomorphic_euler: int, fiber_dim: int) -> None:
+        self._assign(m, d, genus, holomorphic_euler, fiber_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.m, self.d, self.genus, self.holomorphic_euler, self.fiber_dim)
+            == (other.m, other.d, other.genus, other.holomorphic_euler, other.fiber_dim))
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.d, self.genus, self.holomorphic_euler, self.fiber_dim))
 
     @classmethod
     def of(cls, m: int) -> "CastelnuovoInput":
@@ -116,22 +126,35 @@ def gv_closed_form(m: int, field: BaseField = QQ) -> GwAlphaElement:
     return GwAlphaElement.from_even(GwElement.hyperbolic(field) * int(c_h))
 
 
-@dataclass(frozen=True)
-class GvComparison:
+class GvComparison(Frozen):
     """Direct evaluation vs the closed-form branches, with named discrepancies."""
 
-    m: int
-    fiber_dim: int
-    direct: GwAlphaElement
-    closed: GwAlphaElement | None
-    closed_error: str | None
-    rank_direct: int
-    rank_closed: Fraction
-    ranks_agree: bool
-    signatures_agree: bool | None
-    gw_equal_verdict: bool | None
-    alpha_factor_match: bool | None
-    description: str
+    __slots__ = __match_args__ = (
+        "m", "fiber_dim", "direct", "closed", "closed_error", "rank_direct", "rank_closed",
+        "ranks_agree", "signatures_agree", "gw_equal_verdict", "alpha_factor_match", "description",
+    )
+
+    def __init__(self, m: int, fiber_dim: int, direct: GwAlphaElement,
+                 closed: GwAlphaElement | None, closed_error: str | None, rank_direct: int,
+                 rank_closed: Fraction, ranks_agree: bool, signatures_agree: bool | None,
+                 gw_equal_verdict: bool | None, alpha_factor_match: bool | None,
+                 description: str) -> None:
+        self._assign(m, fiber_dim, direct, closed, closed_error, rank_direct, rank_closed,
+                     ranks_agree, signatures_agree, gw_equal_verdict, alpha_factor_match,
+                     description)
+
+    def _key(self) -> tuple:
+        return (self.m, self.fiber_dim, self.direct, self.closed, self.closed_error,
+                self.rank_direct, self.rank_closed, self.ranks_agree, self.signatures_agree,
+                self.gw_equal_verdict, self.alpha_factor_match, self.description)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def gv_compare(m: int, field: BaseField = QQ) -> GvComparison:

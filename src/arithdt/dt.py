@@ -26,11 +26,10 @@ here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithdtError, json_rational
-from .fields import BaseField, QQ, RR
+from .fields import BaseField, Frozen, QQ, RR
 from .gw import GwAlphaElement, GwElement, alpha_power
 from .motivic import MotivicClass, chi_a1, grassmannian_class
 from .series import (
@@ -111,14 +110,24 @@ def macmahon_symmetric(order: int) -> TruncatedSeries:
     return result
 
 
-@dataclass(frozen=True)
-class PartitionFunctionResult:
+class PartitionFunctionResult(Frozen):
     """The motivic series with its arithmetic, complex and real images."""
 
-    motivic: TruncatedSeries
-    arithmetic: TruncatedSeries
-    complex: TruncatedSeries
-    real: TruncatedSeries
+    __slots__ = __match_args__ = ("motivic", "arithmetic", "complex", "real")
+
+    def __init__(self, motivic: TruncatedSeries, arithmetic: TruncatedSeries,
+                 complex: TruncatedSeries, real: TruncatedSeries) -> None:
+        self._assign(motivic, arithmetic, complex, real)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.motivic, self.arithmetic, self.complex, self.real)
+            == (other.motivic, other.arithmetic, other.complex, other.real))
+
+    def __hash__(self) -> int:
+        return hash((self.motivic, self.arithmetic, self.complex, self.real))
 
 
 def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionResult:
@@ -142,14 +151,23 @@ def _as_matrix(rows, n: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class MatrixTriple:
+class MatrixTriple(Frozen):
     """(A, B, C, v): three n x n rational matrices and a cyclic vector."""
 
-    a: tuple
-    b: tuple
-    c: tuple
-    v: tuple
+    __slots__ = __match_args__ = ("a", "b", "c", "v")
+
+    def __init__(self, a: tuple, b: tuple, c: tuple, v: tuple) -> None:
+        self._assign(a, b, c, v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.a, self.b, self.c, self.v)
+            == (other.a, other.b, other.c, other.v))
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.v))
 
     @classmethod
     def of(cls, a, b, c, v=None) -> "MatrixTriple":

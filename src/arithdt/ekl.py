@@ -16,8 +16,8 @@ for an earlier standard monomial b_p, and its row is w_p . M_{x_k}: the sum
 of row l of M_{x_k} times w_p[l] over the nonzeros of w_p only.  With the
 default phi on a monomial algebra each w_p has one nonzero, so a row costs
 O(1) arithmetic.  Each row is kept as a dict of its nonzeros, which the
-elimination kernel of ``gw`` reduces directly; the dense rows are written
-once, for ``EklResult.gram``.
+elimination kernel of ``gw`` reduces directly; ``EklResult.gram`` writes
+the dense rows from copies of them only when it is first read.
 
 A univariate map has a global degree over a whole fiber as well: the class
 of the fiber's Euler-Jacobi residue form, whatever the residue fields of the
@@ -32,7 +32,6 @@ A^1-Euler characteristic of a user-supplied motivic Milnor fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -44,7 +43,7 @@ from .errors import (
     json_int,
     json_rational,
 )
-from .fields import BaseField, QQ, linear_sum, squarefree_part
+from .fields import BaseField, Frozen, QQ, linear_sum, squarefree_part
 from .groebner import QuotientAlgebra, buchberger, grevlex_key
 from .gw import GwAlphaElement, GwElement, _diagonalize_rows, trace_form
 from .multipoly import MultiPoly
@@ -52,27 +51,70 @@ from .multipoly import MultiPoly
 _ZERO = Fraction(0)  # every zero slot of a dense Gram row; one shared immutable value
 
 
-@dataclass(frozen=True)
-class EklResult:
-    """Residue-pairing class of a map with isolated zero at the origin."""
+class EklResult(Frozen):
+    """Residue-pairing class of a map with isolated zero at the origin.
 
-    gw_class: GwElement
-    rank: int
-    gram: tuple
-    distinguished_socle: MultiPoly
-    algebra: QuotientAlgebra
+    ``gram`` is the dense Gram matrix, a tuple of row tuples.  ``ekl_class``
+    stores the sparse rows instead, {column: nonzero Fraction} per row, and
+    the dense tuple is built from them on first read: the CLI never reads it.
+    """
+
+    __slots__ = ("gw_class", "rank", "_gram", "distinguished_socle", "algebra", "_gram_rows")
+    __match_args__ = ("gw_class", "rank", "gram", "distinguished_socle", "algebra")
+
+    def __init__(self, gw_class: GwElement, rank: int, gram: tuple,
+                 distinguished_socle: MultiPoly, algebra: QuotientAlgebra) -> None:
+        self._assign(gw_class, rank, gram, distinguished_socle, algebra, None)
+
+    @classmethod
+    def _of_rows(cls, gw_class, rank, gram_rows, distinguished_socle, algebra) -> "EklResult":
+        """Trusted constructor: the Gram matrix as sparse rows, made dense when read."""
+        obj = object.__new__(cls)
+        obj._assign(gw_class, rank, None, distinguished_socle, algebra, gram_rows)
+        return obj
+
+    @property
+    def gram(self) -> tuple:
+        rows = self._gram_rows
+        if rows is not None:
+            dense = []
+            for w in rows:
+                row = [_ZERO] * len(rows)
+                for j, x in w.items():
+                    row[j] = x
+                dense.append(tuple(row))
+            object.__setattr__(self, "_gram", tuple(dense))
+            object.__setattr__(self, "_gram_rows", None)
+        return self._gram
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.gw_class, self.rank, self.gram, self.distinguished_socle, self.algebra)
+            == (other.gw_class, other.rank, other.gram, other.distinguished_socle, other.algebra))
+
+    def __hash__(self) -> int:
+        return hash((self.gw_class, self.rank, self.gram, self.distinguished_socle, self.algebra))
 
 
-@dataclass(frozen=True)
-class ConjugatePair:
+class ConjugatePair(Frozen):
     """A conjugate pair of points with coordinates u + v*sqrt(d) in Q(sqrt(d))."""
 
-    d: int
-    coords: tuple
+    __slots__ = __match_args__ = ("d", "coords")
 
-    def __post_init__(self) -> None:
-        if json_int(self.d, "d") in (0, 1) or squarefree_part(self.d) != self.d:
+    def __init__(self, d: int, coords: tuple) -> None:
+        if json_int(d, "d") in (0, 1) or squarefree_part(d) != d:
             raise ArithdtError("d must be a square-free integer != 1")
+        self._assign(d, coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.d, self.coords) == (other.d, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.coords))
 
 
 def _jacobian_determinant(system) -> MultiPoly:
@@ -155,30 +197,20 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
                 rows[l][j] = c
         matrix_rows.append(rows)
     gram_rows = [{l: x for l, x in enumerate(phi) if x}]
-    gram = [tuple(phi)]
     for mono in algebra.standard_monomials[1:]:
         k = next(v for v, e in enumerate(mono) if e)
         parent = gram_rows[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
         rows = matrix_rows[k]
-        w = linear_sum((j, x * c) for l, x in parent.items() for j, c in rows[l].items())
-        gram_rows.append(w)
-        # the dense row is frozen now: the elimination consumes the dicts
-        row = [_ZERO] * dim
-        for j, x in w.items():
-            row[j] = x
-        gram.append(tuple(row))
+        gram_rows.append(linear_sum((j, x * c) for l, x in parent.items()
+                                    for j, c in rows[l].items()))
 
+    # the elimination consumes the dicts, so the result keeps copies for its gram
+    kept_rows = [dict(w) for w in gram_rows]
     try:
         gw_class = _diagonalize_rows(gram_rows, field)
     except SingularMatrixError as exc:
         raise DegenerateSystemError(f"residue pairing is degenerate: {exc}") from exc
-    return EklResult(
-        gw_class=gw_class,
-        rank=dim,
-        gram=tuple(gram),
-        distinguished_socle=socle,
-        algebra=algebra,
-    )
+    return EklResult._of_rows(gw_class, dim, kept_rows, socle, algebra)
 
 
 def local_degree_simple(system, point, field: BaseField = QQ) -> GwElement:
@@ -232,8 +264,7 @@ def milnor_number_a1(f: MultiPoly, field: BaseField = QQ) -> EklResult:
     return ekl_class(grads, field)
 
 
-@dataclass(frozen=True)
-class MilnorReport:
+class MilnorReport(Frozen):
     """Evidence record comparing the two refinements of the Milnor number.
 
     lhs is the A^1-Euler characteristic of the supplied motivic Milnor
@@ -242,12 +273,21 @@ class MilnorReport:
     supplied resolution data covers.
     """
 
-    function: MultiPoly
-    lhs: GwAlphaElement
-    rhs: GwElement
-    milnor: EklResult
-    agrees: bool
-    note: str
+    __slots__ = __match_args__ = ("function", "lhs", "rhs", "milnor", "agrees", "note")
+
+    def __init__(self, function: MultiPoly, lhs: GwAlphaElement, rhs: GwElement,
+                 milnor: EklResult, agrees: bool, note: str) -> None:
+        self._assign(function, lhs, rhs, milnor, agrees, note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.function, self.lhs, self.rhs, self.milnor, self.agrees, self.note)
+            == (other.function, other.lhs, other.rhs, other.milnor, other.agrees, other.note))
+
+    def __hash__(self) -> int:
+        return hash((self.function, self.lhs, self.rhs, self.milnor, self.agrees, self.note))
 
 
 def milnor_chi_relation(f: MultiPoly, strata, field: BaseField = QQ, generators=None) -> MilnorReport:

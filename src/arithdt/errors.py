@@ -70,6 +70,14 @@ class InputDataError(ArithdtError):
     """Malformed or missing user-supplied data."""
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of an immutable value object.
+
+    An AttributeError, as for any read-only attribute, and not an
+    ArithdtError: it is a programming error, not a domain error.
+    """
+
+
 def json_int(value, what: str) -> int:
     """``value`` if it is an int, as JSON integers are; floats, bools, fractions
     and strings are refused, never truncated."""

@@ -10,11 +10,10 @@ integer the package factors goes through ``factorize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, prod
 
-from .errors import ArithdtError, json_int, json_rational
+from .errors import ArithdtError, FrozenInstanceError, json_int, json_rational
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below psi_13
@@ -187,6 +186,39 @@ def linear_sum(pairs) -> dict:
     return acc if all(acc.values()) else {key: c for key, c in acc.items() if c}
 
 
+class Frozen:
+    """Base of the immutable value classes: fields set once, compared by value.
+
+    A subclass names its fields in ``__match_args__`` and stores them in
+    ``__slots__`` (the same names, unless a field is computed); ``__init__``
+    validates, then stores them once with ``_assign``.  Each subclass
+    compares and hashes its own field tuple in ``__eq__`` and ``__hash__``.
+    Assignment and deletion raise FrozenInstanceError, an AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple = ()
+
+    def _assign(self, *values) -> None:
+        """Store values in the slots, in order; the one way a field is set."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the public constructor
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
 def render_sum(pieces) -> str:
     """Signed sum of (symbol, nonzero coefficient) pairs, "0" when there are none.
 
@@ -219,8 +251,7 @@ def least_nonresidue(p: int) -> int:
     raise ArithdtError(f"{p} admits no quadratic nonresidue; not an odd prime?")
 
 
-@dataclass(frozen=True)
-class BaseField:
+class BaseField(Frozen):
     """One of Q, R, C, or F_p with p an odd prime.
 
     The finite fields are an artifact extension: the geometric theory
@@ -228,22 +259,31 @@ class BaseField:
     exercises the square-class logic cheaply.
     """
 
-    kind: str
-    p: int | None = None
+    __slots__ = __match_args__ = ("kind", "p")
 
     RATIONALS = "Q"
     REALS = "R"
     COMPLEXES = "C"
     FINITE = "F"
 
-    def __post_init__(self) -> None:
-        if self.kind not in (self.RATIONALS, self.REALS, self.COMPLEXES, self.FINITE):
-            raise ArithdtError(f"unknown base field kind: {self.kind!r}")
-        if self.kind == self.FINITE:
-            if self.p is None or json_int(self.p, "p") == 2 or not is_prime(self.p):
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind not in (self.RATIONALS, self.REALS, self.COMPLEXES, self.FINITE):
+            raise ArithdtError(f"unknown base field kind: {kind!r}")
+        if kind == self.FINITE:
+            if p is None or json_int(p, "p") == 2 or not is_prime(p):
                 raise ArithdtError("finite base fields require an odd prime p")
-        elif self.p is not None:
+        elif p is not None:
             raise ArithdtError("p is only meaningful for finite fields")
+        self._assign(kind, p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # field by field, without building tuples: every ring operation compares fields
+        return self is other or (self.kind == other.kind and self.p == other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
 
     @property
     def is_ordered(self) -> bool:
@@ -301,16 +341,23 @@ def square_class_rep(field: BaseField, value) -> int:
     return 1 if legendre_symbol(a, p) == 1 else least_nonresidue(p)
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Frozen):
     """A square class in canonical form; <a> and <a*b^2> share one instance."""
 
-    field: BaseField
-    rep: int
+    __slots__ = __match_args__ = ("field", "rep")
 
-    def __post_init__(self) -> None:
-        if square_class_rep(self.field, self.rep) != self.rep:
-            raise ArithdtError(f"{self.rep} is not a canonical representative over {self.field}")
+    def __init__(self, field: BaseField, rep: int) -> None:
+        if square_class_rep(field, rep) != rep:
+            raise ArithdtError(f"{rep} is not a canonical representative over {field}")
+        self._assign(field, rep)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.field, self.rep) == (other.field, other.rep)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.rep))
 
     @classmethod
     def of(cls, field: BaseField, value) -> "SquareClass":
@@ -320,7 +367,8 @@ class SquareClass:
     def _make(cls, field: BaseField, rep: int) -> "SquareClass":
         """Trusted constructor: rep is canonical already, so it is not factored again."""
         obj = object.__new__(cls)
-        obj.__dict__.update(field=field, rep=rep)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "rep", rep)
         return obj
 
     def __str__(self) -> str:

@@ -24,7 +24,6 @@ A^1-Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .fields import (
     BaseField,
+    Frozen,
     QQ,
     SquareClass,
     binary_power,
@@ -53,12 +53,23 @@ from .fields import (
 INFINITE_PLACE = "inf"
 
 
-@dataclass(frozen=True)
-class GaussianInteger:
+class GaussianInteger(Frozen):
     """Exact element of Z[i], the value ring of the real Euler characteristic."""
 
-    re: int
-    im: int
+    __slots__ = __match_args__ = ("re", "im")
+
+    def __init__(self, re: int, im: int) -> None:
+        # one is made per ring operation: set directly, as _assign's loop costs twice as much
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger(self.re + other.re, self.im + other.im)
@@ -108,8 +119,8 @@ GAUSSIAN_ONE = GaussianInteger(1, 0)
 
 
 def _sorted_terms(pairs) -> tuple:
-    """(rep, mult) pairs with distinct reps, zeros dropped, in canonical order."""
-    return tuple(sorted(((r, m) for r, m in pairs if m), key=lambda t: (abs(t[0]), t[0] < 0)))
+    """(rep, mult) pairs with distinct reps and nonzero mults, in canonical order."""
+    return tuple(sorted(pairs, key=lambda t: (abs(t[0]), t[0] < 0)))
 
 
 def _mul_reps(field: BaseField, a: int, b: int) -> int:
@@ -141,7 +152,7 @@ class GwElement:
 
     @classmethod
     def _make(cls, field: BaseField, pairs) -> "GwElement":
-        """Trusted constructor: int multiplicities on distinct canonical reps."""
+        """Trusted constructor: nonzero int multiplicities on distinct canonical reps."""
         obj = object.__new__(cls)
         obj.field = field
         obj.terms = _sorted_terms(pairs)
@@ -192,7 +203,9 @@ class GwElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GwElement._make(self.field, [(r, m * other) for r, m in self.terms])
+            # the one product that can make a zero multiplicity
+            scaled = [(r, m * other) for r, m in self.terms] if other else ()
+            return GwElement._make(self.field, scaled)
         if not isinstance(other, GwElement):
             return NotImplemented
         self._check_field(other)

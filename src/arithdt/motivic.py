@@ -25,11 +25,10 @@ Three ring morphisms specialize a class, all through one evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
-from .fields import BaseField, QQ, RR, binary_power, linear_sum, render_sum
+from .fields import BaseField, Frozen, QQ, RR, binary_power, linear_sum, render_sum
 from .gw import GaussianInteger, GwAlphaElement, GwElement, _alpha_sum, trace_form
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
@@ -220,8 +219,7 @@ MOT_ONE = MotivicClass.one()
 MOT_ZERO = MotivicClass.zero()
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Frozen):
     """Specialization data for one symbolic generator class.
 
     chi_a1 is stored over Q and reinterpreted over the requested field; the
@@ -229,16 +227,25 @@ class GeneratorSpec:
     recover chi_complex and chi_real).
     """
 
-    name: str
-    chi_complex: int
-    chi_real: GaussianInteger
-    chi_a1: GwAlphaElement
+    __slots__ = __match_args__ = ("name", "chi_complex", "chi_real", "chi_a1")
 
-    def __post_init__(self) -> None:
-        if self.chi_a1.numeric_complex() != self.chi_complex:
-            raise ArithdtError(f"generator {self.name}: chi_a1 rank does not match chi_complex")
-        if self.chi_a1.numeric_real() != self.chi_real:
-            raise ArithdtError(f"generator {self.name}: chi_a1 signature does not match chi_real")
+    def __init__(self, name: str, chi_complex: int, chi_real: GaussianInteger,
+                 chi_a1: GwAlphaElement) -> None:
+        if chi_a1.numeric_complex() != chi_complex:
+            raise ArithdtError(f"generator {name}: chi_a1 rank does not match chi_complex")
+        if chi_a1.numeric_real() != chi_real:
+            raise ArithdtError(f"generator {name}: chi_a1 signature does not match chi_real")
+        self._assign(name, chi_complex, chi_real, chi_a1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.name, self.chi_complex, self.chi_real, self.chi_a1)
+            == (other.name, other.chi_complex, other.chi_real, other.chi_a1))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.chi_complex, self.chi_real, self.chi_a1))
 
 
 def quadratic_point_generator(d: int) -> GeneratorSpec:

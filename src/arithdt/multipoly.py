@@ -33,10 +33,10 @@ class MultiPoly:
 
     @classmethod
     def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Trusted constructor: valid exponent tuples to Fractions; zeros are dropped."""
+        """Trusted constructor: valid exponent tuples to nonzero Fractions."""
         obj = object.__new__(cls)
         obj.variables = variables
-        obj.terms = {e: c for e, c in terms.items() if c}
+        obj.terms = terms
         return obj
 
     # -- constructors --------------------------------------------------------
@@ -111,7 +111,9 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly._make(self.variables, {e: c * other for e, c in self.terms.items()})
+            # the one product that can make a zero coefficient
+            scaled = {e: c * other for e, c in self.terms.items()} if other else {}
+            return MultiPoly._make(self.variables, scaled)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

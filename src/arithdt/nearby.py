@@ -15,33 +15,39 @@ classes are assumed to lie in the subring with trivial action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InputDataError, json_int
+from .fields import Frozen
 from .motivic import L, MOT_ONE, MotivicClass
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(Frozen):
     """One open stratum E_I with its covering class and multiplicities."""
 
-    index_set: frozenset
-    stratum_class: MotivicClass
-    multiplicities: tuple = field(default=())
+    __slots__ = __match_args__ = ("index_set", "stratum_class", "multiplicities")
 
-    def __post_init__(self) -> None:
-        if not self.index_set:
+    def __init__(self, index_set: frozenset, stratum_class: MotivicClass,
+                 multiplicities=()) -> None:
+        if not index_set:
             raise InputDataError("stratum index set must be nonempty")
-        object.__setattr__(
-            self, "index_set", frozenset(json_int(i, "stratum index") for i in self.index_set)
-        )
-        mults = {i: json_int(n, "multiplicity") for i, n in dict(self.multiplicities).items()}
-        if set(mults) != set(self.index_set):
+        index_set = frozenset(json_int(i, "stratum index") for i in index_set)
+        mults = {i: json_int(n, "multiplicity") for i, n in dict(multiplicities).items()}
+        if set(mults) != set(index_set):
             raise InputDataError("multiplicities must be given exactly on the index set")
         if any(n <= 0 for n in mults.values()):
             raise InputDataError("multiplicities must be positive integers")
-        object.__setattr__(self, "multiplicities", tuple(sorted(mults.items())))
+        self._assign(index_set, stratum_class, tuple(sorted(mults.items())))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.index_set, self.stratum_class, self.multiplicities)
+            == (other.index_set, other.stratum_class, other.multiplicities))
+
+    def __hash__(self) -> int:
+        return hash((self.index_set, self.stratum_class, self.multiplicities))
 
     @classmethod
     def of(cls, indices, stratum_class: MotivicClass, multiplicities=None) -> "StratumRecord":
@@ -76,22 +82,30 @@ class StratumRecord:
         return cls(frozenset(indices), stratum_class, mults)
 
 
-@dataclass(frozen=True)
-class SncData:
+class SncData(Frozen):
     """Strata of one resolution, the ambient dimension, and [X_0].
 
     Records with equal index sets are allowed and simply add up; the sum
     below is linear in the stratum classes.
     """
 
-    strata: tuple
-    ambient_dimension: int
-    central_fiber_class: MotivicClass | None = None
+    __slots__ = __match_args__ = ("strata", "ambient_dimension", "central_fiber_class")
 
-    def __post_init__(self) -> None:
-        if json_int(self.ambient_dimension, "ambient dimension") < 1:
+    def __init__(self, strata: tuple, ambient_dimension: int,
+                 central_fiber_class: MotivicClass | None = None) -> None:
+        if json_int(ambient_dimension, "ambient dimension") < 1:
             raise InputDataError("ambient dimension must be at least 1")
-        object.__setattr__(self, "strata", tuple(self.strata))
+        self._assign(tuple(strata), ambient_dimension, central_fiber_class)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.strata, self.ambient_dimension, self.central_fiber_class)
+            == (other.strata, other.ambient_dimension, other.central_fiber_class))
+
+    def __hash__(self) -> int:
+        return hash((self.strata, self.ambient_dimension, self.central_fiber_class))
 
     def to_json_dict(self) -> dict:
         out = {

@@ -9,9 +9,8 @@ for n up to 14, which keeps the whole test suite in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ArithdtError
+from .fields import Frozen
 
 MAX_ENUMERATION = 14
 
@@ -70,13 +69,23 @@ def count_symmetric_plane_partitions(n: int) -> int:
     return sum(1 for pp in plane_partitions(n) if is_transpose_symmetric(pp))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Frozen):
     """Outcome of checking a generating series against the enumerators."""
 
-    order: int
-    agrees: bool
-    first_mismatch: tuple | None
+    __slots__ = __match_args__ = ("order", "agrees", "first_mismatch")
+
+    def __init__(self, order: int, agrees: bool, first_mismatch: tuple | None) -> None:
+        self._assign(order, agrees, first_mismatch)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.order, self.agrees, self.first_mismatch)
+            == (other.order, other.agrees, other.first_mismatch))
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.agrees, self.first_mismatch))
 
     def __str__(self) -> str:
         if self.agrees:

@@ -12,22 +12,31 @@ motivic factor, rather than one linear factor at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
-from .fields import BaseField, QQ, binary_power
+from .fields import BaseField, Frozen, QQ, binary_power
 from .gw import GAUSSIAN_ONE, GAUSSIAN_ZERO, GwAlphaElement, GwElement
 from .motivic import MOT_ONE, MOT_ZERO
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class CoefficientRing(Frozen):
     """Adapter naming a coefficient ring and carrying its constants."""
 
-    name: str
-    zero: object
-    one: object
+    __slots__ = __match_args__ = ("name", "zero", "one")
+
+    def __init__(self, name: str, zero, one) -> None:
+        self._assign(name, zero, one)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            (self.name, self.zero, self.one)
+            == (other.name, other.zero, other.one))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.zero, self.one))
 
 
 INT_RING = CoefficientRing("Z", 0, 1)

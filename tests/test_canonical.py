@@ -328,6 +328,20 @@ def test_multipoly_ops_match_public_constructor():
         )
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "fraction"])
+def test_scalar_zero_products_are_the_zero_element(zero):
+    # a scalar 0 is the one product whose terms could cancel to zero; the trusted
+    # constructors no longer drop zero coefficients, so it must give the zero element
+    p = MultiPoly(VARS, {(2, 0, 1): Fraction(3, 2), (0, 1, 0): -4})
+    assert p * zero == zero * p == MultiPoly.zero(VARS)
+    assert (p * zero).terms == {} and (zero * p).is_zero()
+    if type(zero) is int:
+        for field in FIELDS:
+            g = GwElement(field, [(1, 2), (-1, -3)])
+            assert g * zero == zero * g == GwElement.zero(field)
+            assert (g * zero).terms == () and (g * zero).rank() == 0
+
+
 def _naive_normal_form(p, basis):
     """Full reduction with every intermediate rebuilt by the public constructor."""
     work, remainder = p, []

@@ -1,6 +1,7 @@
 """The package loads each submodule on first use, and the CLI only what a job runs."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -53,27 +54,34 @@ def test_unknown_attribute_raises():
         arithdt.no_such_name
 
 
-# runs one CLI job in a fresh interpreter and prints the arithdt modules it loaded
+# runs one CLI job in a fresh interpreter, prints every module it loaded and exits as the job did
 _LOADED = """
 import sys
 from arithdt.cli import dispatch
 try:
-    dispatch(sys.argv[1:])
-except SystemExit:
-    pass
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "arithdt")))
+    status = dispatch(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+print(" ".join(sorted(sys.modules)))
+sys.exit(status)
 """
 
 
-def _loaded_after(*argv):
+def _modules_after(*argv, code=_LOADED):
     src = Path(arithdt.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        # no bytecode is written into the tree under test, which would change its start-up time
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loaded_after(*argv):
+    """The arithdt modules one CLI job loads."""
+    return {m for m in _modules_after(*argv) if m.split(".")[0] == "arithdt"}
 
 
 GW_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors", "arithdt.fields", "arithdt.gw"}
@@ -112,3 +120,38 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "arithdt" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+# start-up is most of a short job: dataclasses alone, with the inspect it imports,
+# cost about as much as all of arithdt's own modules
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+_SNC = {
+    "dim": 2,
+    "strata": [
+        {"I": [1], "mult": {"1": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]]}},
+        {"I": [1, 2], "mult": {"1": 1, "2": 1}, "class": {"u_coeffs": [[0, 1]]}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["gw", "--op", "mul", "--a", "<2> + <3>", "--b", "<6>", "--json"],
+        ["dt-a3", "--order", "4", "--output", "real", "--json"],
+        ["ekl", "--map", "{map}", "--json"],
+        ["nearby", "--data", "{snc}", "--json"],
+        ["gv", "--m", "2", "--compare", "--json"],
+        ["oracle", "pp", "--n", "4", "--json"],
+    ],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_no_job_imports_dataclasses_or_inspect(argv, tmp_path):
+    files = {"map": tmp_path / "map.json", "snc": tmp_path / "snc.json"}
+    files["map"].write_text('{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}')
+    files["snc"].write_text(json.dumps(_SNC))
+    argv = [a.format(**files) for a in argv]
+    bare = _modules_after(code="import sys; print(' '.join(sys.modules))")
+    assert (_modules_after(*argv) - bare) & SLOW_IMPORTS == set()
