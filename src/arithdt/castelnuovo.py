@@ -56,16 +56,6 @@ class CastelnuovoInput(Frozen):
     def __init__(self, m: int, d: int, genus: int, holomorphic_euler: int, fiber_dim: int) -> None:
         self._assign(m, d, genus, holomorphic_euler, fiber_dim)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.m, self.d, self.genus, self.holomorphic_euler, self.fiber_dim)
-            == (other.m, other.d, other.genus, other.holomorphic_euler, other.fiber_dim))
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.d, self.genus, self.holomorphic_euler, self.fiber_dim))
-
     @classmethod
     def of(cls, m: int) -> "CastelnuovoInput":
         if m < 1:
@@ -142,19 +132,6 @@ class GvComparison(Frozen):
         self._assign(m, fiber_dim, direct, closed, closed_error, rank_direct, rank_closed,
                      ranks_agree, signatures_agree, gw_equal_verdict, alpha_factor_match,
                      description)
-
-    def _key(self) -> tuple:
-        return (self.m, self.fiber_dim, self.direct, self.closed, self.closed_error,
-                self.rank_direct, self.rank_closed, self.ranks_agree, self.signatures_agree,
-                self.gw_equal_verdict, self.alpha_factor_match, self.description)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def gv_compare(m: int, field: BaseField = QQ) -> GvComparison:

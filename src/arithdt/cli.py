@@ -213,8 +213,9 @@ def _cmd_nearby(args) -> tuple[dict, str]:
     data = SncData.from_json_dict(_load_json(args.data))
     cls = local_nearby_class(data) if args.local else nearby_class(data)
     key = "local_nearby_class" if args.local else "nearby_class"
-    payload = {key: cls.to_json_dict(), "rendered": cls.render()}
-    lines = [f"{key}: {cls.render()}"]
+    rendered = cls.render()
+    payload = {key: cls.to_json_dict(), "rendered": rendered}
+    lines = [f"{key}: {rendered}"]
     if data.central_fiber_class is not None and not args.local:
         virt = virtual_class_critical_locus(cls, data.central_fiber_class, data.ambient_dimension)
         payload["virtual_class"] = virt.to_json_dict()

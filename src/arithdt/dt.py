@@ -119,16 +119,6 @@ class PartitionFunctionResult(Frozen):
                  complex: TruncatedSeries, real: TruncatedSeries) -> None:
         self._assign(motivic, arithmetic, complex, real)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.motivic, self.arithmetic, self.complex, self.real)
-            == (other.motivic, other.arithmetic, other.complex, other.real))
-
-    def __hash__(self) -> int:
-        return hash((self.motivic, self.arithmetic, self.complex, self.real))
-
 
 def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionResult:
     """The series over ``field``; the complex and real images do not depend on it."""
@@ -158,16 +148,6 @@ class MatrixTriple(Frozen):
 
     def __init__(self, a: tuple, b: tuple, c: tuple, v: tuple) -> None:
         self._assign(a, b, c, v)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.a, self.b, self.c, self.v)
-            == (other.a, other.b, other.c, other.v))
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.v))
 
     @classmethod
     def of(cls, a, b, c, v=None) -> "MatrixTriple":

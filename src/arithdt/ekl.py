@@ -87,16 +87,6 @@ class EklResult(Frozen):
             object.__setattr__(self, "_gram_rows", None)
         return self._gram
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.gw_class, self.rank, self.gram, self.distinguished_socle, self.algebra)
-            == (other.gw_class, other.rank, other.gram, other.distinguished_socle, other.algebra))
-
-    def __hash__(self) -> int:
-        return hash((self.gw_class, self.rank, self.gram, self.distinguished_socle, self.algebra))
-
 
 class ConjugatePair(Frozen):
     """A conjugate pair of points with coordinates u + v*sqrt(d) in Q(sqrt(d))."""
@@ -107,14 +97,6 @@ class ConjugatePair(Frozen):
         if json_int(d, "d") in (0, 1) or squarefree_part(d) != d:
             raise ArithdtError("d must be a square-free integer != 1")
         self._assign(d, coords)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.d, self.coords) == (other.d, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.coords))
 
 
 def _jacobian_determinant(system) -> MultiPoly:
@@ -278,16 +260,6 @@ class MilnorReport(Frozen):
     def __init__(self, function: MultiPoly, lhs: GwAlphaElement, rhs: GwElement,
                  milnor: EklResult, agrees: bool, note: str) -> None:
         self._assign(function, lhs, rhs, milnor, agrees, note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.function, self.lhs, self.rhs, self.milnor, self.agrees, self.note)
-            == (other.function, other.lhs, other.rhs, other.milnor, other.agrees, other.note))
-
-    def __hash__(self) -> int:
-        return hash((self.function, self.lhs, self.rhs, self.milnor, self.agrees, self.note))
 
 
 def milnor_chi_relation(f: MultiPoly, strata, field: BaseField = QQ, generators=None) -> MilnorReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import count
 from math import gcd, prod
+from operator import attrgetter
 
 from .errors import ArithdtError, FrozenInstanceError, json_int, json_rational
 
@@ -191,13 +192,29 @@ class Frozen:
 
     A subclass names its fields in ``__match_args__`` and stores them in
     ``__slots__`` (the same names, unless a field is computed); ``__init__``
-    validates, then stores them once with ``_assign``.  Each subclass
-    compares and hashes its own field tuple in ``__eq__`` and ``__hash__``.
+    validates, then stores them once with ``_assign``.  Instances of one
+    class are equal when their field tuples are, and hash as that tuple;
+    ``BaseField``, ``SquareClass`` and ``GaussianInteger``, which every ring
+    operation compares, keep their own faster ``__eq__`` and ``__hash__``.
     Assignment and deletion raise FrozenInstanceError, an AttributeError.
     """
 
     __slots__ = ()
     __match_args__: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # the field tuple; every subclass has two or more fields, so it is a tuple
+        cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # _key is an attrgetter, not a method: it takes the instance
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def _assign(self, *values) -> None:
         """Store values in the slots, in order; the one way a field is set."""

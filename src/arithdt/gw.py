@@ -209,9 +209,10 @@ class GwElement:
         if not isinstance(other, GwElement):
             return NotImplemented
         self._check_field(other)
-        products = (
+        # a list, not a generator: linear_sum walks it faster on small operands
+        products = [
             (_mul_reps(self.field, r1, r2), m1 * m2) for r1, m1 in self.terms for r2, m2 in other.terms
-        )
+        ]
         return GwElement._make(self.field, linear_sum(products).items())
 
     __rmul__ = __mul__

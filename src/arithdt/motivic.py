@@ -237,16 +237,6 @@ class GeneratorSpec(Frozen):
             raise ArithdtError(f"generator {name}: chi_a1 signature does not match chi_real")
         self._assign(name, chi_complex, chi_real, chi_a1)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.name, self.chi_complex, self.chi_real, self.chi_a1)
-            == (other.name, other.chi_complex, other.chi_real, other.chi_a1))
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.chi_complex, self.chi_real, self.chi_a1))
-
 
 def quadratic_point_generator(d: int) -> GeneratorSpec:
     """Generator for the class of Spec of a quadratic field Q(sqrt(d)).

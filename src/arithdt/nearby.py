@@ -39,16 +39,6 @@ class StratumRecord(Frozen):
             raise InputDataError("multiplicities must be positive integers")
         self._assign(index_set, stratum_class, tuple(sorted(mults.items())))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.index_set, self.stratum_class, self.multiplicities)
-            == (other.index_set, other.stratum_class, other.multiplicities))
-
-    def __hash__(self) -> int:
-        return hash((self.index_set, self.stratum_class, self.multiplicities))
-
     @classmethod
     def of(cls, indices, stratum_class: MotivicClass, multiplicities=None) -> "StratumRecord":
         indices = frozenset(indices)
@@ -96,16 +86,6 @@ class SncData(Frozen):
         if json_int(ambient_dimension, "ambient dimension") < 1:
             raise InputDataError("ambient dimension must be at least 1")
         self._assign(tuple(strata), ambient_dimension, central_fiber_class)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.strata, self.ambient_dimension, self.central_fiber_class)
-            == (other.strata, other.ambient_dimension, other.central_fiber_class))
-
-    def __hash__(self) -> int:
-        return hash((self.strata, self.ambient_dimension, self.central_fiber_class))
 
     def to_json_dict(self) -> dict:
         out = {

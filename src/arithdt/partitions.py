@@ -77,16 +77,6 @@ class VerifyReport(Frozen):
     def __init__(self, order: int, agrees: bool, first_mismatch: tuple | None) -> None:
         self._assign(order, agrees, first_mismatch)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.order, self.agrees, self.first_mismatch)
-            == (other.order, other.agrees, other.first_mismatch))
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.agrees, self.first_mismatch))
-
     def __str__(self) -> str:
         if self.agrees:
             return f"agreement through order {self.order}"

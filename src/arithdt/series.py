@@ -28,16 +28,6 @@ class CoefficientRing(Frozen):
     def __init__(self, name: str, zero, one) -> None:
         self._assign(name, zero, one)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            (self.name, self.zero, self.one)
-            == (other.name, other.zero, other.one))
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.zero, self.one))
-
 
 INT_RING = CoefficientRing("Z", 0, 1)
 FRACTION_RING = CoefficientRing("Q", Fraction(0), Fraction(1))

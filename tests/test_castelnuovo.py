@@ -109,7 +109,7 @@ def test_large_m_answers_at_once():
     proc = subprocess.run(
         [sys.executable, "-m", "arithdt", "gv", "--m", "100000", "--compare"],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("m=100000 (N=24999750004): 62499375013*<1> + 62499375012*<-1>")

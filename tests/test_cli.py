@@ -325,7 +325,7 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "arithdt", "--version"],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == arithdt.__version__
@@ -340,7 +340,7 @@ def _ekl_process(tmp_path, payload):
     proc = subprocess.run(
         [sys.executable, "-m", "arithdt", "ekl", "--map", str(path)],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return proc, time.perf_counter() - start
 
@@ -388,7 +388,7 @@ def test_ekl_milnor_dimension_4225_in_bounded_time_and_memory(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script, str(path)],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     seconds = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr

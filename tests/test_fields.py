@@ -209,7 +209,7 @@ def _cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "arithdt", *argv],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return proc, time.perf_counter() - t
 
