@@ -193,9 +193,9 @@ class Frozen:
     A subclass names its fields in ``__match_args__`` and stores them in
     ``__slots__`` (the same names, unless a field is computed); ``__init__``
     validates, then stores them once with ``_assign``.  Instances of one
-    class are equal when their field tuples are, and hash as that tuple;
-    ``BaseField``, ``SquareClass`` and ``GaussianInteger``, which every ring
-    operation compares, keep their own faster ``__eq__`` and ``__hash__``.
+    class are equal when their field tuples are, and hash as that tuple.
+    Only ``BaseField``, which every ring operation compares, keeps its own
+    faster ``__eq__`` and ``__hash__``.
     Assignment and deletion raise FrozenInstanceError, an AttributeError.
     """
 
@@ -367,14 +367,6 @@ class SquareClass(Frozen):
         if square_class_rep(field, rep) != rep:
             raise ArithdtError(f"{rep} is not a canonical representative over {field}")
         self._assign(field, rep)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.field, self.rep) == (other.field, other.rep)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.rep))
 
     @classmethod
     def of(cls, field: BaseField, value) -> "SquareClass":

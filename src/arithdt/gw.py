@@ -63,14 +63,6 @@ class GaussianInteger(Frozen):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.re, self.im) == (other.re, other.im)
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
     def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger(self.re + other.re, self.im + other.im)
 
