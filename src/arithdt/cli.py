@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .errors import ArithdtError, InputDataError
-from .fields import QQ, parse_field_label
+from .fields import QQ, parse_field_label, square_class_rep
 from .gw import GwElement, diagonalize_symmetric
 
 DEFAULT_MAX_ORDER = 30
@@ -74,26 +74,36 @@ _GW_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(?:(H)|<\s*(-?\d+(?:/\d+)
 
 def parse_gw(text: str, field) -> GwElement:
     """Parse '3*<1> + 2*<-1> - H' style expressions; blank or '0' is zero."""
-    result = GwElement.zero(field)
     if text.strip() in ("", "0"):
-        return result
+        return GwElement(field)
+    pairs = []
     pos = 0
     while pos < len(text):
         match = _GW_TERM.match(text, pos)
         if not match or (pos and not match.group(1)):
             raise InputDataError(f"cannot parse GW expression at: {text[pos:]!r}")
         sign, coeff, hyperbolic, rep = match.groups()
-        term = GwElement.hyperbolic(field) if hyperbolic else GwElement.unit(field, rep)
-        result = result + term * ((-1 if sign == "-" else 1) * int(coeff or 1))
+        try:
+            c = int(coeff or 1)
+        except ValueError:  # more digits than int() reads
+            limit = sys.get_int_max_str_digits()
+            raise InputDataError(f"GW coefficient has {len(coeff)} digits, more than {limit}") from None
+        c = -c if sign == "-" else c
+        if hyperbolic:
+            pairs += [(1, c), (-1, c)]
+        elif c:
+            pairs.append((rep, c))
+        else:  # GwElement would not read the rep of a zero term: refuse a bad one here
+            square_class_rep(field, rep)
         pos = match.end()
-    return result
+    return GwElement(field, pairs)
 
 
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise InputDataError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -104,7 +114,7 @@ def _parse_matrix(text: str) -> list:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("expected a JSON list of rows")
         return rows
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputDataError(f"malformed --matrix: {exc}") from exc
 
 

@@ -187,16 +187,15 @@ def linear_sum(pairs) -> dict:
     return acc if all(acc.values()) else {key: c for key, c in acc.items() if c}
 
 
-class Frozen:
-    """Base of the immutable value classes: fields set once, compared by value.
+class Value:
+    """Base of every value type: compared and hashed by its field tuple.
 
-    A subclass names its fields in ``__match_args__`` and stores them in
-    ``__slots__`` (the same names, unless a field is computed); ``__init__``
-    validates, then stores them once with ``_assign``.  Instances of one
-    class are equal when their field tuples are, and hash as that tuple.
-    Only ``BaseField``, which every ring operation compares, keeps its own
-    faster ``__eq__`` and ``__hash__``.
-    Assignment and deletion raise FrozenInstanceError, an AttributeError.
+    A subclass names its fields in ``__match_args__``.  Instances of one class
+    are equal when their field tuples are, and hash as that tuple; another
+    type compares unequal.  The rings subclass it directly and set their slots
+    in their constructors; the records subclass ``Frozen``.  Only ``BaseField``,
+    which every ring operation compares, keeps its own faster ``__eq__`` and
+    ``__hash__``, and ``MultiPoly`` its own ``__hash__``, as its terms are a dict.
     """
 
     __slots__ = ()
@@ -204,8 +203,9 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # the field tuple; every subclass has two or more fields, so it is a tuple
-        cls._key = attrgetter(*cls.__match_args__)
+        # Frozen names no fields; every other subclass has two or more, so the key is a tuple
+        if cls.__match_args__:
+            cls._key = attrgetter(*cls.__match_args__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -215,6 +215,18 @@ class Frozen:
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+
+class Frozen(Value):
+    """Base of the immutable record classes: fields set once, compared as a ``Value``.
+
+    A subclass names its fields in ``__match_args__`` and stores them in
+    ``__slots__`` (the same names, unless a field is computed); ``__init__``
+    validates, then stores them once with ``_assign``.
+    Assignment and deletion raise FrozenInstanceError, an AttributeError.
+    """
+
+    __slots__ = ()
 
     def _assign(self, *values) -> None:
         """Store values in the slots, in order; the one way a field is set."""

@@ -40,6 +40,7 @@ from .fields import (
     Frozen,
     QQ,
     SquareClass,
+    Value,
     binary_power,
     is_prime,
     legendre_symbol,
@@ -128,10 +129,10 @@ def _mul_reps(field: BaseField, a: int, b: int) -> int:
     return square_class_rep(field, a * b)
 
 
-class GwElement:
+class GwElement(Value):
     """An element of GW(k): a formal Z-combination of square classes <a>."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = __match_args__ = ("field", "terms")
 
     def __init__(self, field: BaseField, terms=()):
         if hasattr(terms, "items"):
@@ -208,16 +209,6 @@ class GwElement:
         return GwElement._make(self.field, linear_sum(products).items())
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GwElement)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -332,10 +323,10 @@ class GwElement:
         return cls(field, data["terms"])
 
 
-class GwAlphaElement:
+class GwAlphaElement(Value):
     """even + odd*alpha in GW(k)(alpha), where alpha^2 = <-1>."""
 
-    __slots__ = ("even", "odd")
+    __slots__ = __match_args__ = ("even", "odd")
 
     def __init__(self, even: GwElement, odd: GwElement):
         if even.field != odd.field:
@@ -368,14 +359,10 @@ class GwAlphaElement:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_field(self, other: "GwAlphaElement") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"mixed base fields {self.field} and {other.field}")
-
     def __add__(self, other: "GwAlphaElement") -> "GwAlphaElement":
         if not isinstance(other, GwAlphaElement):
             return NotImplemented
-        self._check_field(other)
+        # GwElement's + and * refuse mixed base fields
         return GwAlphaElement(self.even + other.even, self.odd + other.odd)
 
     def __sub__(self, other: "GwAlphaElement") -> "GwAlphaElement":
@@ -391,23 +378,12 @@ class GwAlphaElement:
             other = GwAlphaElement.from_even(other)
         if not isinstance(other, GwAlphaElement):
             return NotImplemented
-        self._check_field(other)
         minus_one = GwElement.unit(self.field, -1)
         even = self.even * other.even + minus_one * (self.odd * other.odd)
         odd = self.even * other.odd + self.odd * other.even
         return GwAlphaElement(even, odd)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GwAlphaElement)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.even, self.odd))
 
     def is_zero(self) -> bool:
         return self.even.is_zero() and self.odd.is_zero()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import chain, zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
-from .fields import BaseField, Frozen, QQ, RR, binary_power, linear_sum, render_sum
+from .fields import BaseField, Frozen, QQ, RR, Value, binary_power, linear_sum, render_sum
 from .gw import GaussianInteger, GwAlphaElement, GwElement, _alpha_sum, trace_form
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
@@ -53,10 +53,10 @@ def _neg_u(a: _UTerms) -> _UTerms:
     return tuple((e, -c) for e, c in a)
 
 
-class MotivicClass:
+class MotivicClass(Value):
     """An element of Z[L^{1/2}, L^{-1/2}], possibly with symbolic generators."""
 
-    __slots__ = ("u_terms", "extras")
+    __slots__ = __match_args__ = ("u_terms", "extras")
 
     def __init__(self, u_terms=(), extras=()):
         self.u_terms: _UTerms = _sum_u(_exact_u(u_terms))
@@ -149,16 +149,6 @@ class MotivicClass:
         if n < 0:
             raise ArithdtError("negative powers are only defined for monomials; use u_power")
         return binary_power(self, n, MotivicClass.one())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MotivicClass)
-            and self.u_terms == other.u_terms
-            and self.extras == other.extras
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.u_terms, self.extras))
 
     def is_zero(self) -> bool:
         return not self.u_terms and not self.extras

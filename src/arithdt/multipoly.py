@@ -13,11 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArithdtError, json_int, json_rational
-from .fields import binary_power, linear_sum, render_sum
+from .fields import Value, binary_power, linear_sum, render_sum
 
 
-class MultiPoly:
-    __slots__ = ("variables", "terms")
+class MultiPoly(Value):
+    __slots__ = __match_args__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -131,14 +131,8 @@ class MultiPoly:
             raise ArithdtError("negative polynomial powers are undefined")
         return binary_power(self, n, MultiPoly.constant(self.variables, 1))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
+        # terms is a dict: hash its items in a canonical order
         return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def is_zero(self) -> bool:

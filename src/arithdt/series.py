@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
-from .fields import BaseField, Frozen, QQ, binary_power
+from .fields import BaseField, Frozen, QQ, Value, binary_power
 from .gw import GAUSSIAN_ONE, GAUSSIAN_ZERO, GwAlphaElement, GwElement
 from .motivic import MOT_ONE, MOT_ZERO
 
@@ -45,10 +45,10 @@ def gw_alpha_ring(field: BaseField = QQ) -> CoefficientRing:
     )
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Power series in t modulo t^{order+1}, coefficients in a fixed ring."""
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = __match_args__ = ("ring", "order", "coeffs")
 
     def __init__(self, ring: CoefficientRing, order: int, coeffs):
         if order < 1:
@@ -158,17 +158,6 @@ class TruncatedSeries:
     def map_coeffs(self, fn, ring: CoefficientRing) -> "TruncatedSeries":
         """Apply a ring morphism termwise, landing in the given ring."""
         return TruncatedSeries(ring, self.order, [fn(c) for c in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.ring == other.ring
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.order, self.coeffs))
 
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)

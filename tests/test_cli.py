@@ -259,6 +259,10 @@ def test_domain_errors_exit_one(tmp_path, capsys):
         ["gw", "--op", "diagonalize", "--matrix", "5"],
         ["nearby", "--data", "{x0}"],
         ["gw", "--op", "rank", "--a", "<2>", "--out", "{missing}"],
+        ["ekl", "--map", "{deep}"],
+        ["nearby", "--data", "{deep}"],
+        ["gw", "--op", "diagonalize", "--matrix", "{deep_text}"],
+        ["gw", "--op", "rank", "--a", "{long_coeff}"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
@@ -267,7 +271,13 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     x0 = tmp_path / "x0.json"
     x0.write_text(json.dumps({"dim": 2, "x0_class": {"u_coeffs": [["1/2", 1]]}, "strata": []}))
     missing = tmp_path / "missing-dir" / "x.json"
-    paths = {"{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0), "{missing}": str(missing)}
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)  # nested past the JSON decoder's recursion limit
+    paths = {
+        "{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0), "{missing}": str(missing),
+        "{deep}": str(deep), "{deep_text}": "[" * 100_000,
+        "{long_coeff}": "9" * 5000 + "*<1>",  # more digits than int() reads by default
+    }
     code, _, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
     assert code == 1
     lines = err.splitlines()
