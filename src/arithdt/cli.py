@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import __version__
-from .errors import ArithdtError, InputDataError
+from .errors import ArithdtError, InputDataError, brief
 from .fields import QQ, parse_field_label, square_class_rep
 from .gw import GwElement, diagonalize_symmetric
 
@@ -34,7 +34,7 @@ def max_series_order() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise InputDataError(f"ARITHDT_MAX_ORDER must be an integer, got {raw!r}") from None
+        raise InputDataError(f"ARITHDT_MAX_ORDER must be an integer, got {brief(raw)}") from None
     if value < 1:
         raise InputDataError("ARITHDT_MAX_ORDER must be positive")
     return value
@@ -81,7 +81,7 @@ def parse_gw(text: str, field) -> GwElement:
     while pos < len(text):
         match = _GW_TERM.match(text, pos)
         if not match or (pos and not match.group(1)):
-            raise InputDataError(f"cannot parse GW expression at: {text[pos:]!r}")
+            raise InputDataError(f"cannot parse GW expression at: {brief(text[pos:])}")
         sign, coeff, hyperbolic, rep = match.groups()
         try:
             c = int(coeff or 1)

@@ -14,9 +14,13 @@ Truncation lemma: the m-th factor of each infinite product is 1 + O(t^m),
 so a series of order N only needs the finitely many factors with m <= N;
 the truncated result is exact.  Each factor (1 - c t^m ...)^{-e} is applied
 by one in-place division, result / factor**e, over its few nonzero terms.
-The m linear factors of the motivic series that share t^m are applied as
-one: their product, expanded by the q-binomial theorem, has nonzero terms
-only at t^{jm} for j <= min(m, N // m).
+
+The motivic series is computed over the integers (Kronecker substitution).
+With u = L^{1/2} and t = T u, every factor is 1 - u^{2k+4} T^m, so each
+coefficient of Z(T u) is a polynomial in u with coefficients >= 0, and at
+T^n they add up to the MacMahon number M_n.  Evaluated at u = 2^b with
+2^b > max M_n, the coefficient of T^n is one integer whose base-2^b digits
+are the coefficients of u^{s-n} t^n in Z(t), read off with no carry.
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -31,7 +35,7 @@ from fractions import Fraction
 from .errors import ArithdtError, json_rational
 from .fields import BaseField, Frozen, QQ, RR
 from .gw import GwAlphaElement, GwElement, alpha_power
-from .motivic import MotivicClass, chi_a1, grassmannian_class
+from .motivic import MotivicClass, chi_a1
 from .series import (
     GAUSSIAN_RING,
     INT_RING,
@@ -41,27 +45,55 @@ from .series import (
 )
 
 
+def _z_motivic_at(order: int, u: int) -> TruncatedSeries:
+    """Z(T u) over Z, with u = L^{1/2} evaluated at the integer ``u``.
+
+    For each m the m factors 1 - u^4 q^k T^m, k < m, q = u^2, multiply out
+    by the q-binomial theorem (Andrews, *The Theory of Partitions*, ch. 3) to
+
+        sum_j (-1)^j u^{j(j+3)} [m choose j]_q T^{jm},
+
+    so the series is divided once per m; [m choose j]_q is built from
+    [m choose j-1]_q, and is the ordinary binomial at q = 1.
+    """
+    q = u * u
+    result = TruncatedSeries.one(INT_RING, order)
+    for m in range(1, order + 1):
+        terms, binomial = {0: 1}, 1
+        for j in range(1, min(m, order // m) + 1):
+            if q == 1:
+                binomial = binomial * (m - j + 1) // j
+            else:
+                binomial = binomial * (q ** (m - j + 1) - 1) // (q**j - 1)
+            terms[j * m] = (-1) ** j * u ** (j * (j + 3)) * binomial
+        result = result / TruncatedSeries.from_terms(INT_RING, order, terms)
+    return result
+
+
 def z_motivic(order: int) -> TruncatedSeries:
     """Motivic partition function, coefficients in Z[L^{1/2}, L^{-1/2}].
 
-    For each m the linear factors 1 - L^k x, k < m, with x = L^{2-m/2} t^m,
-    multiply out by the q-binomial theorem (Andrews, *The Theory of
-    Partitions*, ch. 3) to
-
-        prod_{k<m} (1 - L^k x) = sum_j (-1)^j L^{j(j-1)/2} [m choose j]_L x^j,
-
-    so the series is divided once per m, by that sum truncated at t^N,
-    instead of once per linear factor.
+    The coefficient of T^n in Z(T u) is u^n z_n(u), where z_n is the
+    coefficient of t^n in Z(t).  Every inverted factor 1 / (1 - u^{2k+4} T^m)
+    has coefficients 0 and 1, so u^n z_n is a polynomial in u with
+    coefficients >= 0 that add up to its value at u = 1, the MacMahon number
+    M_n < 2^b with b = max M_n .bit_length().  Evaluation at an integer is a
+    ring morphism, so at u = 2^b the coefficient of T^n is an integer whose
+    base-2^b digits, read with shifts and masks, are the coefficients of
+    u^{s-n} in z_n, s = 0, 1, ...: no digit carries.
     """
-    result = TruncatedSeries.one(MOTIVIC_RING, order)
-    for m in range(1, order + 1):
-        # prod_{k<m} (1 - L^k x) at x = u^{4-m} t^m, expanded by the q-binomial theorem
-        terms = {0: MOTIVIC_RING.one}
-        for j in range(1, min(m, order // m) + 1):
-            shift = MotivicClass.u_power(j * (j - 1) + (4 - m) * j, (-1) ** j)
-            terms[j * m] = shift * grassmannian_class(m, j)
-        result = result / TruncatedSeries.from_terms(MOTIVIC_RING, order, terms)
-    return result
+    b = max(_z_motivic_at(order, 1).coeffs).bit_length()
+    mask = (1 << b) - 1
+    coeffs = []
+    for n, packed in enumerate(_z_motivic_at(order, 1 << b).coeffs):
+        terms, e = [], -n
+        while packed:
+            if digit := packed & mask:
+                terms.append((e, digit))
+            packed >>= b
+            e += 1
+        coeffs.append(MotivicClass._make(tuple(terms)))
+    return TruncatedSeries(MOTIVIC_RING, order, coeffs)
 
 
 def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:

@@ -78,11 +78,32 @@ class FrozenInstanceError(AttributeError):
     """
 
 
+def brief(value) -> str:
+    """``value`` as an error line echoes it: its repr, whole up to 80 characters.
+
+    A longer one is cut to its first 40 characters and its length.  A string
+    is cut before its repr is taken, so the length is the input's own, and an
+    int is cut by arithmetic, as str() refuses ints of over 4,300 digits.
+    """
+    if type(value) is int:
+        n = abs(value)
+        if n < 10**80:
+            return str(value)
+        digits = (n.bit_length() - 1) * 1233 >> 12  # below log10(n): 1233 / 4096 < log10(2)
+        while 10**digits <= n:
+            digits += 1
+        return f"{'-' * (value < 0)}{n // 10 ** (digits - 40)}... ({digits} digits)"
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 80 else f"{value[:40]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def json_int(value, what: str) -> int:
     """``value`` if it is an int, as JSON integers are; floats, bools, fractions
     and strings are refused, never truncated."""
     if type(value) is not int:
-        raise InputDataError(f"{what} must be an integer, got {value!r}")
+        raise InputDataError(f"{what} must be an integer, got {brief(value)}")
     return value
 
 
@@ -90,8 +111,8 @@ def json_rational(value, what: str) -> Fraction:
     """``value`` as a Fraction if it is an int, a Fraction or a rational string;
     floats and bools are refused, never read as binary fractions."""
     if type(value) is not int and not isinstance(value, (Fraction, str)):
-        raise InputDataError(f"{what} must be an integer, a fraction or a rational string, got {value!r}")
+        raise InputDataError(f"{what} must be an integer, a fraction or a rational string, got {brief(value)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise InputDataError(f"{what} is not a rational number: {value!r}") from None
+        raise InputDataError(f"{what} is not a rational number: {brief(value)}") from None

@@ -14,7 +14,7 @@ from itertools import count
 from math import gcd, prod
 from operator import attrgetter
 
-from .errors import ArithdtError, FrozenInstanceError, json_int, json_rational
+from .errors import ArithdtError, FrozenInstanceError, brief, json_int, json_rational
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below psi_13
@@ -74,7 +74,7 @@ def _is_prime_cofactor(m: int) -> bool:
         else:
             return False
     if m >= _PSI_13:
-        raise ArithdtError(f"{m} cannot be proved prime, as Miller-Rabin to 13 bases "
+        raise ArithdtError(f"{brief(m)} cannot be proved prime, as Miller-Rabin to 13 bases "
                            f"is a proof only below psi_13 = {_PSI_13}")
     return True
 
@@ -119,7 +119,7 @@ def _rho_split(n: int, budget: int) -> tuple[int, int]:
         while g == 1:
             budget -= 2 * r * cost
             if budget < 0:
-                raise ArithdtError(f"cannot factor the {bits}-bit composite {n} "
+                raise ArithdtError(f"cannot factor the {bits}-bit composite {brief(n)} "
                                    f"within {_RHO_STEPS // cost} Pollard-Brent steps")
             x = y
             for _ in range(r):
@@ -348,7 +348,7 @@ def parse_field_label(label: str) -> BaseField:
             return finite_field(int(label[1:]))
         except ValueError:
             pass
-    raise ArithdtError(f"unrecognized base field label: {label!r}")
+    raise ArithdtError(f"unrecognized base field label: {brief(label)}")
 
 
 def square_class_rep(field: BaseField, value) -> int:

@@ -7,7 +7,9 @@ operation truncates eagerly at that order.  Inverses, negative powers and
 each Euler factor in dt.py are applied by one in-place division, __truediv__,
 whose cost is the divisor's nonzero terms times the order: dt.py hands it
 whole products of factors, such as the q-binomial expansion of the m-th
-motivic factor, rather than one linear factor at a time.
+motivic factor evaluated at an integer, rather than one linear factor at a
+time.  The motivic series itself is divided over Z (INT_RING) and unpacked
+into MotivicClass coefficients afterwards.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 import arithdt
 from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
-from arithdt.errors import InputDataError
+from arithdt.errors import InputDataError, brief
 from arithdt.fields import QQ
 from arithdt.gw import GwAlphaElement, GwElement
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, chi_real
@@ -263,9 +263,12 @@ def test_domain_errors_exit_one(tmp_path, capsys):
         ["nearby", "--data", "{deep}"],
         ["gw", "--op", "diagonalize", "--matrix", "{deep_text}"],
         ["gw", "--op", "rank", "--a", "{long_coeff}"],
+        ["gw", "--op", "rank", "--a", "<2>", "--field", "{long_field}"],
+        ["{long_cap}", "dt-a3", "--order", "3"],
+        ["gw", "--op", "rank", "--a", "{long_gw}"],
     ],
 )
-def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vars": [')
     x0 = tmp_path / "x0.json"
@@ -277,11 +280,30 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
         "{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0), "{missing}": str(missing),
         "{deep}": str(deep), "{deep_text}": "[" * 100_000,
         "{long_coeff}": "9" * 5000 + "*<1>",  # more digits than int() reads by default
+        "{long_field}": "F" + "7" * 5000,
+        "{long_gw}": "<" + "1" * 4999,  # no closing bracket
     }
+    if argv[0] == "{long_cap}":  # the cap is read from the environment
+        monkeypatch.setenv("ARITHDT_MAX_ORDER", "7" * 5000)
+        argv = argv[1:]
     code, _, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    # a long input is echoed cut short; the test's own directory counts as one short name
+    assert len(err.replace(str(tmp_path), "<tmp>").encode()) < 200
+
+
+def test_error_lines_echo_long_inputs_cut_short(capsys):
+    assert brief("Fx") == "'Fx'" and brief(0.1) == "0.1" and brief(-5) == "-5"
+    assert brief("7" * 80) == repr("7" * 80) and brief(10**80 - 1) == "9" * 80
+    assert brief("7" * 81) == repr("7" * 40) + "... (81 characters)"
+    assert brief(-(10**80)) == "-1" + "0" * 39 + "... (81 digits)"
+    # past the 4,300 digits that str() takes
+    assert brief(3 * 10**5000 + 1) == "3" + "0" * 39 + "... (5001 digits)"
+    # short inputs are echoed as before
+    code, _, err = run_cli(["dt-a3", "--order", "3", "--field", "Fx"], capsys)
+    assert code == 1 and err == "error: unrecognized base field label: 'Fx'\n"
 
 
 def _ekl_map(coeff=1, exponent=1):

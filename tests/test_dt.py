@@ -22,7 +22,7 @@ from arithdt.dt import (
 )
 from arithdt.fields import QQ, finite_field
 from arithdt.gw import GaussianInteger
-from arithdt.motivic import MotivicClass, chi_a1, chi_complex
+from arithdt.motivic import MotivicClass, chi_a1, chi_complex, grassmannian_class
 from arithdt.partitions import count_plane_partitions
 from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
 
@@ -137,6 +137,35 @@ def _z_motivic_linear_factors(order):
 @pytest.mark.parametrize("order", range(1, 31))
 def test_whole_euler_factors_match_linear_factors(order):
     assert z_motivic(order) == _z_motivic_linear_factors(order)
+
+
+def _z_motivic_q_binomial(order):
+    """The motivic series divided once per m, by the q-binomial expansion of
+    prod_{k<m} (1 - L^k x), x = u^{4-m} t^m, over MotivicClass."""
+    result = TruncatedSeries.one(MOTIVIC_RING, order)
+    for m in range(1, order + 1):
+        terms = {0: MOTIVIC_RING.one}
+        for j in range(1, min(m, order // m) + 1):
+            shift = MotivicClass.u_power(j * (j - 1) + (4 - m) * j, (-1) ** j)
+            terms[j * m] = shift * grassmannian_class(m, j)
+        result = result / TruncatedSeries.from_terms(MOTIVIC_RING, order, terms)
+    return result
+
+
+@pytest.mark.parametrize("order", [*range(31, 41), 60])
+def test_packed_series_matches_q_binomial_division(order):
+    assert z_motivic(order) == _z_motivic_q_binomial(order)
+
+
+def test_packed_digits_are_nonnegative_and_sum_to_macmahon():
+    # the packing reads base-2^b digits of Z(T u) at u = 2^b, T = t / u:
+    # they carry nothing only if the coefficients of u^n z_n are >= 0 and sum to M_n < 2^b
+    counts = macmahon(40).coeffs
+    for order in range(1, 41):
+        for n, coeff in enumerate(z_motivic(order).coeffs):
+            assert coeff.is_tate()
+            assert all(c > 0 and e >= -n for e, c in coeff.u_terms)
+            assert sum(c for _, c in coeff.u_terms) == counts[n]
 
 
 def _digest(series):
