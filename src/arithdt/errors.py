@@ -95,7 +95,21 @@ def brief(value) -> str:
         return f"{'-' * (value < 0)}{n // 10 ** (digits - 40)}... ({digits} digits)"
     if isinstance(value, str):
         return repr(value) if len(value) <= 80 else f"{value[:40]!r}... ({len(value)} characters)"
-    text = repr(value)
+    return _cut(repr(value))
+
+
+def brief_str(value: Fraction) -> str:
+    """``str(value)`` cut as ``brief`` cuts a repr, so ``1/5`` stays ``1/5``.
+
+    A part of over 4,300 digits, which str() refuses, is shown as ``brief`` shows an int.
+    """
+    try:
+        return _cut(str(value))
+    except ValueError:
+        return f"{brief(value.numerator)}/{brief(value.denominator)}"
+
+
+def _cut(text: str) -> str:
     return text if len(text) <= 80 else f"{text[:40]}... ({len(text)} characters)"
 
 

@@ -14,7 +14,7 @@ from itertools import count
 from math import gcd, prod
 from operator import attrgetter
 
-from .errors import ArithdtError, FrozenInstanceError, brief, json_int, json_rational
+from .errors import ArithdtError, FrozenInstanceError, brief, brief_str, json_int, json_rational
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below psi_13
@@ -25,6 +25,10 @@ _PSI_13 = 3317044064679887385961981
 # composites charged by their cost (_rho_split): a refusal comes within
 # seconds, and seeded products of two 40-bit primes split inside it.
 _RHO_STEPS = 1 << 22
+# Longer numbers with no prime factor up to 41 are refused before Miller-Rabin:
+# one base costs seconds at 13,000 bits, and rho peels each small factor off
+# with a new test of the whole cofactor, so a refusal would take minutes.
+_MAX_COFACTOR_BITS = 1024
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -58,10 +62,15 @@ def factorize(n: int) -> dict[int, int]:
 def _is_prime_cofactor(m: int) -> bool:
     """Whether m > 1, with no prime factor up to 41, is prime: a failed base proves it is not.
 
-    Raises ArithdtError when m >= psi_13 passes every base, as no verdict is proved then.
+    Raises ArithdtError when m >= psi_13 passes every base, as no verdict is proved
+    then, and at once when m has more than _MAX_COFACTOR_BITS bits.
     """
     if m < 43 * 43:
         return True
+    if (bits := m.bit_length()) > _MAX_COFACTOR_BITS:
+        raise ArithdtError(f"{brief(m)} has {bits} bits and no prime factor up to 41; numbers "
+                           f"of more than {_MAX_COFACTOR_BITS} bits are neither factored nor tested "
+                           "for primality")
     s = ((m - 1) & (1 - m)).bit_length() - 1
     for a in _SMALL_PRIMES:
         x = pow(a, (m - 1) >> s, m)
@@ -365,7 +374,7 @@ def square_class_rep(field: BaseField, value) -> int:
         return squarefree_part(value.numerator * value.denominator)
     p = field.p
     if value.numerator % p == 0 or value.denominator % p == 0:
-        raise ArithdtError(f"{value} is not a unit modulo {p}")
+        raise ArithdtError(f"{brief_str(value)} is not a unit modulo {p}")
     a = value.numerator * pow(value.denominator, -1, p) % p
     return 1 if legendre_symbol(a, p) == 1 else least_nonresidue(p)
 

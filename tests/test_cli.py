@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import arithdt
 from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
-from arithdt.errors import InputDataError, brief
+from arithdt.errors import InputDataError, brief, brief_str
 from arithdt.fields import QQ
 from arithdt.gw import GwAlphaElement, GwElement
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, chi_real
@@ -266,6 +267,7 @@ def test_domain_errors_exit_one(tmp_path, capsys):
         ["gw", "--op", "rank", "--a", "<2>", "--field", "{long_field}"],
         ["{long_cap}", "dt-a3", "--order", "3"],
         ["gw", "--op", "rank", "--a", "{long_gw}"],
+        ["gw", "--op", "rank", "--a", "{long_nonunit}", "--field", "F5"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
@@ -282,6 +284,7 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
         "{long_coeff}": "9" * 5000 + "*<1>",  # more digits than int() reads by default
         "{long_field}": "F" + "7" * 5000,
         "{long_gw}": "<" + "1" * 4999,  # no closing bracket
+        "{long_nonunit}": "<5" + "0" * 3000 + ">",  # not a unit modulo 5
     }
     if argv[0] == "{long_cap}":  # the cap is read from the environment
         monkeypatch.setenv("ARITHDT_MAX_ORDER", "7" * 5000)
@@ -301,9 +304,14 @@ def test_error_lines_echo_long_inputs_cut_short(capsys):
     assert brief(-(10**80)) == "-1" + "0" * 39 + "... (81 digits)"
     # past the 4,300 digits that str() takes
     assert brief(3 * 10**5000 + 1) == "3" + "0" * 39 + "... (5001 digits)"
+    assert brief_str(Fraction(1, 5)) == "1/5"
+    assert brief_str(Fraction(10**80, 3)) == "1" + "0" * 39 + "... (83 characters)"
+    assert brief_str(Fraction(3 * 10**5000 + 1, 11)) == "3" + "0" * 39 + "... (5001 digits)/11"
     # short inputs are echoed as before
     code, _, err = run_cli(["dt-a3", "--order", "3", "--field", "Fx"], capsys)
     assert code == 1 and err == "error: unrecognized base field label: 'Fx'\n"
+    code, _, err = run_cli(["gw", "--op", "rank", "--a", "<1/5>", "--field", "F5"], capsys)
+    assert code == 1 and err == "error: 1/5 is not a unit modulo 5\n"
 
 
 def _ekl_map(coeff=1, exponent=1):

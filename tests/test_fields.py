@@ -276,3 +276,21 @@ def test_long_composite_is_refused_in_seconds():
     assert "Pollard-Brent" in lines[0]
     assert seconds < 5.0
 
+
+def test_very_long_cofactor_is_refused_at_once():
+    # 10^3999 + 1 has 13,275 bits after 7, 11 and 13: one Miller-Rabin base took 5 s, and
+    # rho peeled three more small factors, each followed by a new test, for 33.5 s in all
+    proc, seconds = _cli("gw", "--op", "rank", "--a", f"<{10**3999 + 1}>")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "has 13275 bits" in lines[0] and len(lines[0]) < 200
+    assert seconds < 5.0
+
+
+def test_cofactors_past_1024_bits_are_refused():
+    assert factorize(M61**16) == {M61: 16}  # 976 bits
+    with pytest.raises(ArithdtError, match="more than 1024 bits"):
+        factorize(M61**17)  # 1037 bits
+    with pytest.raises(ArithdtError, match="more than 1024 bits"):
+        is_prime(P500 * Q500 * P40)
