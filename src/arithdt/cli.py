@@ -280,28 +280,18 @@ def _cmd_gw(args) -> tuple[dict, str]:
     raise InputDataError(f"unknown gw op {op!r}")
 
 
-def _series_payload(series, renderer) -> tuple[dict, str]:
-    lines = [f"t^{n}: {renderer(c)}" for n, c in enumerate(series.coeffs)]
-    return {"series": series.to_json_dict()}, "\n".join(lines)
-
-
 def _cmd_dt_a3(args) -> tuple[dict, str]:
     from .dt import partition_function
 
     cap = max_series_order()
     if args.order > cap:
         raise InputDataError(f"order {args.order} exceeds the cap {cap} (ARITHDT_MAX_ORDER)")
-    result = partition_function(args.order, parse_field_label(args.field))
-    kind = args.output
-    if kind == "motivic":
-        return _series_payload(result.motivic, lambda c: c.render())
-    if kind == "arithmetic":
-        return _series_payload(result.arithmetic, lambda c: c.render())
-    if kind == "real":
-        return _series_payload(result.real, str)
-    payload, _ = _series_payload(result.complex, str)
-    text = ", ".join(str(c) for c in result.complex.coeffs)
-    return payload, text
+    series = getattr(partition_function(args.order, parse_field_label(args.field)), args.output)
+    if args.output == "complex":
+        text = ", ".join(str(c) for c in series.coeffs)
+    else:
+        text = "\n".join(f"t^{n}: {c}" for n, c in enumerate(series.coeffs))
+    return {"series": series.to_json_dict()}, text
 
 
 def _cmd_ekl(args) -> tuple[dict, str]:

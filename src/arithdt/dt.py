@@ -12,15 +12,13 @@ MacMahon series M^sym(-it).
 
 Truncation lemma: the m-th factor of each infinite product is 1 + O(t^m),
 so a series of order N only needs the finitely many factors with m <= N;
-the truncated result is exact.  Each factor (1 - c t^m ...)^{-e} is applied
-by one in-place division, result / factor**e, over its few nonzero terms.
+the truncated result is exact.
 
-The motivic series is computed over the integers (Kronecker substitution).
-With u = L^{1/2} and t = T u, every factor is 1 - u^{2k+4} T^m, so each
-coefficient of Z(T u) is a polynomial in u with coefficients >= 0, and at
-T^n they add up to the MacMahon number M_n.  Evaluated at u = 2^b with
-2^b > max M_n, the coefficient of T^n is one integer whose base-2^b digits
-are the coefficients of u^{s-n} t^n in Z(t), read off with no carry.
+Each series has one route.  With u = L^{1/2} and t = T u, Z(T u) is
+divided over the integers: at u = 1 it is the MacMahon series M(T), and at
+u = 2^b it packs Z(t) into base-2^b digits (Kronecker substitution; see
+z_motivic).  The arithmetic, complex and real series are termwise chi_a1
+images of Z(t); only M^sym is multiplied out from its own product.
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -34,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ArithdtError, json_rational
 from .fields import BaseField, Frozen, QQ, RR
-from .gw import GwAlphaElement, GwElement, alpha_power
+from .gw import GwAlphaElement
 from .motivic import MotivicClass, chi_a1
 from .series import (
     GAUSSIAN_RING,
@@ -82,7 +80,7 @@ def z_motivic(order: int) -> TruncatedSeries:
     base-2^b digits, read with shifts and masks, are the coefficients of
     u^{s-n} in z_n, s = 0, 1, ...: no digit carries.
     """
-    b = max(_z_motivic_at(order, 1).coeffs).bit_length()
+    b = max(macmahon(order).coeffs).bit_length()
     mask = (1 << b) - 1
     coeffs = []
     for n, packed in enumerate(_z_motivic_at(order, 1 << b).coeffs):
@@ -96,40 +94,19 @@ def z_motivic(order: int) -> TruncatedSeries:
     return TruncatedSeries(MOTIVIC_RING, order, coeffs)
 
 
-def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
-    """Quadratic-form refinement, coefficients in GW(k)(alpha).
+def _chi_a1_image(motivic: TruncatedSeries, field: BaseField) -> TruncatedSeries:
+    return motivic.map_coeffs(lambda c: chi_a1(c, field), gw_alpha_ring(field))
 
-    Built directly from the factored product: for each m the m paired signs
-    combine into (1 - (alpha t)^m H + <-1> (alpha t)^{2m})^{-floor(m/2)},
-    and odd m leave one unpaired factor (1 - (<-1>alpha t)^m)^{-1}.  The
-    <-1> on the unpaired factor is forced by the morphism (L^{-m/2} maps to
-    alpha^{-m} = <-1>^m alpha^m) and by the real specialization, which
-    expands in powers of -it.
-    """
-    ring = gw_alpha_ring(field)
-    minus_one = GwElement.unit(field, -1)
-    hyper = GwAlphaElement.from_even(GwElement.hyperbolic(field))
-    result = TruncatedSeries.one(ring, order)
-    for m in range(1, order + 1):
-        paired = {
-            0: ring.one,
-            m: -(alpha_power(field, m) * hyper),
-            2 * m: minus_one * alpha_power(field, 2 * m),
-        }
-        result = result / TruncatedSeries.from_terms(ring, order, paired) ** (m // 2)
-        if m % 2:
-            unpaired = {0: ring.one, m: -(alpha_power(field, m) * minus_one)}
-            result = result / TruncatedSeries.from_terms(ring, order, unpaired)
-    return result
+
+def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
+    """Quadratic-form refinement, coefficients in GW(k)(alpha): the termwise
+    chi_a1 image of z_motivic over ``field``, u = L^{1/2} sent to alpha."""
+    return _chi_a1_image(z_motivic(order), field)
 
 
 def macmahon(order: int) -> TruncatedSeries:
-    """M(q) = prod (1 - q^n)^{-n}: the plane-partition counting series."""
-    result = TruncatedSeries.one(INT_RING, order)
-    for n in range(1, order + 1):
-        factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, n: -1})
-        result = result / factor ** n
-    return result
+    """M(q) = prod (1 - q^n)^{-n}, the plane-partition series: Z(T u) at u = 1."""
+    return _z_motivic_at(order, 1)
 
 
 def macmahon_symmetric(order: int) -> TruncatedSeries:
@@ -155,9 +132,9 @@ class PartitionFunctionResult(Frozen):
 def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionResult:
     """The series over ``field``; the complex and real images do not depend on it."""
     motivic = z_motivic(order)
-    arithmetic = motivic.map_coeffs(lambda c: chi_a1(c, field), gw_alpha_ring(field))
+    arithmetic = _chi_a1_image(motivic, field)
     # one chi_a1 over R per coefficient: chi_complex and chi_real are its rank and signature
-    over_r = motivic.map_coeffs(lambda c: chi_a1(c, RR), gw_alpha_ring(RR))
+    over_r = _chi_a1_image(motivic, RR)
     complex_series = over_r.map_coeffs(GwAlphaElement.numeric_complex, INT_RING)
     real_series = over_r.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING)
     return PartitionFunctionResult(motivic, arithmetic, complex_series, real_series)

@@ -233,10 +233,11 @@ class QuotientAlgebra:
         monomials.sort(key=grevlex_key)
         algebra = cls(variables, basis, lms, monomials)
         for i in range(n):
-            # coordinates of x_i^dim, from those of b_0 = 1
+            # coordinates of x_i^dim, from those of b_0 = 1, stopping at the first zero power
             power = {0: Fraction(1)}
             for _ in range(algebra.dimension):
-                power = algebra._times(i, power)
+                if not (power := algebra._times(i, power)):
+                    break
             if power:
                 raise NotSupportedAtOriginError(
                     f"{variables[i]} is not nilpotent in the quotient: "

@@ -4,12 +4,13 @@ Coefficients live in any commutative ring whose elements support +, -, *
 and ==; the ring itself is described by a small adapter carrying its zero
 and one.  A series of order N stores coefficients of t^0 .. t^N and every
 operation truncates eagerly at that order.  Inverses, negative powers and
-each Euler factor in dt.py are applied by one in-place division, __truediv__,
-whose cost is the divisor's nonzero terms times the order: dt.py hands it
-whole products of factors, such as the q-binomial expansion of the m-th
-motivic factor evaluated at an integer, rather than one linear factor at a
-time.  The motivic series itself is divided over Z (INT_RING) and unpacked
-into MotivicClass coefficients afterwards.
+the Euler products in dt.py are applied by one in-place division,
+__truediv__, whose cost is the divisor's nonzero terms times the order.
+dt.py divides two products, both over Z (INT_RING): Z(T u) at an integer u,
+one q-binomial group per m, which is MacMahon's series at u = 1 and packs
+the motivic series at u = 2^b; and M^sym, one factor at a time.  The
+arithmetic, complex and real series are chi_a1 images of the motivic
+series, taken by map_coeffs.
 """
 
 from __future__ import annotations

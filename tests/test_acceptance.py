@@ -41,6 +41,7 @@ from arithdt.nearby import (
 )
 from arithdt.partitions import count_plane_partitions, count_symmetric_plane_partitions
 from arithdt.series import gw_alpha_ring
+from test_dt import _z_arithmetic_product
 
 
 def _report(number: int, ok: bool, description: str) -> None:
@@ -82,7 +83,7 @@ def test_criterion_2_symmetric_macmahon_bridge():
 
 def test_criterion_3_refinement_identity():
     order = 10
-    product_form = z_arithmetic(order, QQ)
+    product_form = _z_arithmetic_product(order, QQ)
     mapped = z_motivic(order).map_coeffs(lambda c: chi_a1(c, QQ), gw_alpha_ring(QQ))
     ok = all(a.gw_equal(b) for a, b in zip(product_form.coeffs, mapped.coeffs))
     _report(3, ok, "Z_GW(10) equals the termwise chi_a1 image of Z(10) over Q")

@@ -169,3 +169,15 @@ def test_compare_reports():
     assert m4.alpha_factor_match
     assert m4.gw_equal_verdict is False
     assert m4.signatures_agree is False  # -1 versus i
+
+
+@pytest.mark.xfail(strict=True, reason="gv_compare checks direct == alpha * closed only, "
+                   "not closed == alpha * direct: m = 8, 9, 16, 17, ... say 'disagree'")
+def test_compare_never_says_disagree_for_an_alpha_factor_either_way():
+    for m in range(1, 41):
+        report = gv_compare(m)
+        if report.closed is None:
+            continue
+        direct, closed = report.direct, report.closed
+        if direct.gw_equal(ALPHA * closed) or closed.gw_equal(ALPHA * direct):
+            assert "disagree" not in report.description, m

@@ -20,8 +20,8 @@ from arithdt.dt import (
     z_arithmetic,
     z_motivic,
 )
-from arithdt.fields import QQ, finite_field
-from arithdt.gw import GaussianInteger
+from arithdt.fields import CC, QQ, RR, finite_field
+from arithdt.gw import GaussianInteger, GwAlphaElement, GwElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, grassmannian_class
 from arithdt.partitions import count_plane_partitions
 from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
@@ -57,21 +57,56 @@ def test_complex_specialization_counts_plane_partitions():
         assert chi_complex(series.coeffs[n]) == (-1) ** n * count_plane_partitions(n)
 
 
+def _z_arithmetic_product(order, field):
+    """The arithmetic series multiplied out from its own factored product.
+
+    For each m the m paired signs combine into
+    (1 - (alpha t)^m H + <-1> (alpha t)^{2m})^{-floor(m/2)}, and odd m leave
+    one unpaired factor (1 - (<-1>alpha t)^m)^{-1}.  The <-1> on the unpaired
+    factor is forced by the morphism (L^{-m/2} maps to alpha^{-m} =
+    <-1>^m alpha^m) and by the real specialization, which expands in powers
+    of -it.
+    """
+    ring = gw_alpha_ring(field)
+    minus_one = GwElement.unit(field, -1)
+    hyper = GwAlphaElement.from_even(GwElement.hyperbolic(field))
+    result = TruncatedSeries.one(ring, order)
+    for m in range(1, order + 1):
+        paired = {
+            0: ring.one,
+            m: -(alpha_power(field, m) * hyper),
+            2 * m: minus_one * alpha_power(field, 2 * m),
+        }
+        result = result / TruncatedSeries.from_terms(ring, order, paired) ** (m // 2)
+        if m % 2:
+            unpaired = {0: ring.one, m: -(alpha_power(field, m) * minus_one)}
+            result = result / TruncatedSeries.from_terms(ring, order, unpaired)
+    return result
+
+
+FIELDS = [QQ, RR, CC, finite_field(3), finite_field(5), finite_field(7)]
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 30])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_arithmetic_series_matches_factored_product(field, order):
+    assert z_arithmetic(order, field) == _z_arithmetic_product(order, field)
+
+
 def test_arithmetic_series_refines_motivic_series():
     order = 8
-    za = z_arithmetic(order)
+    product_form = _z_arithmetic_product(order, QQ)
     mapped = z_motivic(order).map_coeffs(lambda c: chi_a1(c, QQ), gw_alpha_ring(QQ))
-    for a, b in zip(za.coeffs, mapped.coeffs):
+    for a, b in zip(product_form.coeffs, mapped.coeffs):
         assert a.gw_equal(b)
 
 
 def test_arithmetic_series_over_other_fields():
-    za = z_arithmetic(5, finite_field(7))
-    assert za.coeffs[0].field == finite_field(7)
-    mapped = z_motivic(5).map_coeffs(
-        lambda c: chi_a1(c, finite_field(7)), gw_alpha_ring(finite_field(7))
-    )
-    assert all(a.gw_equal(b) for a, b in zip(za.coeffs, mapped.coeffs))
+    f7 = finite_field(7)
+    assert z_arithmetic(5, f7).coeffs[0].field == f7
+    product_form = _z_arithmetic_product(5, f7)
+    mapped = z_motivic(5).map_coeffs(lambda c: chi_a1(c, f7), gw_alpha_ring(f7))
+    assert all(a.gw_equal(b) for a, b in zip(product_form.coeffs, mapped.coeffs))
 
 
 def test_rank_specialization_is_macmahon_at_minus_t():
