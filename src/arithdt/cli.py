@@ -22,7 +22,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import ArithdtError, InputDataError, brief
+from .errors import ArithdtError, InputDataError, IntegerTooLongError, brief
 from .fields import QQ, parse_field_label, square_class_rep
 from .gw import GwElement, diagonalize_symmetric
 
@@ -155,24 +155,27 @@ def _rows_format(width: int, count: int, inner: str) -> str:
 
 def _emit(args, manifest: dict, payload: dict, text: str) -> None:
     out_path = getattr(args, "out", None)
-    as_json = getattr(args, "json", False) or out_path is not None
-    if out_path:
-        manifest["outputs"].append(out_path)
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                write_json(fh, payload)
-            with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-                write_json(fh, manifest)
-        except OSError as exc:
-            raise InputDataError(f"cannot write {out_path}: {exc}") from exc
-        return
-    manifest["outputs"].append("stdout")
-    if as_json:
-        payload = dict(payload)
-        payload["manifest"] = manifest
-        write_json(sys.stdout, payload)
-    else:
+    if not (getattr(args, "json", False) or out_path is not None):
+        manifest["outputs"].append("stdout")
         sys.stdout.write(text + "\n")
+        return
+    try:
+        if out_path:
+            manifest["outputs"].append(out_path)
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    write_json(fh, payload)
+                with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
+                    write_json(fh, manifest)
+            except OSError as exc:
+                raise InputDataError(f"cannot write {out_path}: {exc}") from exc
+        else:
+            manifest["outputs"].append("stdout")
+            payload = dict(payload)
+            payload["manifest"] = manifest
+            write_json(sys.stdout, payload)
+    except ValueError:  # an int that str() refuses; the batches already written stay
+        raise IntegerTooLongError() from None
 
 
 # -- GW expression parsing -------------------------------------------------------
@@ -321,12 +324,15 @@ def _cmd_nearby(args) -> tuple[dict, str]:
 
     data = SncData.from_json_dict(_load_json(args.data))
     cls = local_nearby_class(data) if args.local else nearby_class(data)
+    virt = None
+    if data.central_fiber_class is not None and not args.local:
+        virt = virtual_class_critical_locus(cls, data.central_fiber_class, data.ambient_dimension)
+    del data  # the parsed input is most of the memory still held; it is not rendered
     key = "local_nearby_class" if args.local else "nearby_class"
     rendered = cls.render()
     payload = {key: cls.to_json_dict(), "rendered": rendered}
     lines = [f"{key}: {rendered}"]
-    if data.central_fiber_class is not None and not args.local:
-        virt = virtual_class_critical_locus(cls, data.central_fiber_class, data.ambient_dimension)
+    if virt is not None:
         payload["virtual_class"] = virt.to_json_dict()
         lines.append(f"virtual_class: {virt.render()}")
     a1 = chi_a1(cls, QQ)

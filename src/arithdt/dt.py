@@ -134,7 +134,7 @@ def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionRe
     motivic = z_motivic(order)
     arithmetic = _chi_a1_image(motivic, field)
     # one chi_a1 over R per coefficient: chi_complex and chi_real are its rank and signature
-    over_r = _chi_a1_image(motivic, RR)
+    over_r = arithmetic if field == RR else _chi_a1_image(motivic, RR)
     complex_series = over_r.map_coeffs(GwAlphaElement.numeric_complex, INT_RING)
     real_series = over_r.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING)
     return PartitionFunctionResult(motivic, arithmetic, complex_series, real_series)

@@ -4,6 +4,7 @@ Every domain error raised by library code derives from ArithdtError so the
 CLI can map it to a single exit code; usage errors are left to argparse.
 """
 
+import sys
 from fractions import Fraction
 
 
@@ -68,6 +69,14 @@ class NonIntegralCoefficientError(ArithdtError):
 
 class InputDataError(ArithdtError):
     """Malformed or missing user-supplied data."""
+
+
+class IntegerTooLongError(ArithdtError):
+    """An answer holds an integer of more digits than str() writes."""
+
+    def __init__(self) -> None:
+        super().__init__(f"the answer holds an integer of more than {sys.get_int_max_str_digits()} "
+                         "digits, more than is written as text (PYTHONINTMAXSTRDIGITS sets the limit)")
 
 
 class FrozenInstanceError(AttributeError):

@@ -11,7 +11,8 @@ Canonical form (ascending exponents, nonzero int coefficients, one entry per
 sorted generator name) is set once, by the public constructor.  Ring
 operations sum canonical terms with ``_sum_u``, which is the shared sparse
 sum ``fields.linear_sum`` put in ascending order, and build their results
-through the trusted ``MotivicClass._make``.
+through the trusted ``MotivicClass._make``; a product by a one-term factor
+is an exponent shift, canonical with no sum.
 
 Three ring morphisms specialize a class, all through one evaluation:
 
@@ -46,6 +47,13 @@ def _exact_u(terms) -> list:
 
 
 def _mul_u(a: _UTerms, b: _UTerms) -> _UTerms:
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # a monomial shifts every exponent by one amount, so the order stays, and
+        # a product of two nonzero ints is nonzero: the result is canonical as made
+        ((e, c),) = b
+        return tuple((e1 + e, c1 * c) for e1, c1 in a)
     return _sum_u((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
 
 
@@ -113,10 +121,7 @@ class MotivicClass(Value):
             other = MotivicClass.from_int(other)
         if not isinstance(other, MotivicClass):
             return NotImplemented
-        acc = dict(self.extras)
-        for name, coeff in other.extras:
-            acc[name] = _sum_u(acc.get(name, ()), coeff)
-        return MotivicClass._make(_sum_u(self.u_terms, other.u_terms), acc.items())
+        return sum_classes((self, other))
 
     __radd__ = __add__
 
@@ -192,14 +197,23 @@ class MotivicClass(Value):
         return f"MotivicClass({self.render()})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "u_coeffs": [[e, c] for e, c in self.u_terms],
-            "extras": {name: [[e, c] for e, c in coeff] for name, coeff in self.extras},
-        }
+        """The canonical (exponent, coefficient) tuples, which JSON writes as arrays."""
+        return {"u_coeffs": self.u_terms, "extras": dict(self.extras)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotivicClass":
         return cls(data.get("u_coeffs", []), data.get("extras", {}))
+
+
+def sum_classes(classes) -> MotivicClass:
+    """The sum of a sequence of classes: one ``_sum_u`` over all their u-terms,
+    and one over all the terms of each generator name."""
+    extras: dict[str, list] = {}
+    for m in classes:
+        for name, coeff in m.extras:
+            extras.setdefault(name, []).append(coeff)
+    return MotivicClass._make(_sum_u(*(m.u_terms for m in classes)),
+                              [(name, _sum_u(*parts)) for name, parts in extras.items()])
 
 
 L = MotivicClass.lefschetz()

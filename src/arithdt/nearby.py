@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import InputDataError, json_int
 from .fields import Frozen
-from .motivic import L, MOT_ONE, MotivicClass
+from .motivic import MotivicClass, sum_classes
 
 
 class StratumRecord(Frozen):
@@ -109,12 +109,27 @@ class SncData(Frozen):
 
 
 def nearby_class(data: SncData) -> MotivicClass:
-    """S = sum over nonempty I of (1 - L)^(|I|-1) [stratum_I]."""
-    total = MotivicClass.zero()
+    """S = sum over nonempty I of (1 - L)^(|I|-1) [stratum_I].
+
+    S is linear in the stratum classes, so the classes of each size k = |I|
+    are summed first, and each sum is multiplied once by the weight of k.
+    """
+    by_size: dict[int, list] = {}
     for record in data.strata:
-        weight = (MOT_ONE - L) ** (len(record.index_set) - 1)
-        total = total + weight * record.stratum_class
-    return total
+        by_size.setdefault(len(record.index_set), []).append(record.stratum_class)
+    return sum_classes([_weight(k) * sum_classes(classes) for k, classes in by_size.items()])
+
+
+def _weight(k: int) -> MotivicClass:
+    """(1 - L)^(k-1) as its binomial row, sum over j of (-1)^j C(k-1, j) L^j.
+
+    Each coefficient is made from the one before, in time linear in k.
+    """
+    terms, c = [], 1
+    for j in range(k):
+        terms.append((2 * j, c))
+        c = -c * (k - 1 - j) // (j + 1)
+    return MotivicClass._make(tuple(terms))
 
 
 def local_nearby_class(data: SncData) -> MotivicClass:

@@ -12,7 +12,7 @@ import pytest
 import arithdt
 from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
-from arithdt.errors import InputDataError, brief, brief_str
+from arithdt.errors import InputDataError, IntegerTooLongError, brief, brief_str
 from arithdt.fields import QQ
 from arithdt.gw import GwAlphaElement, GwElement
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, chi_real
@@ -312,6 +312,49 @@ def test_error_lines_echo_long_inputs_cut_short(capsys):
     assert code == 1 and err == "error: unrecognized base field label: 'Fx'\n"
     code, _, err = run_cli(["gw", "--op", "rank", "--a", "<1/5>", "--field", "F5"], capsys)
     assert code == 1 and err == "error: 1/5 is not a unit modulo 5\n"
+
+
+NINES = 10**4300 - 1  # as many digits as str() writes: a sum of two has one more
+
+
+def _stratum(index_set, u_coeffs):
+    return {"I": list(index_set), "mult": {str(i): 1 for i in index_set},
+            "class": {"u_coeffs": u_coeffs}}
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "strata",
+    [
+        pytest.param([_stratum([1], [[0, NINES]]), _stratum([2], [[0, NINES]])], id="sum-of-two"),
+        # the middle binomial coefficients of (1 - L)^14999 have 4,513 digits
+        pytest.param([_stratum(range(15000), [[0, 1]])], id="one-stratum-of-15000"),
+    ],
+)
+def test_an_answer_past_the_digit_limit_is_one_error_line(strata, mode, tmp_path, capsys):
+    path = tmp_path / "snc.json"
+    path.write_text(json.dumps({"dim": 2, "strata": strata}))
+    code, out, err = run_cli(["nearby", "--data", str(path)] + mode, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {IntegerTooLongError()}\n"
+
+
+def test_a_long_int_met_only_by_the_json_writer_is_one_error_line(tmp_path, capsys):
+    # each coefficient renders, but chi_complex of the class is their sum
+    path = tmp_path / "snc.json"
+    path.write_text(json.dumps({"dim": 2, "strata": [_stratum([1], [[0, NINES], [2, NINES]])]}))
+    code, out, _ = run_cli(["nearby", "--data", str(path)], capsys)
+    assert code == 0 and out.startswith(f"nearby_class: {NINES}*L + {NINES}")
+    code, out, err = run_cli(["nearby", "--data", str(path), "--json"], capsys)
+    assert code == 1 and out == "" and err == f"error: {IntegerTooLongError()}\n"
+    code, out, err = run_cli(["nearby", "--data", str(path), "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 1 and out == "" and err == f"error: {IntegerTooLongError()}\n"
+
+
+def test_a_long_gw_product_is_one_error_line(capsys):
+    half = "7" * 2200
+    code, out, err = run_cli(["gw", "--op", "mul", "--a", f"{half}*<1>", "--b", f"{half}*<2>"], capsys)
+    assert code == 1 and out == "" and err == f"error: {IntegerTooLongError()}\n"
 
 
 def _ekl_map(coeff=1, exponent=1):

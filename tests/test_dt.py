@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from arithdt import dt
 from arithdt.dt import (
     MatrixTriple,
     commutator,
@@ -224,6 +225,23 @@ def test_partition_function_bundle():
     assert pf.complex.coeffs == tuple(q.numeric_complex() for q in pf.arithmetic.coeffs)
     assert pf.real.coeffs == tuple(q.numeric_real() for q in pf.arithmetic.coeffs)
     assert pf.complex.coeffs == (1, -1, 3, -6, 13, -24, 48)
+
+
+@pytest.mark.parametrize("field,calls", [(RR, 31), (QQ, 62)])
+def test_partition_function_takes_the_image_over_r_once(field, calls, monkeypatch):
+    # over R the arithmetic series is the image that gives the complex and real series
+    seen = []
+
+    def counted(m, *args):
+        seen.append(m)
+        return chi_a1(m, *args)
+
+    monkeypatch.setattr(dt, "chi_a1", counted)
+    pf = partition_function(30, field)
+    assert len(seen) == calls
+    over_r = z_motivic(30).map_coeffs(lambda c: chi_a1(c, RR), gw_alpha_ring(RR))
+    assert pf.complex.coeffs == tuple(q.numeric_complex() for q in over_r.coeffs)
+    assert pf.real.coeffs == tuple(q.numeric_real() for q in over_r.coeffs)
 
 
 # -- the trace potential ---------------------------------------------------------

@@ -1,5 +1,8 @@
 """Nearby classes and virtual classes from stratification data."""
 
+import random
+import time
+
 import pytest
 
 from arithdt.dt import z_motivic
@@ -17,6 +20,32 @@ from arithdt.nearby import (
 )
 
 LINES = L - MOT_ONE  # class of a line minus a point
+
+
+def oracle_nearby_class(data):
+    """The alternating sum taken one stratum at a time, by powering the weight."""
+    total = MotivicClass.zero()
+    for record in data.strata:
+        total = total + (MOT_ONE - L) ** (len(record.index_set) - 1) * record.stratum_class
+    return total
+
+
+def _random_class(rng, extras):
+    u_terms = [(rng.randint(-8, 8), rng.randint(-5, 5)) for _ in range(rng.randint(0, 6))]
+    names = rng.sample(["SpecC", "SpecQ(sqrt(2))"], rng.randint(1, 2)) if extras else []
+    return MotivicClass(u_terms, [(n, [(rng.randint(-4, 4), rng.randint(-3, 3))]) for n in names])
+
+
+def _random_snc(seed):
+    """Strata with |I| from 1 to 40, index sets drawn twice, Tate and non-Tate classes."""
+    rng = random.Random(seed)
+    strata = []
+    for _ in range(rng.randint(1, 12)):
+        index_set = rng.sample(range(1, 60), rng.randint(1, 40))
+        for _ in range(rng.choice((1, 1, 2, 3))):  # a repeated index set adds up
+            strata.append(StratumRecord.of(index_set, _random_class(rng, rng.random() < 0.4)))
+    rng.shuffle(strata)
+    return SncData(strata, rng.randint(1, 5))
 
 
 def hyperbola_global():
@@ -44,6 +73,34 @@ def hyperbola_local():
 
 def test_nearby_class_hyperbola():
     assert nearby_class(hyperbola_global()) == L - 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nearby_class_matches_the_per_stratum_oracle(seed):
+    data = _random_snc(seed)
+    assert nearby_class(data) == oracle_nearby_class(data) == local_nearby_class(data)
+
+
+def test_the_oracle_cases_cover_what_the_grouping_meets():
+    sizes, repeated, extras = set(), 0, 0
+    for seed in range(40):
+        strata = _random_snc(seed).strata
+        sizes |= {len(r.index_set) for r in strata}
+        repeated += len(strata) - len({r.index_set for r in strata})
+        extras += sum(not r.stratum_class.is_tate() for r in strata)
+    assert {1, 40} <= sizes and repeated and extras
+    empty = SncData([], 3)
+    assert nearby_class(empty) == oracle_nearby_class(empty) == local_nearby_class(empty)
+
+
+def test_a_weight_of_four_thousand_terms_answers_quickly():
+    # the weight (1 - L)^3999 is a binomial row: powering took about 16 s
+    data = SncData([StratumRecord.of(range(4000), MOT_ONE)], 2)
+    start = time.perf_counter()
+    cls = nearby_class(data)
+    assert time.perf_counter() - start < 2.0
+    assert len(cls.u_terms) == 4000 and cls.u_terms[1] == (2, -3999)
+    assert cls.u_terms[-1] == (7998, -1) and chi_real(cls) == GaussianInteger(2**3999, 0)
 
 
 def test_nearby_class_trivial_cases():

@@ -87,3 +87,34 @@ def test_ring_axioms(name, data):
     assert a + zero == a == zero + a
     assert a * one == a == one * a
     assert a - a == zero
+
+
+def _general_product(x, y):
+    """x * y with every pair of terms summed by the constructor's canonical sum."""
+
+    def pairs(s, t):
+        return [(e1 + e2, c1 * c2) for e1, c1 in s for e2, c2 in t]
+
+    extras = [(n, pairs(t, y.u_terms)) for n, t in x.extras]
+    extras += [(n, pairs(t, x.u_terms)) for n, t in y.extras]
+    return MotivicClass(pairs(x.u_terms, y.u_terms), extras)
+
+
+u_pairs = st.lists(st.tuples(st.integers(-6, 6), MULTIPLICITIES), max_size=5)
+extras_parts = st.lists(st.tuples(st.sampled_from(("SpecC", "SpecQ(sqrt(2))")), u_pairs), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=u_pairs,
+    extras=extras_parts,
+    monomial=st.tuples(st.integers(-9, 9), st.integers(-4, 4).filter(bool)),
+    monomial_extras=extras_parts,
+)
+def test_a_product_by_one_term_is_the_general_product(terms, extras, monomial, monomial_extras):
+    # a one-term factor, on either side, with negative exponents and coefficients;
+    # the extras sit on one side only, as a product of two of them is refused
+    a = MotivicClass(terms, extras)
+    m = MotivicClass([monomial], () if a.extras else monomial_extras)
+    assert len(m.u_terms) == 1
+    assert a * m == _general_product(a, m) == m * a
