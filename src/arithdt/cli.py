@@ -14,6 +14,7 @@ handler imports what it computes with, so a job loads no other module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -155,27 +156,30 @@ def _rows_format(width: int, count: int, inner: str) -> str:
 
 def _emit(args, manifest: dict, payload: dict, text: str) -> None:
     out_path = getattr(args, "out", None)
-    if not (getattr(args, "json", False) or out_path is not None):
-        manifest["outputs"].append("stdout")
-        sys.stdout.write(text + "\n")
-        return
-    try:
-        if out_path:
-            manifest["outputs"].append(out_path)
-            try:
-                with open(out_path, "w", encoding="utf-8") as fh:
-                    write_json(fh, payload)
-                with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-                    write_json(fh, manifest)
-            except OSError as exc:
+    as_json = getattr(args, "json", False) or out_path is not None
+    if out_path:
+        manifest["outputs"].append(out_path)
+        written = []
+        try:
+            for path, value in ((out_path, payload), (out_path + ".manifest.json", manifest)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    written.append(path)
+                    write_json(fh, value)
+        except BaseException as exc:
+            for path in written:  # no partial answer is left behind
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            if isinstance(exc, OSError):
                 raise InputDataError(f"cannot write {out_path}: {exc}") from exc
-        else:
-            manifest["outputs"].append("stdout")
-            payload = dict(payload)
-            payload["manifest"] = manifest
-            write_json(sys.stdout, payload)
-    except ValueError:  # an int that str() refuses; the batches already written stay
-        raise IntegerTooLongError() from None
+            raise
+        return
+    manifest["outputs"].append("stdout")
+    if as_json:
+        payload = dict(payload)
+        payload["manifest"] = manifest
+        write_json(sys.stdout, payload)
+    else:
+        sys.stdout.write(text + "\n")
 
 
 # -- GW expression parsing -------------------------------------------------------
@@ -481,6 +485,13 @@ def dispatch(argv=None) -> int:
         _emit(args, manifest, payload, text)
     except ArithdtError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # str() of an answer's int past sys.get_int_max_str_digits(), in any handler
+        # or in the JSON writer; JSON batches already on stdout stay
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        print(f"error: {IntegerTooLongError()}", file=sys.stderr)
         return 1
     return 0
 

@@ -72,7 +72,10 @@ class InputDataError(ArithdtError):
 
 
 class IntegerTooLongError(ArithdtError):
-    """An answer holds an integer of more digits than str() writes."""
+    """An answer holds an integer of more digits than str() writes.
+
+    The CLI reports the ValueError that str() raises for such an int as this.
+    """
 
     def __init__(self) -> None:
         super().__init__(f"the answer holds an integer of more than {sys.get_int_max_str_digits()} "

@@ -14,15 +14,7 @@ from itertools import count
 from math import gcd, prod
 from operator import attrgetter
 
-from .errors import (
-    ArithdtError,
-    FrozenInstanceError,
-    IntegerTooLongError,
-    brief,
-    brief_str,
-    json_int,
-    json_rational,
-)
+from .errors import ArithdtError, FrozenInstanceError, brief, brief_str, json_int, json_rational
 
 
 # Miller-Rabin to the first 13 prime bases proves primality below psi_13
@@ -270,16 +262,12 @@ def render_sum(pieces) -> str:
 
     A coefficient c shows as ``c*symbol``, or as the bare symbol when |c| = 1;
     the symbol of a constant is "", which shows |c| alone.  The leading sign
-    is "-" or nothing, the others are joined as " + " or " - ".  A coefficient
-    of more digits than str() writes raises IntegerTooLongError.
+    is "-" or nothing, the others are joined as " + " or " - ".
     """
     out = []
     for sym, c in pieces:
         mag = abs(c)
-        try:
-            body = str(mag) if not sym else sym if mag == 1 else f"{mag}*{sym}"
-        except ValueError:  # more digits than str() writes
-            raise IntegerTooLongError() from None
+        body = str(mag) if not sym else sym if mag == 1 else f"{mag}*{sym}"
         if out:
             out.append(f"- {body}" if c < 0 else f"+ {body}")
         else:

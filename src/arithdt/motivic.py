@@ -11,8 +11,7 @@ Canonical form (ascending exponents, nonzero int coefficients, one entry per
 sorted generator name) is set once, by the public constructor.  Ring
 operations sum canonical terms with ``_sum_u``, which is the shared sparse
 sum ``fields.linear_sum`` put in ascending order, and build their results
-through the trusted ``MotivicClass._make``; a product by a one-term factor
-is an exponent shift, canonical with no sum.
+through the trusted ``MotivicClass._make``.
 
 Three ring morphisms specialize a class, all through one evaluation:
 
@@ -47,13 +46,6 @@ def _exact_u(terms) -> list:
 
 
 def _mul_u(a: _UTerms, b: _UTerms) -> _UTerms:
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) == 1:
-        # a monomial shifts every exponent by one amount, so the order stays, and
-        # a product of two nonzero ints is nonzero: the result is canonical as made
-        ((e, c),) = b
-        return tuple((e1 + e, c1 * c) for e1, c1 in a)
     return _sum_u((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
 
 

@@ -1,5 +1,6 @@
 """CLI dispatch: golden outputs, JSON round-trips, manifests, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
@@ -322,39 +323,60 @@ def _stratum(index_set, u_coeffs):
             "class": {"u_coeffs": u_coeffs}}
 
 
+def _nearby(strata):
+    """The argv of a nearby run on ``strata``, written to a file under the given directory."""
+
+    def argv(tmp_path):
+        path = tmp_path / "snc.json"
+        path.write_text(json.dumps({"dim": 2, "strata": strata}))
+        return ["nearby", "--data", str(path)]
+
+    return argv
+
+
+def _gw(*argv):
+    return lambda _: ["gw", *argv]
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize(
-    "strata",
+    "command",
     [
-        pytest.param([_stratum([1], [[0, NINES]]), _stratum([2], [[0, NINES]])], id="sum-of-two"),
+        pytest.param(_nearby([_stratum([1], [[0, NINES]]), _stratum([2], [[0, NINES]])]), id="sum-of-two"),
         # the middle binomial coefficients of (1 - L)^14999 have 4,513 digits
-        pytest.param([_stratum(range(15000), [[0, 1]])], id="one-stratum-of-15000"),
+        pytest.param(_nearby([_stratum(range(15000), [[0, 1]])]), id="one-stratum-of-15000"),
+        # each coefficient parses, but the rank and the signature are their sum
+        pytest.param(_gw("--op", "rank", "--a", f"{NINES}*<1> + {NINES}*<2>"), id="gw-rank"),
+        pytest.param(_gw("--op", "signature", "--a", f"{NINES}*<1> + {NINES}*<2>"), id="gw-signature"),
+        pytest.param(_gw("--op", "mul", "--a", f"{'7' * 2200}*<1>", "--b", f"{'7' * 2200}*<2>"), id="gw-mul"),
     ],
 )
-def test_an_answer_past_the_digit_limit_is_one_error_line(strata, mode, tmp_path, capsys):
-    path = tmp_path / "snc.json"
-    path.write_text(json.dumps({"dim": 2, "strata": strata}))
-    code, out, err = run_cli(["nearby", "--data", str(path)] + mode, capsys)
+def test_an_answer_past_the_digit_limit_is_one_error_line(command, mode, tmp_path, capsys):
+    code, out, err = run_cli(command(tmp_path) + mode, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {IntegerTooLongError()}\n"
 
 
 def test_a_long_int_met_only_by_the_json_writer_is_one_error_line(tmp_path, capsys):
     # each coefficient renders, but chi_complex of the class is their sum
-    path = tmp_path / "snc.json"
-    path.write_text(json.dumps({"dim": 2, "strata": [_stratum([1], [[0, NINES], [2, NINES]])]}))
-    code, out, _ = run_cli(["nearby", "--data", str(path)], capsys)
+    argv = _nearby([_stratum([1], [[0, NINES], [2, NINES]])])(tmp_path)
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0 and out.startswith(f"nearby_class: {NINES}*L + {NINES}")
-    code, out, err = run_cli(["nearby", "--data", str(path), "--json"], capsys)
+    code, out, err = run_cli(argv + ["--json"], capsys)
     assert code == 1 and out == "" and err == f"error: {IntegerTooLongError()}\n"
-    code, out, err = run_cli(["nearby", "--data", str(path), "--out", str(tmp_path / "o.json")], capsys)
+    out_path = tmp_path / "o.json"
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
     assert code == 1 and out == "" and err == f"error: {IntegerTooLongError()}\n"
+    # no partial answer, and no manifest, is left behind
+    assert not out_path.exists() and not (tmp_path / "o.json.manifest.json").exists()
 
 
-def test_a_long_gw_product_is_one_error_line(capsys):
-    half = "7" * 2200
-    code, out, err = run_cli(["gw", "--op", "mul", "--a", f"{half}*<1>", "--b", f"{half}*<2>"], capsys)
-    assert code == 1 and out == "" and err == f"error: {IntegerTooLongError()}\n"
+def test_other_value_errors_are_not_taken_for_the_digit_limit(monkeypatch):
+    closed = io.StringIO()
+    closed.close()
+    monkeypatch.setattr(sys, "stdout", closed)
+    with pytest.raises(ValueError, match="closed file"):
+        dispatch(["gw", "--op", "rank", "--a", "<1>"])
 
 
 def _ekl_map(coeff=1, exponent=1):
