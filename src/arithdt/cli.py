@@ -154,7 +154,9 @@ def _rows_format(width: int, count: int, inner: str) -> str:
     return ("," + inner).join([row] * count)
 
 
-def _emit(args, manifest: dict, payload: dict, text: str) -> None:
+def _emit(args, manifest: dict, payload: dict, text) -> None:
+    """Write ``payload`` as JSON (to ``--out`` or, with ``--json``, to stdout), or
+    else the string that ``text()`` makes: the text is built only when printed."""
     out_path = getattr(args, "out", None)
     as_json = getattr(args, "json", False) or out_path is not None
     if out_path:
@@ -179,7 +181,7 @@ def _emit(args, manifest: dict, payload: dict, text: str) -> None:
         payload["manifest"] = manifest
         write_json(sys.stdout, payload)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text() + "\n")
 
 
 # -- GW expression parsing -------------------------------------------------------
@@ -213,6 +215,14 @@ def parse_gw(text: str, field) -> GwElement:
             square_class_rep(field, rep)
         pos = match.end()
     return GwElement(field, pairs)
+
+
+def _released(items: list):
+    """Yield the items of ``items`` in order, dropping each from the list as it is
+    yielded: a consumer that keeps only what it builds holds one raw item at a time."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def _load_json(path: str):
@@ -251,8 +261,10 @@ def _polys_from_json(data: dict) -> list:
 
 # -- subcommand handlers ---------------------------------------------------------
 
+_Answer = tuple  # (JSON payload, function making the text): ``_emit`` calls it only in text mode
 
-def _cmd_gw(args) -> tuple[dict, str]:
+
+def _cmd_gw(args) -> _Answer:
     field = parse_field_label(args.field)
     a = parse_gw(args.a, field)
     op = args.op
@@ -268,40 +280,44 @@ def _cmd_gw(args) -> tuple[dict, str]:
             value = a * b
         else:
             verdict = a.gw_equal(b)
-            return {"equal": verdict}, str(verdict).lower()
+            return {"equal": verdict}, lambda: str(verdict).lower()
         text = value.render(contract_h=args.contract_h)
-        return {"value": value.to_json_dict(), "rendered": text}, text
+        return {"value": value.to_json_dict(), "rendered": text}, lambda: text
     if op == "rank":
-        return {"rank": a.rank()}, str(a.rank())
+        rank = a.rank()
+        return {"rank": rank}, lambda: str(rank)
     if op == "signature":
-        return {"signature": a.signature()}, str(a.signature())
+        signature = a.signature()
+        return {"signature": signature}, lambda: str(signature)
     if op == "discriminant":
         disc = a.discriminant()
-        return {"discriminant": disc.rep}, f"<{disc.rep}>"
+        return {"discriminant": disc.rep}, lambda: f"<{disc.rep}>"
     if op == "diagonalize":
         if args.matrix is None:
             raise InputDataError("--matrix is required for op diagonalize")
         value = diagonalize_symmetric(_parse_matrix(args.matrix), field)
         text = value.render(contract_h=args.contract_h)
-        return {"value": value.to_json_dict(), "rendered": text}, text
+        return {"value": value.to_json_dict(), "rendered": text}, lambda: text
     raise InputDataError(f"unknown gw op {op!r}")
 
 
-def _cmd_dt_a3(args) -> tuple[dict, str]:
+def _cmd_dt_a3(args) -> _Answer:
     from .dt import partition_function
 
     cap = max_series_order()
     if args.order > cap:
         raise InputDataError(f"order {args.order} exceeds the cap {cap} (ARITHDT_MAX_ORDER)")
     series = getattr(partition_function(args.order, parse_field_label(args.field)), args.output)
-    if args.output == "complex":
-        text = ", ".join(str(c) for c in series.coeffs)
-    else:
-        text = "\n".join(f"t^{n}: {c}" for n, c in enumerate(series.coeffs))
+
+    def text() -> str:
+        if args.output == "complex":
+            return ", ".join(str(c) for c in series.coeffs)
+        return "\n".join(f"t^{n}: {c}" for n, c in enumerate(series.coeffs))
+
     return {"series": series.to_json_dict()}, text
 
 
-def _cmd_ekl(args) -> tuple[dict, str]:
+def _cmd_ekl(args) -> _Answer:
     from .ekl import ekl_class
 
     system = _polys_from_json(_load_json(args.map))
@@ -315,51 +331,61 @@ def _cmd_ekl(args) -> tuple[dict, str]:
         "signature": cls.signature() if field.is_ordered else None,
         "algebra_dimension": result.rank,
     }
-    text = (
+    return payload, lambda: (
         f"{payload['rendered']}\nrank: {payload['rank']}"
         + (f"\nsignature: {payload['signature']}" if field.is_ordered else "")
     )
-    return payload, text
 
 
-def _cmd_nearby(args) -> tuple[dict, str]:
+def _cmd_nearby(args) -> _Answer:
     from .motivic import chi_a1
     from .nearby import SncData, local_nearby_class, nearby_class, virtual_class_critical_locus
 
-    data = SncData.from_json_dict(_load_json(args.data))
+    tree = _load_json(args.data)
+    if isinstance(tree, dict) and isinstance(tree.get("strata"), list):
+        # each raw stratum is freed once its record is built
+        tree["strata"] = _released(tree["strata"])
+    data = SncData.from_json_dict(tree)
+    del tree
     cls = local_nearby_class(data) if args.local else nearby_class(data)
+    x0, dim = data.central_fiber_class, data.ambient_dimension
+    del data  # the records are not read again
     virt = None
-    if data.central_fiber_class is not None and not args.local:
-        virt = virtual_class_critical_locus(cls, data.central_fiber_class, data.ambient_dimension)
-    del data  # the parsed input is most of the memory still held; it is not rendered
+    if x0 is not None and not args.local:
+        virt = virtual_class_critical_locus(cls, x0, dim)
     key = "local_nearby_class" if args.local else "nearby_class"
     rendered = cls.render()
     payload = {key: cls.to_json_dict(), "rendered": rendered}
-    lines = [f"{key}: {rendered}"]
     if virt is not None:
         payload["virtual_class"] = virt.to_json_dict()
-        lines.append(f"virtual_class: {virt.render()}")
     a1 = chi_a1(cls, QQ)
     payload["euler"] = {
         "complex": a1.numeric_complex(),
         "real": a1.numeric_real().to_json_dict(),
         "a1": a1.to_json_dict(),
     }
-    return payload, "\n".join(lines)
+
+    def text() -> str:
+        if virt is None:
+            return f"{key}: {rendered}"
+        return f"{key}: {rendered}\nvirtual_class: {virt.render()}"
+
+    return payload, text
 
 
-def _cmd_gv(args) -> tuple[dict, str]:
+def _cmd_gv(args) -> _Answer:
     from .castelnuovo import gv_compare
 
     report = gv_compare(args.m, parse_field_label(args.field))
+    rendered = report.direct.render()
     payload = {
         "m": report.m,
         "fiber_dim": report.fiber_dim,
         "direct": report.direct.to_json_dict(),
-        "rendered": report.direct.render(),
+        "rendered": rendered,
         "rank": report.rank_direct,
     }
-    lines = [f"m={report.m} (N={report.fiber_dim}): {report.direct.render()}"]
+    lines = [f"m={report.m} (N={report.fiber_dim}): {rendered}"]
     if args.compare:
         payload["compare"] = {
             "closed": report.closed.to_json_dict() if report.closed else None,
@@ -372,20 +398,20 @@ def _cmd_gv(args) -> tuple[dict, str]:
             "description": report.description,
         }
         lines.append(report.description)
-    return payload, "\n".join(lines)
+    return payload, lambda: "\n".join(lines)
 
 
-def _cmd_oracle(args) -> tuple[dict, str]:
+def _cmd_oracle(args) -> _Answer:
     from .partitions import count_plane_partitions, count_symmetric_plane_partitions
 
     if args.kind == "pp":
         value = count_plane_partitions(args.n)
     else:
         value = count_symmetric_plane_partitions(args.n)
-    return {"kind": args.kind, "n": args.n, "count": value}, str(value)
+    return {"kind": args.kind, "n": args.n, "count": value}, lambda: str(value)
 
 
-def _cmd_selftest(args) -> tuple[dict, str]:
+def _cmd_selftest(args) -> _Answer:
     from .selftest import run_selftest
 
     report = run_selftest()
@@ -394,7 +420,7 @@ def _cmd_selftest(args) -> tuple[dict, str]:
     lines.append("selftest: " + ("all checks passed" if ok else "FAILURES PRESENT"))
     if not ok:
         raise ArithdtError("\n".join(lines))
-    return {"checks": [{"name": n, "ok": o} for n, o in report]}, "\n".join(lines)
+    return {"checks": [{"name": n, "ok": o} for n, o in report]}, lambda: "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,8 +45,13 @@ def _exact_u(terms) -> list:
     return [(json_int(e, "exponent"), json_int(c, "coefficient")) for e, c in terms]
 
 
+def _products_u(a, b):
+    """The pairwise products of two term sequences, as pairs not yet summed."""
+    return ((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
+
+
 def _mul_u(a: _UTerms, b: _UTerms) -> _UTerms:
-    return _sum_u((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
+    return _sum_u(_products_u(a, b))
 
 
 def _neg_u(a: _UTerms) -> _UTerms:
@@ -173,14 +178,15 @@ class MotivicClass(Value):
         return f"L^{{{e}/2}}"
 
     def render(self) -> str:
-        pieces = [(self._render_u_power(e), c) for e, c in reversed(self.u_terms)]
+        u_pieces = ((self._render_u_power(e), c) for e, c in reversed(self.u_terms))
+        return render_sum(chain(u_pieces, self._extras_pieces()))
+
+    def _extras_pieces(self):
         for name, coeff in self.extras:
             if len(coeff) == 1 and coeff[0][0] == 0:
-                pieces.append((f"[{name}]", coeff[0][1]))
+                yield f"[{name}]", coeff[0][1]
             else:
-                inner = MotivicClass._make(coeff).render()
-                pieces.append((f"({inner})*[{name}]", 1))
-        return render_sum(pieces)
+                yield f"({MotivicClass._make(coeff).render()})*[{name}]", 1
 
     def __str__(self) -> str:
         return self.render()

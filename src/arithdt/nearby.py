@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import InputDataError, json_int
 from .fields import Frozen
-from .motivic import MotivicClass, sum_classes
+from .motivic import MotivicClass, _products_u, _sum_u
 
 
 class StratumRecord(Frozen):
@@ -111,17 +111,27 @@ class SncData(Frozen):
 def nearby_class(data: SncData) -> MotivicClass:
     """S = sum over nonempty I of (1 - L)^(|I|-1) [stratum_I].
 
-    S is linear in the stratum classes, so the classes of each size k = |I|
-    are summed first, and each sum is multiplied once by the weight of k.
+    Each term of each stratum class is multiplied by the binomial row of its
+    weight, and all the products go into one sparse sum (and one more per
+    generator name): no class is built per stratum or per size, and the work
+    per term is linear in |I|.
     """
-    by_size: dict[int, list] = {}
+    rows: dict[int, tuple] = {}
+    u_parts, extras = [], {}
     for record in data.strata:
-        by_size.setdefault(len(record.index_set), []).append(record.stratum_class)
-    return sum_classes([_weight(k) * sum_classes(classes) for k, classes in by_size.items()])
+        k = len(record.index_set)
+        if k not in rows:
+            rows[k] = _weight(k)
+        cls = record.stratum_class
+        u_parts.append(_products_u(cls.u_terms, rows[k]))
+        for name, coeff in cls.extras:
+            extras.setdefault(name, []).append(_products_u(coeff, rows[k]))
+    return MotivicClass._make(_sum_u(*u_parts),
+                              [(name, _sum_u(*parts)) for name, parts in extras.items()])
 
 
-def _weight(k: int) -> MotivicClass:
-    """(1 - L)^(k-1) as its binomial row, sum over j of (-1)^j C(k-1, j) L^j.
+def _weight(k: int) -> tuple:
+    """The u-terms of (1 - L)^(k-1): its binomial row, sum over j of (-1)^j C(k-1, j) L^j.
 
     Each coefficient is made from the one before, in time linear in k.
     """
@@ -129,7 +139,7 @@ def _weight(k: int) -> MotivicClass:
     for j in range(k):
         terms.append((2 * j, c))
         c = -c * (k - 1 - j) // (j + 1)
-    return MotivicClass._make(tuple(terms))
+    return tuple(terms)
 
 
 def local_nearby_class(data: SncData) -> MotivicClass:

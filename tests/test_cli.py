@@ -1,11 +1,16 @@
 """CLI dispatch: golden outputs, JSON round-trips, manifests, exit codes."""
 
+import hashlib
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -124,18 +129,20 @@ def test_ekl_json_round_trip(tmp_path, capsys):
     assert data["algebra_dimension"] == 2
 
 
+HYPERBOLA = {
+    "dim": 2,
+    "x0_class": {"u_coeffs": [[2, 2], [0, -1]], "extras": {}},
+    "strata": [
+        {"I": [1], "mult": {"1": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]], "extras": {}}},
+        {"I": [2], "mult": {"2": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]], "extras": {}}},
+        {"I": [1, 2], "mult": {"1": 1, "2": 1}, "class": {"u_coeffs": [[0, 1]], "extras": {}}},
+    ],
+}
+
+
 def test_nearby_subcommand(tmp_path, capsys):
-    snc = {
-        "dim": 2,
-        "x0_class": {"u_coeffs": [[2, 2], [0, -1]], "extras": {}},
-        "strata": [
-            {"I": [1], "mult": {"1": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]], "extras": {}}},
-            {"I": [2], "mult": {"2": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]], "extras": {}}},
-            {"I": [1, 2], "mult": {"1": 1, "2": 1}, "class": {"u_coeffs": [[0, 1]], "extras": {}}},
-        ],
-    }
     path = tmp_path / "snc.json"
-    path.write_text(json.dumps(snc))
+    path.write_text(json.dumps(HYPERBOLA))
     code, out, _ = run_cli(["nearby", "--data", str(path), "--json"], capsys)
     assert code == 0
     data = json.loads(out)
@@ -170,6 +177,126 @@ def test_nearby_euler_block_matches_the_specializations(tmp_path, capsys):
         "a1": chi_a1(cls, QQ).to_json_dict(),
     }
     assert data["euler"]["complex"] != chi_a1(cls).rank()
+
+
+def _seeded_snc(seed, extras=0, terms=2400):
+    """SNC data shaped like the benchmark's nearby jobs: five strata (|I| = 1, 1, 2, 2, 3)
+    and [X_0], each a class of ``terms`` u-terms, with a SpecC part of ``extras`` terms."""
+    rng = random.Random(seed)
+
+    def cls():
+        exps = sorted(rng.sample(range(-terms, 3 * terms), terms))
+        out = {"u_coeffs": [[e, rng.choice((-3, -2, -1, 1, 2, 3))] for e in exps], "extras": {}}
+        if extras:
+            spec = sorted(rng.sample(range(-extras, 3 * extras), extras))
+            out["extras"]["SpecC"] = [[e, rng.choice((-2, -1, 1, 2))] for e in spec]
+        return out
+
+    strata = []
+    for size in (1, 1, 2, 2, 3):
+        index = sorted(rng.sample(range(1, 5), size))
+        strata.append({"I": index, "mult": {str(i): rng.randrange(1, 5) for i in index},
+                       "class": cls()})
+    return {"dim": 3, "strata": strata, "x0_class": cls()}
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+# recorded before the input was released stratum by stratum and the sum taken in one
+# pass; the manifests name version 0.1.0 and the relative paths below
+NEARBY_SHA256 = {
+    "text": "57dc16bbf13916398b6cc1d49ca778507aa29666fe49cf2a3b04dcf8fbaf9942",
+    "json": "6839f5623435a827f8758575f091f2f639e70b3b0a8640a339fc92141a489acd",
+    "local-json": "e9fd8232eb0a8affe3f29f1c1d2cbba187afe3ffa9d4eaa307d210d7eccc0a50",
+    "out": "bab71428029768f08e2bb8fac5b9b5fccab681423cabbd866ede8147a604d2fa",
+    "out-manifest": "116d3b20aea5d26947f51675e225a35cd0dfc9f8bb720c344fdbaaed1cfcc634",
+}
+
+
+def test_nearby_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "snc.json").write_text(json.dumps(_seeded_snc(2400, extras=300)))
+    argv = ["nearby", "--data", "snc.json"]
+    for name, mode in (("text", []), ("json", ["--json"]), ("local-json", ["--local", "--json"])):
+        code, out, _ = run_cli(argv + mode, capsys)
+        assert code == 0 and _sha256(out) == NEARBY_SHA256[name], name
+    code, out, _ = run_cli(argv + ["--out", "o.json"], capsys)
+    assert code == 0 and out == ""
+    for name, path in (("out", "o.json"), ("out-manifest", "o.json.manifest.json")):
+        assert _sha256((tmp_path / path).read_bytes()) == NEARBY_SHA256[name], name
+
+
+def test_nearby_json_peak_memory_is_bounded(tmp_path, monkeypatch):
+    """A benchmark-shaped input (1.5 MB of decoded JSON) peaks at ~2.6 MB traced on
+    Python 3.11; holding the decoded tree, the records and a class per |I| at once,
+    and rendering text that JSON mode drops, took ~3.6 MB."""
+    path = tmp_path / "snc.json"
+    path.write_text(json.dumps(_seeded_snc(2401)))
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = dispatch(["nearby", "--data", str(path), "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 3.1 * 2**20
+
+
+def _type_error(op, *args) -> str:
+    """The message of the TypeError that ``op(*args)`` raises on this Python."""
+    with pytest.raises(TypeError) as exc:
+        op(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "strata,where,op,args",
+    [
+        pytest.param({"I": [1]}, "stratum record", getitem, ("I", "I"), id="object"),
+        pytest.param(5, "SNC data", iter, (5,), id="number"),
+        pytest.param("ab", "stratum record", getitem, ("a", "I"), id="string"),
+        pytest.param(None, "SNC data", iter, (None,), id="null"),
+        pytest.param([[1]], "stratum record", getitem, ([1], "I"), id="stratum-is-a-list"),
+        pytest.param([{"I": [1], "mult": {"1": 1}, "class": {"u_coeffs": 5}}],
+                     "stratum record", iter, (5,), id="u_coeffs-is-a-number"),
+    ],
+)
+def test_malformed_strata_keep_their_error_line(strata, where, op, args, tmp_path, capsys):
+    # the line is the parent's: the place that failed and the TypeError it met
+    path = tmp_path / "snc.json"
+    path.write_text(json.dumps({"dim": 2, "strata": strata}))
+    code, out, err = run_cli(["nearby", "--data", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: malformed {where}: {_type_error(op, *args)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,cls,json_renders,text_renders",
+    [
+        pytest.param(["dt-a3", "--order", "10", "--output", "motivic"], MotivicClass, 0, 11, id="dt-a3"),
+        # the nearby class is rendered into the payload; the virtual class only for text
+        pytest.param(["nearby", "--data", "{hyperbola}"], MotivicClass, 1, 2, id="nearby"),
+        # gv_compare renders the direct and the closed class into its description
+        pytest.param(["gv", "--m", "3", "--compare"], GwAlphaElement, 3, 3, id="gv"),
+    ],
+)
+def test_text_is_built_only_in_text_mode(argv, cls, json_renders, text_renders, tmp_path,
+                                         capsys, monkeypatch):
+    path = tmp_path / "snc.json"
+    path.write_text(json.dumps(HYPERBOLA))
+    argv = [str(path) if arg == "{hyperbola}" else arg for arg in argv]
+    calls = []
+    render = cls.render
+    monkeypatch.setattr(cls, "render", lambda self, *a: calls.append(1) or render(self, *a))
+    for mode, renders in ((["--json"], json_renders), (["--out", str(tmp_path / "o.json")], json_renders),
+                          ([], text_renders)):
+        calls.clear()
+        code, _, _ = run_cli(argv + mode, capsys)
+        assert code == 0 and len(calls) == renders, mode
 
 
 def test_gv_subcommand(capsys):

@@ -1,5 +1,6 @@
 """Nearby classes and virtual classes from stratification data."""
 
+import json
 import random
 import time
 
@@ -191,3 +192,10 @@ def test_json_round_trip():
     assert nearby_class(back) == nearby_class(data)
     with pytest.raises(InputDataError):
         SncData.from_json_dict({"strata": []})
+
+
+def test_from_json_dict_leaves_its_argument_as_it_was():
+    tree = json.loads(json.dumps(hyperbola_global().to_json_dict()))
+    before = json.dumps(tree)
+    assert SncData.from_json_dict(tree) == hyperbola_global()
+    assert json.dumps(tree) == before
