@@ -15,10 +15,10 @@ so a series of order N only needs the finitely many factors with m <= N;
 the truncated result is exact.
 
 Each series has one route.  With u = L^{1/2} and t = T u, Z(T u) is
-divided over the integers: at u = 1 it is the MacMahon series M(T), and at
-u = 2^b it packs Z(t) into base-2^b digits (Kronecker substitution; see
-z_motivic).  The arithmetic, complex and real series are termwise chi_a1
-images of Z(t); only M^sym is multiplied out from its own product.
+divided over the integers: at u = 1 it is the MacMahon series M(T), at
+u = i the symmetric series M^sym(T), and at u = 2^b it packs Z(t) into
+base-2^b digits (Kronecker substitution; see z_motivic).  The arithmetic,
+complex and real series are termwise chi_a1 images of Z(t).
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -43,27 +43,24 @@ from .series import (
 )
 
 
-def _z_motivic_at(order: int, u: int) -> TruncatedSeries:
-    """Z(T u) over Z, with u = L^{1/2} evaluated at the integer ``u``.
+def _z_at(order: int, q: int) -> TruncatedSeries:
+    """Z(T u) over Z, with u = L^{1/2} evaluated at a u with u^2 = ``q``.
 
-    For each m the m factors 1 - u^4 q^k T^m, k < m, q = u^2, multiply out
-    by the q-binomial theorem (Andrews, *The Theory of Partitions*, ch. 3) to
+    For each m the m factors 1 - u^4 q^k T^m, k < m, multiply out by the
+    q-binomial theorem (Andrews, *The Theory of Partitions*, ch. 3) to
 
         sum_j (-1)^j u^{j(j+3)} [m choose j]_q T^{jm},
 
-    so the series is divided once per m; [m choose j]_q is built from
-    [m choose j-1]_q, and is the ordinary binomial at q = 1.
+    so the series is divided once per m.  j(j+3) is even, so u^{j(j+3)} is
+    q^{j(j+3)/2} and q alone suffices.  Rows follow the q-Pascal rule
+    [m, j] = [m-1, j-1] + q^j [m-1, j], with no division, for j <= order // m.
     """
-    q = u * u
     result = TruncatedSeries.one(INT_RING, order)
+    row = [1]  # [m choose j]_q for j <= min(m, order // m), from m = 0
     for m in range(1, order + 1):
-        terms, binomial = {0: 1}, 1
-        for j in range(1, min(m, order // m) + 1):
-            if q == 1:
-                binomial = binomial * (m - j + 1) // j
-            else:
-                binomial = binomial * (q ** (m - j + 1) - 1) // (q**j - 1)
-            terms[j * m] = (-1) ** j * u ** (j * (j + 3)) * binomial
+        row.append(0)  # the rule reads past the row only at j = m, where [m-1 choose m]_q = 0
+        row = [1] + [row[j - 1] + q**j * row[j] for j in range(1, min(m, order // m) + 1)]
+        terms = {j * m: (-1) ** j * q ** (j * (j + 3) // 2) * c for j, c in enumerate(row)}
         result = result / TruncatedSeries.from_terms(INT_RING, order, terms)
     return result
 
@@ -83,7 +80,7 @@ def z_motivic(order: int) -> TruncatedSeries:
     b = max(macmahon(order).coeffs).bit_length()
     mask = (1 << b) - 1
     coeffs = []
-    for n, packed in enumerate(_z_motivic_at(order, 1 << b).coeffs):
+    for n, packed in enumerate(_z_at(order, 1 << 2 * b).coeffs):
         terms, e = [], -n
         while packed:
             if digit := packed & mask:
@@ -106,17 +103,12 @@ def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
 
 def macmahon(order: int) -> TruncatedSeries:
     """M(q) = prod (1 - q^n)^{-n}, the plane-partition series: Z(T u) at u = 1."""
-    return _z_motivic_at(order, 1)
+    return _z_at(order, 1)
 
 
 def macmahon_symmetric(order: int) -> TruncatedSeries:
-    """M^sym(q) = prod (1 - q^{2n-1})^{-1} (1 - q^{2n})^{-floor(n/2)}."""
-    result = TruncatedSeries.one(INT_RING, order)
-    for m in range(1, order + 1):
-        # odd m = 2n - 1 has exponent 1, even m = 2n has exponent floor(n/2)
-        factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, m: -1})
-        result = result / factor ** (1 if m % 2 else m // 4)
-    return result
+    """M^sym(q) = prod (1 - q^{2n-1})^{-1} (1 - q^{2n})^{-floor(n/2)}: Z(T u) at u = i."""
+    return _z_at(order, -1)
 
 
 class PartitionFunctionResult(Frozen):

@@ -10,10 +10,11 @@ import random
 from fractions import Fraction
 
 from .castelnuovo import fiber_dimension, gv_arithmetic_direct, gv_compare
-from .dt import MatrixTriple, commutator, gradient_vanishes, macmahon, partition_function
+from .dt import (MatrixTriple, commutator, gradient_vanishes, macmahon, macmahon_symmetric,
+                 partition_function)
 from .ekl import ekl_class, global_degree_univariate, milnor_number_a1
 from .fields import QQ
-from .gw import GwAlphaElement, GwElement, hilbert_symbol
+from .gw import GaussianInteger, GwAlphaElement, GwElement, hilbert_symbol
 from .motivic import (
     L,
     MOT_ONE,
@@ -62,6 +63,9 @@ def run_selftest() -> list[tuple[str, bool]]:
     mm = macmahon(8)
     check("dt: complex series is M(-t)",
           pf.complex.coeffs == tuple(mm.coeffs[n] * (-1) ** n for n in range(9)))
+    ms, minus_i = macmahon_symmetric(8), GaussianInteger(0, -1)
+    check("dt: real series is M^sym(-it)",
+          pf.real.coeffs == tuple(minus_i**n * ms.coeffs[n] for n in range(9)))
     check("dt: MacMahon vs enumeration", verify_macmahon(8).agrees)
     check("dt: symmetric MacMahon vs enumeration", verify_symmetric(8).agrees)
 

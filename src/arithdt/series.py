@@ -6,11 +6,10 @@ and one.  A series of order N stores coefficients of t^0 .. t^N and every
 operation truncates eagerly at that order.  Inverses, negative powers and
 the Euler products in dt.py are applied by one in-place division,
 __truediv__, whose cost is the divisor's nonzero terms times the order.
-dt.py divides two products, both over Z (INT_RING): Z(T u) at an integer u,
-one q-binomial group per m, which is MacMahon's series at u = 1 and packs
-the motivic series at u = 2^b; and M^sym, one factor at a time.  The
-arithmetic, complex and real series are chi_a1 images of the motivic
-series, taken by map_coeffs.
+dt.py divides one product over Z (INT_RING): Z(T u) at q = u^2, one
+q-binomial group per m, which is MacMahon's series at u = 1, M^sym at u = i
+and packs the motivic series at u = 2^b.  The arithmetic, complex and real
+series are chi_a1 images of the motivic series, taken by map_coeffs.
 """
 
 from __future__ import annotations

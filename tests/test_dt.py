@@ -133,6 +133,76 @@ def test_macmahon_low_coefficients():
     assert macmahon_symmetric(1).coeffs[0] == 1
 
 
+def _z_motivic_at(order, u):
+    """Z(T u) over Z at the integer ``u``, each [m choose j]_q built from
+    [m choose j-1]_q by the incremental rule, which divides by q^j - 1 and so
+    takes the ordinary binomial rule at q = 1 and cannot reach q = -1."""
+    q = u * u
+    result = TruncatedSeries.one(INT_RING, order)
+    for m in range(1, order + 1):
+        terms, binomial = {0: 1}, 1
+        for j in range(1, min(m, order // m) + 1):
+            if q == 1:
+                binomial = binomial * (m - j + 1) // j
+            else:
+                binomial = binomial * (q ** (m - j + 1) - 1) // (q**j - 1)
+            terms[j * m] = (-1) ** j * u ** (j * (j + 3)) * binomial
+        result = result / TruncatedSeries.from_terms(INT_RING, order, terms)
+    return result
+
+
+def _macmahon_symmetric_product(order):
+    """M^sym multiplied out from its own product, one division per factor."""
+    result = TruncatedSeries.one(INT_RING, order)
+    for m in range(1, order + 1):
+        # odd m = 2n - 1 has exponent 1, even m = 2n has exponent floor(n/2)
+        factor = TruncatedSeries.from_terms(INT_RING, order, {0: 1, m: -1})
+        result = result / factor ** (1 if m % 2 else m // 4)
+    return result
+
+
+@pytest.mark.parametrize("order", [*range(1, 61), 100])
+def test_series_kernel_matches_incremental_binomials_and_product(order):
+    assert macmahon(order) == _z_motivic_at(order, 1)
+    assert macmahon_symmetric(order) == _macmahon_symmetric_product(order)
+    b = max(macmahon(order).coeffs).bit_length()
+    assert dt._z_at(order, 4**b) == _z_motivic_at(order, 2**b)
+
+
+def _z_arithmetic_from_counts(order, field):
+    """z_arithmetic rebuilt from M and M^sym alone.
+
+    chi_a1 sends u to alpha, and alpha^4 = 1, so coefficient n is
+    p0 <1> + p1 alpha + p2 <-1> + p3 <-1> alpha, where p_r adds the u-terms of
+    z_n with exponent r mod 4.  Over the fourth roots of unity,
+    p_r = (1/4) sum_k i^{-rk} z_n(i^k), with z_n(1) = M_n, z_n(-1) = (-1)^n M_n,
+    z_n(i) = (-i)^n M^sym_n and z_n(-i) = i^n M^sym_n.
+    """
+    i = GaussianInteger(0, 1)
+    coeffs = []
+    for n, (mm, ms) in enumerate(zip(macmahon(order).coeffs, macmahon_symmetric(order).coeffs)):
+        # z_n(i^k) for k = 0, 1, 2, 3
+        values = (
+            GaussianInteger(mm, 0), (-i) ** n * ms, GaussianInteger((-1) ** n * mm, 0), i**n * ms
+        )
+        parts = []
+        for r in range(4):
+            total = sum((i ** (-r * k % 4) * v for k, v in enumerate(values)), GaussianInteger(0, 0))
+            assert total.im == 0 and total.re % 4 == 0
+            parts.append(total.re // 4)
+        p0, p1, p2, p3 = parts
+        coeffs.append(GwAlphaElement(
+            GwElement(field, [(1, p0), (-1, p2)]), GwElement(field, [(1, p1), (-1, p3)])
+        ))
+    return TruncatedSeries(gw_alpha_ring(field), order, coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 7, 30, 50])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_arithmetic_series_is_fixed_by_complex_and_real_counts(field, order):
+    assert z_arithmetic(order, field) == _z_arithmetic_from_counts(order, field)
+
+
 def _euler_product(ring, order, factors):
     """prod (1 - c t^m)^{-e} over (m, c, e), from products of closed forms only.
 
@@ -191,6 +261,18 @@ def _z_motivic_q_binomial(order):
 @pytest.mark.parametrize("order", [*range(31, 41), 60])
 def test_packed_series_matches_q_binomial_division(order):
     assert z_motivic(order) == _z_motivic_q_binomial(order)
+
+
+@pytest.mark.parametrize("order", [1, 5, 12, 30])
+@pytest.mark.parametrize("u", [2, 3, -2])
+def test_series_kernel_evaluates_the_motivic_series(u, order):
+    # coefficient n of Z(T u) is u^n z_n(u), and every u-exponent of u^n z_n is >= 0;
+    # z_n is read off the MotivicClass division, which shares no code with the kernel
+    expected = tuple(
+        sum(c * u ** (e + n) for e, c in coeff.u_terms)
+        for n, coeff in enumerate(_z_motivic_q_binomial(order).coeffs)
+    )
+    assert dt._z_at(order, u * u).coeffs == expected
 
 
 def test_packed_digits_are_nonnegative_and_sum_to_macmahon():
