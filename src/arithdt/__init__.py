@@ -4,6 +4,7 @@ Modules:
 
 * ``fields`` / ``gw``: base fields, square classes, Grothendieck-Witt ring
   arithmetic, local symbols, trace forms, symmetric diagonalization;
+* ``gwalpha``: GW(k)(alpha) with alpha^2 = <-1>, and the Gaussian integers;
 * ``motivic``: the Tate subring of motivic weights and the three Euler
   characteristic specializations;
 * ``series``: truncated power series over caller-supplied rings;
@@ -13,7 +14,8 @@ Modules:
 * ``dt``: partition functions for degree-zero counts on affine 3-space;
 * ``castelnuovo``: refined genus-bound fiber integrals for the quintic;
 * ``partitions``: brute-force plane-partition oracles;
-* ``cli``: the ``arithdt`` command-line tool.
+* ``cli``: the ``arithdt`` command-line tool, with its JSON writer in
+  ``jsonout``.
 
 Each public name is loaded from its submodule on first access (PEP 562), so
 ``import arithdt`` and a CLI run compile only the modules they use.
@@ -23,7 +25,8 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# public name -> submodule that defines it; each submodule is public too
+# public name -> submodule that defines it; each submodule is public too, but for
+# gwalpha: split off gw so that GW(k) jobs need not compile it, its names stay public
 _EXPORTS = {
     name: module
     for module, names in (
@@ -36,8 +39,8 @@ _EXPORTS = {
         ("errors", ""),
         ("fields", "BaseField CC QQ RR SquareClass finite_field"),
         ("groebner", "QuotientAlgebra buchberger grevlex_key"),
-        ("gw", "GaussianInteger GwAlphaElement GwElement alpha_power diagonalize_symmetric "
-               "hasse_invariant hilbert_symbol trace_form"),
+        ("gw", "GwElement diagonalize_symmetric hasse_invariant hilbert_symbol trace_form"),
+        ("gwalpha", "GaussianInteger GwAlphaElement alpha_power"),
         ("motivic", "GeneratorSpec L MotivicClass chi_a1 chi_complex chi_real grassmannian_class "
                     "projective_space_class quadratic_point_generator"),
         ("multipoly", "MultiPoly"),
@@ -50,6 +53,7 @@ _EXPORTS = {
     )
     for name in (module, *names.split())
 }
+del _EXPORTS["gwalpha"]
 
 __all__ = sorted(_EXPORTS)
 

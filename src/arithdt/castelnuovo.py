@@ -23,7 +23,8 @@ from math import comb
 
 from .errors import ArithdtError, NonIntegralCoefficientError
 from .fields import BaseField, Frozen, QQ
-from .gw import GwAlphaElement, GwElement
+from .gw import GwElement
+from .gwalpha import GwAlphaElement
 from .motivic import MotivicClass, chi_a1, projective_space_class
 
 

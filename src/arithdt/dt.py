@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ArithdtError, json_rational
 from .fields import BaseField, Frozen, QQ, RR
-from .gw import GwAlphaElement
+from .gwalpha import GwAlphaElement
 from .motivic import MotivicClass, chi_a1
 from .series import (
     GAUSSIAN_RING,

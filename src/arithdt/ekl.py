@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fields import BaseField, Frozen, QQ, linear_sum, squarefree_part
 from .groebner import QuotientAlgebra, buchberger, grevlex_key
-from .gw import GwAlphaElement, GwElement, _diagonalize_rows, trace_form
+from .gw import GwElement, _diagonalize_rows, trace_form
 from .multipoly import MultiPoly
 
 _ZERO = Fraction(0)  # every zero slot of a dense Gram row; one shared immutable value

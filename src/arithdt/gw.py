@@ -17,9 +17,9 @@ invariants of each field:
 * Q: rank, signature, discriminant and Hasse invariants at 2 and at every
   prime dividing a diagonal entry (the local symbol is +1 elsewhere).
 
-GwAlphaElement adjoins a formal square root alpha of <-1>, the receptacle
-for half powers of the Lefschetz class under the compactly supported
-A^1-Euler characteristic.
+GW(k)(alpha), the ring of GwAlphaElement with alpha a formal square root of
+<-1>, and the Gaussian integers it maps to live in ``gwalpha``, so a job in
+GW(k) alone does not compile them.
 """
 
 from __future__ import annotations
@@ -37,11 +37,9 @@ from .errors import (
 )
 from .fields import (
     BaseField,
-    Frozen,
     QQ,
     SquareClass,
     Value,
-    binary_power,
     is_prime,
     legendre_symbol,
     linear_sum,
@@ -52,63 +50,6 @@ from .fields import (
 )
 
 INFINITE_PLACE = "inf"
-
-
-class GaussianInteger(Frozen):
-    """Exact element of Z[i], the value ring of the real Euler characteristic."""
-
-    __slots__ = __match_args__ = ("re", "im")
-
-    def __init__(self, re: int, im: int) -> None:
-        # one is made per ring operation: set directly, as _assign's loop costs twice as much
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInteger":
-        return GaussianInteger(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GaussianInteger(self.re * other, self.im * other)
-        if isinstance(other, GaussianInteger):
-            return GaussianInteger(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "GaussianInteger":
-        if n < 0:
-            raise ArithdtError("negative powers of Gaussian integers are not defined here")
-        return binary_power(self, n, GAUSSIAN_ONE)
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        return f"{self.re}{self.im:+}i"
-
-    __repr__ = __str__
-
-    def to_json_dict(self) -> dict:
-        return {"re": self.re, "im": self.im}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GaussianInteger":
-        return cls(json_int(data["re"], "re"), json_int(data["im"], "im"))
-
-
-GAUSSIAN_ZERO = GaussianInteger(0, 0)
-GAUSSIAN_ONE = GaussianInteger(1, 0)
 
 
 def _sorted_terms(pairs) -> tuple:
@@ -321,138 +262,6 @@ class GwElement(Value):
 
         field = parse_field_label(data["field"])
         return cls(field, data["terms"])
-
-
-class GwAlphaElement(Value):
-    """even + odd*alpha in GW(k)(alpha), where alpha^2 = <-1>."""
-
-    __slots__ = __match_args__ = ("even", "odd")
-
-    def __init__(self, even: GwElement, odd: GwElement):
-        if even.field != odd.field:
-            raise FieldMismatchError("even and odd parts over different fields")
-        self.even = even
-        self.odd = odd
-
-    @property
-    def field(self) -> BaseField:
-        return self.even.field
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: BaseField = QQ) -> "GwAlphaElement":
-        z = GwElement.zero(field)
-        return cls(z, z)
-
-    @classmethod
-    def one(cls, field: BaseField = QQ) -> "GwAlphaElement":
-        return cls(GwElement.one(field), GwElement.zero(field))
-
-    @classmethod
-    def alpha(cls, field: BaseField = QQ) -> "GwAlphaElement":
-        return cls(GwElement.zero(field), GwElement.one(field))
-
-    @classmethod
-    def from_even(cls, even: GwElement) -> "GwAlphaElement":
-        return cls(even, GwElement.zero(even.field))
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "GwAlphaElement") -> "GwAlphaElement":
-        if not isinstance(other, GwAlphaElement):
-            return NotImplemented
-        # GwElement's + and * refuse mixed base fields
-        return GwAlphaElement(self.even + other.even, self.odd + other.odd)
-
-    def __sub__(self, other: "GwAlphaElement") -> "GwAlphaElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GwAlphaElement":
-        return GwAlphaElement(-self.even, -self.odd)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GwAlphaElement(self.even * other, self.odd * other)
-        if isinstance(other, GwElement):
-            other = GwAlphaElement.from_even(other)
-        if not isinstance(other, GwAlphaElement):
-            return NotImplemented
-        minus_one = GwElement.unit(self.field, -1)
-        even = self.even * other.even + minus_one * (self.odd * other.odd)
-        odd = self.even * other.odd + self.odd * other.even
-        return GwAlphaElement(even, odd)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def gw_equal(self, other: "GwAlphaElement") -> bool:
-        return self.even.gw_equal(other.even) and self.odd.gw_equal(other.odd)
-
-    # -- specializations -----------------------------------------------------
-
-    def rank(self) -> int:
-        """Total rank of the underlying form, alpha treated as a unit."""
-        return self.even.rank() + self.odd.rank()
-
-    def numeric_complex(self) -> int:
-        """Rank termwise with alpha sent to -1: the count over the closure."""
-        return self.even.rank() - self.odd.rank()
-
-    def numeric_real(self) -> GaussianInteger:
-        """Signature termwise with alpha sent to i: the signed real count."""
-        return GaussianInteger(self.even.signature(), self.odd.signature())
-
-    def to_field(self, field: BaseField) -> "GwAlphaElement":
-        return GwAlphaElement(self.even.to_field(field), self.odd.to_field(field))
-
-    def render(self, contract_h: bool = False) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        if not self.even.is_zero():
-            parts.append(self.even.render(contract_h))
-        if not self.odd.is_zero():
-            body = self.odd.render(contract_h)
-            if " " in body or body.startswith("-"):
-                body = f"({body})"
-            parts.append(f"a*{body}")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"GwAlphaElement({self.field}; {self.render()})"
-
-    def to_json_dict(self) -> dict:
-        return {"even": self.even.to_json_dict(), "odd": self.odd.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GwAlphaElement":
-        return cls(GwElement.from_json_dict(data["even"]), GwElement.from_json_dict(data["odd"]))
-
-
-def _alpha_sum(terms, field: BaseField) -> GwAlphaElement:
-    """Sum of c * alpha^e over (e, c) pairs, with coefficients summed by e mod 4.
-
-    alpha^e = <(-1)^(e//2)> * alpha^(e%2), so e = 0, 1, 2, 3 mod 4 give
-    <1>, <1>alpha, <-1>, <-1>alpha.
-    """
-    b = [0, 0, 0, 0]
-    for e, c in terms:
-        b[e % 4] += c
-    return GwAlphaElement(
-        GwElement(field, [(1, b[0]), (-1, b[2])]),
-        GwElement(field, [(1, b[1]), (-1, b[3])]),
-    )
-
-
-def alpha_power(field: BaseField, e: int) -> GwAlphaElement:
-    """alpha^e for any integer e, using alpha^2 = <-1> and alpha^-1 = <-1>alpha."""
-    return _alpha_sum(((e, 1),), field)
 
 
 # -- local symbols and form classification ----------------------------------

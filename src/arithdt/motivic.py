@@ -29,7 +29,8 @@ from itertools import chain, zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
 from .fields import BaseField, Frozen, QQ, RR, Value, binary_power, linear_sum, render_sum
-from .gw import GaussianInteger, GwAlphaElement, GwElement, _alpha_sum, trace_form
+from .gw import GwElement, trace_form
+from .gwalpha import GaussianInteger, GwAlphaElement, _alpha_sum
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
 

@@ -14,7 +14,8 @@ from .dt import (MatrixTriple, commutator, gradient_vanishes, macmahon, macmahon
                  partition_function)
 from .ekl import ekl_class, global_degree_univariate, milnor_number_a1
 from .fields import QQ
-from .gw import GaussianInteger, GwAlphaElement, GwElement, hilbert_symbol
+from .gw import GwElement, hilbert_symbol
+from .gwalpha import GaussianInteger, GwAlphaElement
 from .motivic import (
     L,
     MOT_ONE,

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
 from .fields import BaseField, Frozen, QQ, Value, binary_power
-from .gw import GAUSSIAN_ONE, GAUSSIAN_ZERO, GwAlphaElement, GwElement
+from .gw import GwElement
+from .gwalpha import GAUSSIAN_ONE, GAUSSIAN_ZERO, GwAlphaElement
 from .motivic import MOT_ONE, MOT_ZERO
 
 

@@ -22,7 +22,8 @@ from arithdt.dt import (
 )
 from arithdt.ekl import ekl_class, milnor_chi_relation, milnor_number_a1
 from arithdt.fields import CC, QQ, RR, finite_field
-from arithdt.gw import GaussianInteger, GwAlphaElement, GwElement
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GaussianInteger, GwAlphaElement
 from arithdt.motivic import (
     L,
     MOT_ONE,

@@ -20,13 +20,13 @@ from arithdt.errors import ArithdtError, GeneratorProductError
 from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors, square_class_rep
 from arithdt.groebner import buchberger, leading_monomial, normal_form
 from arithdt.gw import (
-    GaussianInteger,
     GwElement,
     diagonalize_symmetric,
     hasse_invariant,
     hilbert_symbol,
     trace_form,
 )
+from arithdt.gwalpha import GaussianInteger
 from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord

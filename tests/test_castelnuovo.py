@@ -20,7 +20,8 @@ from arithdt.castelnuovo import (
 )
 from arithdt.errors import ArithdtError, NonIntegralCoefficientError
 from arithdt.fields import QQ, finite_field
-from arithdt.gw import GwAlphaElement, GwElement
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GwAlphaElement
 from arithdt.motivic import (
     L,
     MOT_ONE,

@@ -20,7 +20,8 @@ from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError, IntegerTooLongError, brief, brief_str
 from arithdt.fields import QQ
-from arithdt.gw import GwAlphaElement, GwElement
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GwAlphaElement
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, chi_real
 
 

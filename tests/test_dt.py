@@ -22,7 +22,8 @@ from arithdt.dt import (
     z_motivic,
 )
 from arithdt.fields import CC, QQ, RR, finite_field
-from arithdt.gw import GaussianInteger, GwAlphaElement, GwElement, alpha_power
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, grassmannian_class
 from arithdt.partitions import count_plane_partitions
 from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring

@@ -16,15 +16,13 @@ from arithdt.errors import (
 )
 from arithdt.fields import CC, QQ, RR, SquareClass, finite_field, prime_factors, square_class_rep, squarefree_part
 from arithdt.gw import (
-    GaussianInteger,
-    GwAlphaElement,
     GwElement,
-    alpha_power,
     diagonalize_symmetric,
     hasse_invariant,
     hilbert_symbol,
     trace_form,
 )
+from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1
 
 F5 = finite_field(5)

@@ -8,7 +8,8 @@ import pytest
 
 from arithdt.errors import ArithdtError, GeneratorProductError, InexactDivisionError
 from arithdt.fields import CC, QQ, RR, finite_field
-from arithdt.gw import GaussianInteger, GwAlphaElement, GwElement, alpha_power
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import (
     DEFAULT_GENERATORS,
     SPEC_C,

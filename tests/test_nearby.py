@@ -9,7 +9,8 @@ import pytest
 from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError
 from arithdt.fields import QQ
-from arithdt.gw import GaussianInteger, GwElement
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GaussianInteger
 from arithdt.motivic import L, MOT_ONE, MotivicClass, chi_a1, chi_complex, chi_real
 from arithdt.nearby import (
     SncData,

@@ -20,7 +20,8 @@ import arithdt.nearby  # noqa: F401
 import arithdt.partitions  # noqa: F401
 from arithdt.errors import FieldMismatchError
 from arithdt.fields import QQ, RR, Frozen, Value
-from arithdt.gw import GwAlphaElement, GwElement
+from arithdt.gw import GwElement
+from arithdt.gwalpha import GwAlphaElement
 from arithdt.motivic import MotivicClass
 from arithdt.multipoly import MultiPoly
 from arithdt.series import FRACTION_RING, INT_RING, TruncatedSeries

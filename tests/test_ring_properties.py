@@ -16,7 +16,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from arithdt.fields import QQ, finite_field  # noqa: E402
-from arithdt.gw import GwAlphaElement, GwElement  # noqa: E402
+from arithdt.gw import GwElement  # noqa: E402
+from arithdt.gwalpha import GwAlphaElement  # noqa: E402
 from arithdt.motivic import MotivicClass  # noqa: E402
 from arithdt.multipoly import MultiPoly  # noqa: E402
 from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries  # noqa: E402

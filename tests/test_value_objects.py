@@ -19,7 +19,7 @@ from arithdt.dt import MatrixTriple, PartitionFunctionResult, partition_function
 from arithdt.ekl import ConjugatePair, EklResult, MilnorReport, ekl_class, milnor_chi_relation
 from arithdt.errors import ArithdtError, InputDataError
 from arithdt.fields import CC, QQ, RR, BaseField, Frozen, SquareClass, finite_field
-from arithdt.gw import GaussianInteger
+from arithdt.gwalpha import GaussianInteger
 from arithdt.motivic import L, MOT_ONE, SPEC_C, GeneratorSpec, MotivicClass, quadratic_point_generator
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
