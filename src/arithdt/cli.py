@@ -1,4 +1,4 @@
-"""Command-line front end: subcommand dispatch, JSON codecs, run manifests.
+"""Command-line front end: subcommand dispatch, JSON readers, run manifests.
 
 Exit codes: 0 on success, 1 on a domain error (ArithdtError), 2 on usage
 errors (argparse).  All numeric payloads are exact -- rationals are
@@ -8,19 +8,20 @@ describing the invocation is written next to it; JSON written to stdout
 embeds the same manifest.
 
 Only the modules that parsing and dispatch need are imported here; each
-handler imports what it computes with, so a job loads no other module.
+handler imports what it computes with, ``json`` is imported where JSON is
+read, and the JSON writer (``jsonout``) where JSON is written, so a job
+loads no other module.  ``main`` is the process entry point; ``dispatch``
+runs one command line for a caller in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import gc
 import os
 import re
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import ArithdtError, InputDataError, IntegerTooLongError, brief
@@ -43,122 +44,17 @@ def max_series_order() -> int:
     return value
 
 
-_BATCH_CHARS = 1 << 16  # pending text written to the stream at once
-_RUN = 256  # list items formatted by one C-level join or %-format
-
-
-def write_json(stream, value) -> None:
-    """Write ``json.dumps(value, sort_keys=True, indent=2) + "\\n"`` to ``stream``.
-
-    The text is made in pieces and written in batches of about 64 KB, so the
-    whole text is never held.  Lists are taken in runs of ``_RUN`` items: a
-    run of ints, or of equal-length lists of ints (every ``u_coeffs`` and
-    ``terms`` array), is formatted by one ``join`` or ``%`` at C speed.  The
-    domain is dict (with str keys), list, tuple, str, int, bool and None;
-    anything else, floats included, raises TypeError.  An int of more than
-    ``sys.get_int_max_str_digits()`` digits raises the ValueError that
-    ``json.dumps`` raises.
-    """
-    pending = []
-    size = 0
-
-    def put(piece: str) -> None:
-        nonlocal size
-        pending.append(piece)
-        size += len(piece)
-        if size >= _BATCH_CHARS:
-            stream.write("".join(pending))
-            pending.clear()
-            size = 0
-
-    def write(v, nl: str) -> None:  # nl: newline and indent of v's own line
-        text = _scalar_text(v)
-        if text is not None:
-            put(text)
-        elif isinstance(v, dict):
-            if not v:
-                put("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for key, item in sorted(v.items()):
-                put(sep + encode_basestring_ascii(key) + ": ")
-                write(item, inner)
-                sep = "," + inner
-            put(nl + "}")
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                put("[]")
-                return
-            inner = nl + "  "
-            sep = "," + inner
-            put("[" + inner)
-            for start in range(0, len(v), _RUN):
-                if start:
-                    put(sep)
-                run = v[start:start + _RUN]
-                text = _int_run_text(run, inner)
-                if text is not None:
-                    put(text)
-                    continue
-                for i, item in enumerate(run):
-                    if i:
-                        put(sep)
-                    write(item, inner)
-            put(nl + "]")
-        else:
-            raise TypeError(f"cannot write {type(v).__name__} as JSON: "
-                            "payloads hold only dict, list, tuple, str, int, bool and None")
-
-    write(value, "\n")
-    put("\n")
-    stream.write("".join(pending))
-
-
-def _scalar_text(v) -> str | None:
-    """JSON text of a str, None, bool or int, as ``json.dumps`` writes it; None otherwise."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    return None
-
-
-def _int_run_text(run, inner: str) -> str | None:
-    """A run of list items joined by ``,`` + ``inner``, if they are all ints or all
-    equal-length lists of ints; None otherwise.  Exact types are compared, as a
-    bool is an int that ``%d`` and ``int.__repr__`` would write as 1 or 0."""
-    kinds = set(map(type, run))
-    if kinds == {int}:
-        return ("," + inner).join(map(int.__repr__, run))
-    if kinds <= {list, tuple}:
-        widths = set(map(len, run))
-        width = widths.pop()
-        if width and not widths:
-            flat = tuple(chain.from_iterable(run))
-            if set(map(type, flat)) == {int}:
-                return _rows_format(width, len(run), inner) % flat
-    return None
-
-
-def _rows_format(width: int, count: int, inner: str) -> str:
-    """%-template of ``count`` rows of ``width`` ints, each row one indent deeper than ``inner``."""
-    cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
-    return ("," + inner).join([row] * count)
-
-
 def _emit(args, manifest: dict, payload: dict, text) -> None:
     """Write ``payload`` as JSON (to ``--out`` or, with ``--json``, to stdout), or
     else the string that ``text()`` makes: the text is built only when printed."""
     out_path = getattr(args, "out", None)
     as_json = getattr(args, "json", False) or out_path is not None
+    if not as_json:
+        manifest["outputs"].append("stdout")
+        sys.stdout.write(text() + "\n")
+        return
+    from .jsonout import write_json
+
     if out_path:
         manifest["outputs"].append(out_path)
         written = []
@@ -176,12 +72,9 @@ def _emit(args, manifest: dict, payload: dict, text) -> None:
             raise
         return
     manifest["outputs"].append("stdout")
-    if as_json:
-        payload = dict(payload)
-        payload["manifest"] = manifest
-        write_json(sys.stdout, payload)
-    else:
-        sys.stdout.write(text() + "\n")
+    payload = dict(payload)
+    payload["manifest"] = manifest
+    write_json(sys.stdout, payload)
 
 
 # -- GW expression parsing -------------------------------------------------------
@@ -226,6 +119,8 @@ def _released(items: list):
 
 
 def _load_json(path: str):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -235,6 +130,8 @@ def _load_json(path: str):
 
 def _parse_matrix(text: str) -> list:
     """JSON rows; ``diagonalize_symmetric`` reads each entry as an exact rational."""
+    import json
+
     try:
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -523,4 +420,23 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    """The process entry point: ``dispatch`` the command line, then exit.
+
+    Every object still alive when ``dispatch`` ends lives until exit, so it is
+    moved out of the collector's reach (``gc.freeze``): the collections of
+    interpreter shutdown then walk none of the imported modules' objects.
+    ``dispatch`` itself leaves the collector as it found it, for callers in a
+    process that goes on.  A reader that closes stdout early ends the job with
+    exit 1 and no traceback, as the Python docs advise for SIGPIPE.
+    """
+    try:
+        status = dispatch()
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:
+        # nothing more reaches the reader: let the flush at shutdown go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        status = 1
+    finally:
+        gc.freeze()
+    sys.exit(status)

@@ -12,8 +12,9 @@ import sys
 
 import pytest
 
-from arithdt import cli
-from arithdt.cli import dispatch, write_json
+from arithdt import jsonout
+from arithdt.cli import dispatch
+from arithdt.jsonout import write_json
 
 
 def written(value) -> str:
@@ -63,7 +64,7 @@ def test_output_is_written_in_bounded_batches():
     write_json(Stream(), {"u_coeffs": pairs})
     assert sum(sizes) == len(dumped({"u_coeffs": pairs})) > 1_000_000
     # each batch is about 64 KB: one run past the threshold, never the whole text
-    assert len(sizes) > 10 and max(sizes) < 2 * cli._BATCH_CHARS
+    assert len(sizes) > 10 and max(sizes) < 2 * jsonout._BATCH_CHARS
 
 
 def test_a_float_or_a_key_that_is_not_a_str_raises_type_error():

@@ -90,7 +90,14 @@ GW_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors", "arithdt.fields", "arithd
 @pytest.mark.parametrize("argv", [["--version"], ["gw", "--op", "rank", "--a", "<2>"]],
                          ids=["version", "gw"])
 def test_gw_jobs_load_four_modules(argv):
-    assert _loaded_after(*argv) == GW_ONLY
+    modules = _modules_after(*argv)
+    assert {m for m in modules if m.split(".")[0] == "arithdt"} == GW_ONLY
+    # text output reads and writes no JSON: neither the writer nor the json package is compiled
+    assert "json" not in modules
+
+
+def test_gw_json_job_loads_the_writer():
+    assert _loaded_after("gw", "--op", "rank", "--a", "<2>", "--json") == GW_ONLY | {"arithdt.jsonout"}
 
 
 def test_dt_job_loads_no_algebra_modules():
@@ -105,6 +112,8 @@ def test_ekl_job_does_not_load_motivic(tmp_path):
     loaded = _loaded_after("ekl", "--map", str(path))
     assert "arithdt.ekl" in loaded
     assert "arithdt.motivic" not in loaded
+    # GW(k)(alpha) is named in ekl only in an annotation
+    assert "arithdt.gwalpha" not in loaded
 
 
 def test_library_imports_only_the_standard_library():
