@@ -25,8 +25,8 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# public name -> submodule that defines it; each submodule is public too, but for
-# gwalpha: split off gw so that GW(k) jobs need not compile it, its names stay public
+# public name -> submodule that defines it; each submodule is public too, except
+# gwalpha, split off gw (so that GW(k) jobs need not compile it) after the names were fixed
 _EXPORTS = {
     name: module
     for module, names in (

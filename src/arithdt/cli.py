@@ -49,12 +49,8 @@ def _emit(args, manifest: dict, payload: dict, text) -> None:
     else the string that ``text()`` makes: the text is built only when printed."""
     out_path = getattr(args, "out", None)
     as_json = getattr(args, "json", False) or out_path is not None
-    if not as_json:
-        manifest["outputs"].append("stdout")
-        sys.stdout.write(text() + "\n")
-        return
-    from .jsonout import write_json
-
+    if as_json:
+        from .jsonout import write_json
     if out_path:
         manifest["outputs"].append(out_path)
         written = []
@@ -72,9 +68,12 @@ def _emit(args, manifest: dict, payload: dict, text) -> None:
             raise
         return
     manifest["outputs"].append("stdout")
-    payload = dict(payload)
-    payload["manifest"] = manifest
-    write_json(sys.stdout, payload)
+    if as_json:
+        payload = dict(payload)
+        payload["manifest"] = manifest
+        write_json(sys.stdout, payload)
+    else:
+        sys.stdout.write(text() + "\n")
 
 
 # -- GW expression parsing -------------------------------------------------------
@@ -422,12 +421,12 @@ def dispatch(argv=None) -> int:
 def main() -> None:
     """The process entry point: ``dispatch`` the command line, then exit.
 
-    Every object still alive when ``dispatch`` ends lives until exit, so it is
-    moved out of the collector's reach (``gc.freeze``): the collections of
-    interpreter shutdown then walk none of the imported modules' objects.
-    ``dispatch`` itself leaves the collector as it found it, for callers in a
-    process that goes on.  A reader that closes stdout early ends the job with
-    exit 1 and no traceback, as the Python docs advise for SIGPIPE.
+    What is alive when ``dispatch`` ends lives until exit, so ``gc.freeze``
+    takes it out of the collections of interpreter shutdown, which would
+    otherwise walk every imported module's objects.  ``dispatch`` leaves the
+    collector alone, for callers in a process that goes on.  A reader that
+    closes stdout early ends the job with exit 1 and no traceback, as the
+    Python docs advise for SIGPIPE.
     """
     try:
         status = dispatch()
