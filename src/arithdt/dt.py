@@ -125,10 +125,10 @@ def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionRe
     """The series over ``field``; the complex and real images do not depend on it."""
     motivic = z_motivic(order)
     arithmetic = _chi_a1_image(motivic, field)
-    # one chi_a1 over R per coefficient: chi_complex and chi_real are its rank and signature
-    over_r = arithmetic if field == RR else _chi_a1_image(motivic, RR)
-    complex_series = over_r.map_coeffs(GwAlphaElement.numeric_complex, INT_RING)
-    real_series = over_r.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING)
+    # chi_complex and chi_real: the rank and signature of the image over Q or R, one chi_a1 each
+    ordered = arithmetic if field.is_ordered else _chi_a1_image(motivic, RR)
+    complex_series = ordered.map_coeffs(GwAlphaElement.numeric_complex, INT_RING)
+    real_series = ordered.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING)
     return PartitionFunctionResult(motivic, arithmetic, complex_series, real_series)
 
 

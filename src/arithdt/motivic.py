@@ -8,10 +8,11 @@ finitely many generators are ever needed and products of two generator
 parts fall outside the supported subring and are rejected.
 
 Canonical form (ascending exponents, nonzero int coefficients, one entry per
-sorted generator name) is set once, by the public constructor.  Ring
-operations sum canonical terms with ``_sum_u``, which is the shared sparse
-sum ``fields.linear_sum`` put in ascending order, and build their results
-through the trusted ``MotivicClass._make``.
+sorted generator name) is made by one kernel, ``_canonical``: one ``_sum_u``
+(``fields.linear_sum`` in ascending order) per name over a stream of parts.
+The constructor, ``+``, ``*`` and ``sum_products`` (the sum of classes times
+u-term weights that ``nearby`` takes) go through it; the trusted
+``MotivicClass._make`` stores what it is given.
 
 Three ring morphisms specialize a class, all through one evaluation:
 
@@ -51,8 +52,14 @@ def _products_u(a, b):
     return ((e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b)
 
 
-def _mul_u(a: _UTerms, b: _UTerms) -> _UTerms:
-    return _sum_u(_products_u(a, b))
+def _canonical(parts) -> tuple:
+    """The canonical (u_terms, extras) of a stream of (name, terms) parts, name None
+    for u-terms: the parts are read in order, and the terms of each name summed once."""
+    groups: dict = {None: []}
+    for name, terms in parts:
+        groups.setdefault(name, []).append(terms)
+    u_terms = _sum_u(*groups.pop(None))  # popped first: sorted() cannot compare None with a name
+    return u_terms, tuple((n, c) for n in sorted(groups) if (c := _sum_u(*groups[n])))
 
 
 def _neg_u(a: _UTerms) -> _UTerms:
@@ -65,20 +72,18 @@ class MotivicClass(Value):
     __slots__ = __match_args__ = ("u_terms", "extras")
 
     def __init__(self, u_terms=(), extras=()):
-        self.u_terms: _UTerms = _sum_u(_exact_u(u_terms))
         if hasattr(extras, "items"):
             extras = extras.items()
-        acc: dict[str, _UTerms] = {}
-        for name, coeff in extras:
-            acc[str(name)] = _sum_u(acc.get(str(name), ()), _exact_u(coeff))
-        self.extras: tuple = tuple(sorted((n, c) for n, c in acc.items() if c))
+        # the u-terms are checked first, then each generator part in input order
+        self.u_terms, self.extras = _canonical(chain(
+            ((None, _exact_u(u_terms)),), ((str(n), _exact_u(c)) for n, c in extras)))
 
     @classmethod
-    def _make(cls, u_terms: _UTerms, extras=()) -> "MotivicClass":
-        """Trusted constructor: canonical u-terms and (name, canonical terms) pairs."""
+    def _make(cls, u_terms: _UTerms, extras: tuple = ()) -> "MotivicClass":
+        """Trusted constructor: canonical u-terms and extras (a sorted tuple), stored as given."""
         obj = object.__new__(cls)
         obj.u_terms = u_terms
-        obj.extras = tuple(sorted((n, c) for n, c in extras if c))
+        obj.extras = extras
         return obj
 
     # -- constructors --------------------------------------------------------
@@ -119,12 +124,13 @@ class MotivicClass(Value):
             other = MotivicClass.from_int(other)
         if not isinstance(other, MotivicClass):
             return NotImplemented
-        return sum_classes((self, other))
+        return MotivicClass._make(*_canonical(
+            ((None, self.u_terms), *self.extras, (None, other.u_terms), *other.extras)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MotivicClass":
-        return MotivicClass._make(_neg_u(self.u_terms), [(n, _neg_u(c)) for n, c in self.extras])
+        return MotivicClass._make(_neg_u(self.u_terms), tuple((n, _neg_u(c)) for n, c in self.extras))
 
     def __sub__(self, other):
         return self + (-other)
@@ -141,10 +147,9 @@ class MotivicClass(Value):
             raise GeneratorProductError(
                 "product of two non-Tate generator classes is outside the supported subring"
             )
-        # at most one side has extras, so the names below are distinct
-        extras = [(n, _mul_u(c, other.u_terms)) for n, c in self.extras]
-        extras += [(n, _mul_u(c, self.u_terms)) for n, c in other.extras]
-        return MotivicClass._make(_mul_u(self.u_terms, other.u_terms), extras)
+        # every part of the class with extras (if any) times the other's u-terms
+        m, w = (other, self.u_terms) if other.extras else (self, other.u_terms)
+        return sum_products(((m, w),))
 
     __rmul__ = __mul__
 
@@ -204,15 +209,12 @@ class MotivicClass(Value):
         return cls(data.get("u_coeffs", []), data.get("extras", {}))
 
 
-def sum_classes(classes) -> MotivicClass:
-    """The sum of a sequence of classes: one ``_sum_u`` over all their u-terms,
-    and one over all the terms of each generator name."""
-    extras: dict[str, list] = {}
-    for m in classes:
-        for name, coeff in m.extras:
-            extras.setdefault(name, []).append(coeff)
-    return MotivicClass._make(_sum_u(*(m.u_terms for m in classes)),
-                              [(name, _sum_u(*parts)) for name, parts in extras.items()])
+def sum_products(pairs) -> MotivicClass:
+    """The sum of m * w over (m, w) pairs, m a class and w u-terms: every part of
+    every m times its w, lazily, in one ``_canonical``; no class is built per pair."""
+    return MotivicClass._make(*_canonical(
+        (name, _products_u(terms, w))
+        for m, w in pairs for name, terms in ((None, m.u_terms), *m.extras)))
 
 
 L = MotivicClass.lefschetz()

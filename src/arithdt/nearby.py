@@ -7,7 +7,8 @@ component multiplicities.  The nearby class is the alternating sum
 
     S = sum over I of (1 - L)^(|I| - 1) * [stratum_I]
 
-and the virtual class of a critical locus is -L^(-dim/2) (S - [X_0]).
+and the virtual class of a critical locus is -L^(-dim/2) (S - [X_0]).  S is
+one ``motivic.sum_products``, so it goes through the motivic sum kernel.
 Coverings are not constructed here; their classes are input.  Monodromy
 orders m_I = gcd of the multiplicities are recorded but not acted on: all
 classes are assumed to lie in the subring with trivial action.
@@ -15,11 +16,12 @@ classes are assumed to lie in the subring with trivial action.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
-from .errors import InputDataError, json_int
+from .errors import InputDataError, brief, json_int
 from .fields import Frozen
-from .motivic import MotivicClass, _products_u, _sum_u
+from .motivic import MotivicClass, sum_products
 
 
 class StratumRecord(Frozen):
@@ -65,11 +67,15 @@ class StratumRecord(Frozen):
     def from_json_dict(cls, data: dict) -> "StratumRecord":
         try:
             indices = [json_int(i, "stratum index") for i in data["I"]]
-            mults = {int(i): n for i, n in data["mult"].items()}
+            mults = [(int(i), n) for i, n in data["mult"].items()]
             stratum_class = MotivicClass.from_json_dict(data["class"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"malformed stratum record: {exc}") from exc
-        return cls(frozenset(indices), stratum_class, mults)
+        # a set or a dict would keep one of two equal indices ("2" and "02" are both 2)
+        for where, keys in (("I", indices), ("mult", [i for i, _ in mults])):
+            if repeated := [i for i, n in Counter(keys).items() if n > 1]:
+                raise InputDataError(f"stratum index {brief(repeated[0])} appears twice in {where}")
+        return cls(frozenset(indices), stratum_class, dict(mults))
 
 
 class SncData(Frozen):
@@ -111,23 +117,11 @@ class SncData(Frozen):
 def nearby_class(data: SncData) -> MotivicClass:
     """S = sum over nonempty I of (1 - L)^(|I|-1) [stratum_I].
 
-    Each term of each stratum class is multiplied by the binomial row of its
-    weight, and all the products go into one sparse sum (and one more per
-    generator name): no class is built per stratum or per size, and the work
-    per term is linear in |I|.
+    One ``sum_products`` over the (class, binomial row of its weight) pairs: no
+    class is built per stratum or per size, and the work per term is linear in |I|.
     """
-    rows: dict[int, tuple] = {}
-    u_parts, extras = [], {}
-    for record in data.strata:
-        k = len(record.index_set)
-        if k not in rows:
-            rows[k] = _weight(k)
-        cls = record.stratum_class
-        u_parts.append(_products_u(cls.u_terms, rows[k]))
-        for name, coeff in cls.extras:
-            extras.setdefault(name, []).append(_products_u(coeff, rows[k]))
-    return MotivicClass._make(_sum_u(*u_parts),
-                              [(name, _sum_u(*parts)) for name, parts in extras.items()])
+    rows = {k: _weight(k) for k in {len(r.index_set) for r in data.strata}}
+    return sum_products((r.stratum_class, rows[len(r.index_set)]) for r in data.strata)
 
 
 def _weight(k: int) -> tuple:

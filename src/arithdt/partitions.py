@@ -86,6 +86,8 @@ class VerifyReport(Frozen):
 
 def _verify(order: int, series_to, count) -> VerifyReport:
     """Compare the coefficients of series_to(order) with count(n) for n <= order."""
+    if order < 0:
+        raise ArithdtError("order must be nonnegative")
     if order > 12:
         raise ArithdtError("verification is capped at order 12")
     series = series_to(max(order, 1))

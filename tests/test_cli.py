@@ -397,6 +397,8 @@ def test_domain_errors_exit_one(tmp_path, capsys):
         ["{long_cap}", "dt-a3", "--order", "3"],
         ["gw", "--op", "rank", "--a", "{long_gw}"],
         ["gw", "--op", "rank", "--a", "{long_nonunit}", "--field", "F5"],
+        ["nearby", "--data", "{repeated_index}"],
+        ["nearby", "--data", "{repeated_mult}"],
     ],
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
@@ -407,9 +409,15 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing-dir" / "x.json"
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)  # nested past the JSON decoder's recursion limit
+    repeated_index, repeated_mult = tmp_path / "repeated-index.json", tmp_path / "repeated-mult.json"
+    for path, stratum in ((repeated_index, {"I": [1, 1], "mult": {"1": 1}}),
+                          (repeated_mult, {"I": [2], "mult": {"2": 1, "02": 1}})):
+        stratum["class"] = {"u_coeffs": [[2, 1]]}
+        path.write_text(json.dumps({"dim": 2, "strata": [stratum]}))
     paths = {
         "{bad}": str(bad), "{dir}": str(tmp_path), "{x0}": str(x0), "{missing}": str(missing),
         "{deep}": str(deep), "{deep_text}": "[" * 100_000,
+        "{repeated_index}": str(repeated_index), "{repeated_mult}": str(repeated_mult),
         "{long_coeff}": "9" * 5000 + "*<1>",  # more digits than int() reads by default
         "{long_field}": "F" + "7" * 5000,
         "{long_gw}": "<" + "1" * 4999,  # no closing bracket

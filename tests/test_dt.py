@@ -310,9 +310,10 @@ def test_partition_function_bundle():
     assert pf.complex.coeffs == (1, -1, 3, -6, 13, -24, 48)
 
 
-@pytest.mark.parametrize("field,calls", [(RR, 31), (QQ, 62)])
+@pytest.mark.parametrize("field,calls", [(RR, 31), (QQ, 31), (finite_field(5), 62)])
 def test_partition_function_takes_the_image_over_r_once(field, calls, monkeypatch):
-    # over R the arithmetic series is the image that gives the complex and real series
+    # over an ordered field (Q or R) the arithmetic series is the image that gives the
+    # complex and real series; over any other field they come from one more image, over R
     seen = []
 
     def counted(m, *args):
@@ -325,6 +326,16 @@ def test_partition_function_takes_the_image_over_r_once(field, calls, monkeypatc
     over_r = z_motivic(30).map_coeffs(lambda c: chi_a1(c, RR), gw_alpha_ring(RR))
     assert pf.complex.coeffs == tuple(q.numeric_complex() for q in over_r.coeffs)
     assert pf.real.coeffs == tuple(q.numeric_real() for q in over_r.coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 7, 30])
+def test_rank_and_signature_of_the_image_over_q_are_those_over_r(order):
+    motivic = z_motivic(order)
+    over_q = motivic.map_coeffs(lambda c: chi_a1(c, QQ), gw_alpha_ring(QQ))
+    over_r = motivic.map_coeffs(lambda c: chi_a1(c, RR), gw_alpha_ring(RR))
+    for q, r in zip(over_q.coeffs, over_r.coeffs, strict=True):
+        assert q.numeric_complex() == r.numeric_complex()
+        assert q.numeric_real() == r.numeric_real()
 
 
 # -- the trace potential ---------------------------------------------------------

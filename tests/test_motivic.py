@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import comb
+from operator import add
 
 import pytest
 
 from arithdt.errors import ArithdtError, GeneratorProductError, InexactDivisionError
-from arithdt.fields import CC, QQ, RR, finite_field
+from arithdt.fields import CC, QQ, RR, finite_field, linear_sum
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import (
@@ -25,6 +28,7 @@ from arithdt.motivic import (
     grassmannian_class,
     projective_space_class,
     quadratic_point_generator,
+    sum_products,
 )
 
 
@@ -312,3 +316,106 @@ def test_chi_a1_matches_termwise_sum(field):
             assert image.numeric_real() == _chi_real_termwise(m, GENERATORS)
         if set(names) <= {SPEC_C.name}:
             assert chi_a1(m, field) == _chi_a1_termwise(m, field, DEFAULT_GENERATORS)
+
+
+# -- the sum kernel against the loops it replaced ---------------------------------------
+
+ONE_TERM = ((0, 1),)
+
+
+def _summed(*parts):
+    """The u-term sum of the loops below: linear_sum, then sorted by exponent."""
+    return tuple(sorted(linear_sum(chain.from_iterable(parts)).items()))
+
+
+def _sorted_nonzero(extras):
+    """What the trusted constructor did to its extras: sort by name, drop empty parts."""
+    return tuple(sorted((n, c) for n, c in extras if c))
+
+
+def accumulated(u_terms, extras):
+    """The constructor's loop: one accumulator per name, summed one part at a time."""
+    acc = {}
+    for name, coeff in extras:
+        acc[str(name)] = _summed(acc.get(str(name), ()), coeff)
+    return _summed(u_terms), _sorted_nonzero(acc.items())
+
+
+def two_pass_sum(classes):
+    """The sum of a list of classes as sum_classes took it: a pass for the generator
+    parts, then one more over the same list for the u-terms."""
+    extras = {}
+    for m in classes:
+        for name, coeff in m.extras:
+            extras.setdefault(name, []).append(coeff)
+    return (_summed(*(m.u_terms for m in classes)),
+            _sorted_nonzero((name, _summed(*parts)) for name, parts in extras.items()))
+
+
+def per_name_products(pairs):
+    """nearby_class's loop: the u-term products in one list, the others by name."""
+
+    def products(a, b):
+        return [(e1 + e2, c1 * c2) for e1, c1 in a for e2, c2 in b]
+
+    u_parts, extras = [], {}
+    for m, w in pairs:
+        u_parts.append(products(m.u_terms, w))
+        for name, coeff in m.extras:
+            extras.setdefault(name, []).append(products(coeff, w))
+    return _summed(*u_parts), _sorted_nonzero((n, _summed(*p)) for n, p in extras.items())
+
+
+def _raw_parts(rng):
+    """Raw constructor input: names repeated, zero coefficients, parts that cancel."""
+    def terms():
+        return [(rng.randint(-6, 6), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6))]
+
+    extras = [(rng.choice(sorted(GENERATORS)), terms()) for _ in range(rng.randint(0, 6))]
+    if extras and rng.random() < 0.3:
+        name, coeff = rng.choice(extras)
+        extras.append((name, [(e, -c) for e, c in coeff]))
+    return terms(), extras
+
+
+def _fields(m):
+    return m.u_terms, m.extras
+
+
+def test_constructor_matches_the_accumulator():
+    rng = random.Random(2501)
+    for _ in range(300):
+        u_terms, extras = _raw_parts(rng)
+        expected = accumulated(u_terms, extras)
+        assert _fields(MotivicClass(u_terms, extras)) == expected
+        # the parts may come as an iterator, and the u-terms as a dict
+        assert _fields(MotivicClass(iter(u_terms), iter(extras))) == expected
+        assert _fields(MotivicClass(dict(linear_sum(u_terms)), extras)) == expected
+
+
+def test_sums_match_the_two_pass_sum():
+    for seed in range(40):
+        classes = [m for m, _ in _seeded_classes(seed, random.Random(seed).randint(0, 7))]
+        expected = two_pass_sum(classes)
+        assert _fields(reduce(add, classes, MotivicClass.zero())) == expected
+        # a generator of pairs is read once, as the two-pass sum could not be
+        assert _fields(sum_products((m, ONE_TERM) for m in classes)) == expected
+
+
+def test_sum_products_matches_the_per_name_loop():
+    rng = random.Random(2502)
+    for seed in range(40):
+        classes = [m for m, _ in _seeded_classes(100 + seed, rng.randint(0, 7))]
+        weights = [MotivicClass(_raw_parts(rng)[0]).u_terms for _ in classes]
+        pairs = list(zip(classes, weights))
+        assert _fields(sum_products(iter(pairs))) == per_name_products(pairs)
+        products = (m * MotivicClass(w) for m, w in pairs)
+        assert sum_products(pairs) == reduce(add, products, MotivicClass.zero())
+
+
+def test_a_generator_of_classes_is_summed_whole():
+    # a sum that read its argument twice would find an empty generator the second time
+    assert sum_products((m, ONE_TERM) for m in [L, MOT_ONE]) == L + 1
+    spec_c = MotivicClass.generator("SpecC")
+    assert sum_products((m, ONE_TERM) for m in [L, spec_c, spec_c]) == L + 2 * spec_c
+    assert sum_products(iter(())) == MotivicClass.zero()

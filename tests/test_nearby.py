@@ -186,6 +186,28 @@ def test_stratum_validation():
         SncData([], 0)
 
 
+def _stratum_json(indices, mult):
+    return {"I": indices, "mult": mult, "class": {"u_coeffs": [[2, 1]]}}
+
+
+@pytest.mark.parametrize(
+    "stratum,message",
+    [
+        # read as |I| = 1, this printed nearby_class: L
+        (_stratum_json([1, 1], {"1": 1}), "stratum index 1 appears twice in I"),
+        (_stratum_json([3, 1, 2, 1], {"1": 1, "2": 1, "3": 1}), "stratum index 1 appears twice in I"),
+        # "2" and "02" name one index: the last one won
+        (_stratum_json([2], {"2": 1, "02": 3}), "stratum index 2 appears twice in mult"),
+        (_stratum_json([1, 2], {"1": 1, "2": 1, " 1": 1}), "stratum index 1 appears twice in mult"),
+    ],
+)
+def test_a_repeated_index_is_refused(stratum, message):
+    with pytest.raises(InputDataError, match=f"^{message}$"):
+        StratumRecord.from_json_dict(stratum)
+    with pytest.raises(InputDataError, match=f"^{message}$"):
+        SncData.from_json_dict({"dim": 2, "strata": [stratum]})
+
+
 def test_json_round_trip():
     data = hyperbola_global()
     back = SncData.from_json_dict(data.to_json_dict())

@@ -74,3 +74,11 @@ def test_enumeration_caps():
         verify_macmahon(13)
     with pytest.raises(ArithdtError):
         count_plane_partitions(-1)
+
+
+@pytest.mark.parametrize("verify", [verify_macmahon, verify_symmetric])
+@pytest.mark.parametrize("order", [-1, -4])
+def test_a_negative_order_is_refused(verify, order):
+    # as plane_partitions refuses a negative n: there is no agreement to report
+    with pytest.raises(ArithdtError, match="nonnegative"):
+        verify(order)
