@@ -16,8 +16,9 @@ for an earlier standard monomial b_p, and its row is w_p . M_{x_k}: the sum
 of row l of M_{x_k} times w_p[l] over the nonzeros of w_p only.  With the
 default phi on a monomial algebra each w_p has one nonzero, so a row costs
 O(1) arithmetic.  Each row is kept as a dict of its nonzeros, which the
-elimination kernel of ``gw`` reduces directly; ``EklResult.gram`` writes
-the dense rows from copies of them only when it is first read.
+elimination kernel of ``gw`` consumes directly.  The result keeps phi
+alone: ``EklResult.gram`` walks the rows again from the algebra and phi,
+and writes them dense, only when it is first read.
 
 A univariate map has a global degree over a whole fiber as well: the class
 of the fiber's Euler-Jacobi residue form, whatever the residue fields of the
@@ -55,37 +56,50 @@ class EklResult(Frozen):
     """Residue-pairing class of a map with isolated zero at the origin.
 
     ``gram`` is the dense Gram matrix, a tuple of row tuples.  ``ekl_class``
-    stores the sparse rows instead, {column: nonzero Fraction} per row, and
-    the dense tuple is built from them on first read: the CLI never reads it.
+    stores phi instead, as its row w_0 {column: nonzero Fraction}, and the
+    dense tuple is built by the row walk from the algebra and phi on first
+    read: the CLI never reads it.
     """
 
-    __slots__ = ("gw_class", "rank", "_gram", "distinguished_socle", "algebra", "_gram_rows")
+    __slots__ = ("gw_class", "rank", "_gram", "distinguished_socle", "algebra", "_phi")
     __match_args__ = ("gw_class", "rank", "gram", "distinguished_socle", "algebra")
 
     def __init__(self, gw_class: GwElement, rank: int, gram: tuple,
                  distinguished_socle: MultiPoly, algebra: QuotientAlgebra) -> None:
         self._assign(gw_class, rank, gram, distinguished_socle, algebra, None)
 
-    @classmethod
-    def _of_rows(cls, gw_class, rank, gram_rows, distinguished_socle, algebra) -> "EklResult":
-        """Trusted constructor: the Gram matrix as sparse rows, made dense when read."""
-        obj = object.__new__(cls)
-        obj._assign(gw_class, rank, None, distinguished_socle, algebra, gram_rows)
-        return obj
-
     @property
     def gram(self) -> tuple:
-        rows = self._gram_rows
-        if rows is not None:
+        if self._phi is not None:
             dense = []
-            for w in rows:
-                row = [_ZERO] * len(rows)
+            for w in _gram_walk(self.algebra, self._phi):
+                row = [_ZERO] * self.rank
                 for j, x in w.items():
                     row[j] = x
                 dense.append(tuple(row))
             object.__setattr__(self, "_gram", tuple(dense))
-            object.__setattr__(self, "_gram_rows", None)
+            object.__setattr__(self, "_phi", None)
         return self._gram
+
+
+def _gram_walk(algebra: QuotientAlgebra, phi: dict) -> list:
+    """The Gram rows as fresh dicts of their nonzeros, by the row walk of the
+    module docstring from row 0 = phi: w_i = w_p . M_{x_k} for b_i = x_k * b_p."""
+    matrix_rows = []
+    for columns in algebra.matrices:
+        rows = [{} for _ in range(algebra.dimension)]
+        for j, column in enumerate(columns):
+            for l, c in column.items():
+                rows[l][j] = c
+        matrix_rows.append(rows)
+    gram = [dict(phi)]
+    for mono in algebra.standard_monomials[1:]:
+        k = next(v for v, e in enumerate(mono) if e)
+        parent = gram[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
+        rows = matrix_rows[k]
+        gram.append(linear_sum((j, x * c) for l, x in parent.items()
+                               for j, c in rows[l].items()))
+    return gram
 
 
 class ConjugatePair(Frozen):
@@ -169,30 +183,14 @@ def ekl_class(system, field: BaseField = QQ, functional=None) -> EklResult:
     if sum(phi[algebra.index[e]] * c for e, c in socle.terms.items()) != 1:
         raise DegenerateSystemError("normalization phi(E) = 1 is not satisfied")
 
-    # row walk (module docstring): w_0 = phi, w_i = w_p . M_{x_k} for b_i = x_k * b_p,
-    # summed over the nonzeros of w_p only, each times row l of M_{x_k}
-    matrix_rows = []
-    for columns in algebra.matrices:
-        rows = [{} for _ in range(dim)]
-        for j, column in enumerate(columns):
-            for l, c in column.items():
-                rows[l][j] = c
-        matrix_rows.append(rows)
-    gram_rows = [{l: x for l, x in enumerate(phi) if x}]
-    for mono in algebra.standard_monomials[1:]:
-        k = next(v for v, e in enumerate(mono) if e)
-        parent = gram_rows[algebra.index[mono[:k] + (mono[k] - 1,) + mono[k + 1 :]]]
-        rows = matrix_rows[k]
-        gram_rows.append(linear_sum((j, x * c) for l, x in parent.items()
-                                    for j, c in rows[l].items()))
-
-    # the elimination consumes the dicts, so the result keeps copies for its gram
-    kept_rows = [dict(w) for w in gram_rows]
+    w0 = {l: x for l, x in enumerate(phi) if x}
     try:
-        gw_class = _diagonalize_rows(gram_rows, field)
+        gw_class = _diagonalize_rows(_gram_walk(algebra, w0), field)
     except SingularMatrixError as exc:
         raise DegenerateSystemError(f"residue pairing is degenerate: {exc}") from exc
-    return EklResult._of_rows(gw_class, dim, kept_rows, socle, algebra)
+    result = object.__new__(EklResult)
+    result._assign(gw_class, dim, None, socle, algebra, w0)
+    return result
 
 
 def local_degree_simple(system, point, field: BaseField = QQ) -> GwElement:

@@ -36,13 +36,6 @@ class GeneratorProductError(ArithdtError):
     """Product of two non-Tate generator classes, outside the supported subring."""
 
 
-class InexactDivisionError(ArithdtError):
-    """A polynomial division that must be exact left a remainder.
-
-    No longer raised by the library; kept for callers that catch it.
-    """
-
-
 class PositiveDimensionalIdealError(ArithdtError):
     """The ideal does not cut out a finite-dimensional quotient algebra."""
 
@@ -53,14 +46,6 @@ class NotSupportedAtOriginError(ArithdtError):
 
 class DegenerateSystemError(ArithdtError):
     """A map violates a regularity precondition (vanishing Jacobian, repeated roots)."""
-
-
-class UnsupportedExtensionError(ArithdtError):
-    """A residue field extension beyond quadratic is required but unsupported.
-
-    No longer raised by the library, since global degrees take any residue
-    field; kept for callers that catch it.
-    """
 
 
 class NonIntegralCoefficientError(ArithdtError):

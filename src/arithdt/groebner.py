@@ -263,13 +263,6 @@ class QuotientAlgebra:
         columns = self.matrices[k]
         return linear_sum((l, c * d) for j, c in coords.items() for l, d in columns[j].items())
 
-    def coordinates(self, p: MultiPoly) -> list[Fraction]:
-        """Coordinates of the normal form in the standard monomial basis."""
-        coords = [Fraction(0)] * self.dimension
-        for k, c in self._sparse_coordinates(p).items():
-            coords[k] = c
-        return coords
-
     def basis_product(self, i: int, j: int) -> dict:
         """Coordinates {k: c} of b_i * b_j: b_j multiplied by each variable of b_i in turn."""
         coords = {j: Fraction(1)}
@@ -277,14 +270,6 @@ class QuotientAlgebra:
             for _ in range(e):
                 coords = self._times(k, coords)
         return dict(sorted(coords.items()))
-
-    def multiplication_table(self) -> dict:
-        """Full structure-constant table {(i, j): {k: c}} for i <= j."""
-        return {
-            (i, j): self.basis_product(i, j)
-            for i in range(self.dimension)
-            for j in range(i, self.dimension)
-        }
 
     def __repr__(self) -> str:
         basis = ", ".join(g.render() for g in self.groebner)

@@ -179,15 +179,6 @@ class GwElement(Value):
                 rep = _mul_reps(self.field, rep, r)
         return SquareClass._make(self.field, rep)
 
-    def diagonal_entries(self) -> list[int]:
-        """Diagonal representative as a multiplicity-expanded list of reps."""
-        if any(m < 0 for _, m in self.terms):
-            raise ArithdtError("no diagonal representative: negative multiplicities present")
-        out: list[int] = []
-        for r, m in self.terms:
-            out.extend([r] * m)
-        return out
-
     def _split(self) -> tuple["GwElement", "GwElement"]:
         pos = GwElement._make(self.field, [(r, m) for r, m in self.terms if m > 0])
         neg = GwElement._make(self.field, [(r, -m) for r, m in self.terms if m < 0])

@@ -116,9 +116,6 @@ class MotivicClass(Value):
 
     # -- ring structure ------------------------------------------------------
 
-    def is_tate(self) -> bool:
-        return not self.extras
-
     def __add__(self, other):
         if isinstance(other, int):
             other = MotivicClass.from_int(other)
@@ -160,16 +157,6 @@ class MotivicClass(Value):
 
     def is_zero(self) -> bool:
         return not self.u_terms and not self.extras
-
-    def min_u_exponent(self) -> int:
-        if not self.u_terms:
-            raise ArithdtError("zero class has no exponents")
-        return self.u_terms[0][0]
-
-    def max_u_exponent(self) -> int:
-        if not self.u_terms:
-            raise ArithdtError("zero class has no exponents")
-        return self.u_terms[-1][0]
 
     # -- rendering and JSON ----------------------------------------------------
 

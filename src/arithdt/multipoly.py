@@ -58,11 +58,6 @@ class MultiPoly(Value):
         return cls(variables, {exps: 1})
 
     @classmethod
-    def from_pairs(cls, variables, pairs) -> "MultiPoly":
-        """Build from [(exponent_vector, coefficient), ...] with rational strings allowed."""
-        return cls(variables, pairs)
-
-    @classmethod
     def parse(cls, variables, text: str) -> "MultiPoly":
         """Evaluate a polynomial expression like \"x**2 - y**2\" (trusted input only)."""
         variables = tuple(variables)
@@ -185,10 +180,6 @@ class MultiPoly(Value):
         return total
 
     # -- presentation -----------------------------------------------------------
-
-    def to_pairs(self) -> list:
-        """JSON-ready [(exponents, coefficient-string), ...] in a stable order."""
-        return [[list(e), str(c)] for e, c in sorted(self.terms.items())]
 
     def render(self) -> str:
         pieces = []

@@ -9,15 +9,14 @@ component multiplicities.  The nearby class is the alternating sum
 
 and the virtual class of a critical locus is -L^(-dim/2) (S - [X_0]).  S is
 one ``motivic.sum_products``, so it goes through the motivic sum kernel.
-Coverings are not constructed here; their classes are input.  Monodromy
-orders m_I = gcd of the multiplicities are recorded but not acted on: all
-classes are assumed to lie in the subring with trivial action.
+Coverings are not constructed here; their classes are input.  The
+multiplicities are recorded but not acted on: all classes are assumed to lie
+in the subring with trivial monodromy action.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
 
 from .errors import InputDataError, brief, json_int
 from .fields import Frozen
@@ -29,13 +28,18 @@ class StratumRecord(Frozen):
 
     __slots__ = __match_args__ = ("index_set", "stratum_class", "multiplicities")
 
-    def __init__(self, index_set: frozenset, stratum_class: MotivicClass,
-                 multiplicities=()) -> None:
+    def __init__(self, index_set, stratum_class: MotivicClass, multiplicities=()) -> None:
         if not index_set:
             raise InputDataError("stratum index set must be nonempty")
-        index_set = frozenset(json_int(i, "stratum index") for i in index_set)
-        mults = {i: json_int(n, "multiplicity") for i, n in dict(multiplicities).items()}
-        if set(mults) != set(index_set):
+        indices = [json_int(i, "stratum index") for i in index_set]
+        pairs = list(multiplicities.items() if isinstance(multiplicities, dict) else multiplicities)
+        # a set or a dict would keep one of two equal indices ("2" and "02" are both 2)
+        for where, keys in (("I", indices), ("mult", [i for i, _ in pairs])):
+            if repeated := [i for i, n in Counter(keys).items() if n > 1]:
+                raise InputDataError(f"stratum index {brief(repeated[0])} appears twice in {where}")
+        index_set = frozenset(indices)
+        mults = {i: json_int(n, "multiplicity") for i, n in pairs}
+        if set(mults) != index_set:
             raise InputDataError("multiplicities must be given exactly on the index set")
         if any(n <= 0 for n in mults.values()):
             raise InputDataError("multiplicities must be positive integers")
@@ -43,18 +47,10 @@ class StratumRecord(Frozen):
 
     @classmethod
     def of(cls, indices, stratum_class: MotivicClass, multiplicities=None) -> "StratumRecord":
-        indices = frozenset(indices)
+        indices = list(indices)
         if multiplicities is None:
             multiplicities = {i: 1 for i in indices}
         return cls(indices, stratum_class, multiplicities)
-
-    @property
-    def monodromy_order(self) -> int:
-        """m_I: gcd of the multiplicities over the index set."""
-        out = 0
-        for _, n in self.multiplicities:
-            out = gcd(out, n)
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,11 +67,7 @@ class StratumRecord(Frozen):
             stratum_class = MotivicClass.from_json_dict(data["class"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"malformed stratum record: {exc}") from exc
-        # a set or a dict would keep one of two equal indices ("2" and "02" are both 2)
-        for where, keys in (("I", indices), ("mult", [i for i, _ in mults])):
-            if repeated := [i for i, n in Counter(keys).items() if n > 1]:
-                raise InputDataError(f"stratum index {brief(repeated[0])} appears twice in {where}")
-        return cls(frozenset(indices), stratum_class, dict(mults))
+        return cls(indices, stratum_class, mults)
 
 
 class SncData(Frozen):

@@ -69,7 +69,7 @@ def forbid_factoring(monkeypatch):
         pytest.param(lambda: MotivicClass((), {"g": [(0, 0.5)]}), None, id="motivic-float-extra"),
         pytest.param(lambda: MultiPoly(("x",), {(1.5,): 1}), None, id="poly-float-exponent"),
         pytest.param(lambda: MultiPoly(("x",), {(1,): 0.1}), None, id="poly-float-coefficient"),
-        pytest.param(lambda: MultiPoly.from_pairs(("x",), [([1], 0.5)]), None, id="poly-pairs-float"),
+        pytest.param(lambda: MultiPoly(("x",), [([1], 0.5)]), None, id="poly-pairs-float"),
         pytest.param(lambda: StratumRecord.of([1], MOT_ONE, {1: 2.7}), None, id="stratum-float-mult"),
         pytest.param(lambda: StratumRecord.of([1], MOT_ONE, {1: True}), None, id="stratum-bool-mult"),
         pytest.param(lambda: StratumRecord.of([1], MOT_ONE, {1: "3"}), None, id="stratum-string-mult"),
@@ -125,7 +125,7 @@ def forbid_factoring(monkeypatch):
         ),
         pytest.param(
             lambda: MultiPoly(("x",), {(1,): "1/3", (0,): Fraction(2)}),
-            MultiPoly.from_pairs(("x",), [([1], Fraction(1, 3)), ([0], 2)]),
+            MultiPoly(("x",), [([1], Fraction(1, 3)), ([0], 2)]),
             id="poly-exact-coefficients",
         ),
     ],

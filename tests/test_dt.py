@@ -47,8 +47,8 @@ def test_motivic_coefficients_land_in_shifted_polynomial_ring():
     series = z_motivic(10)
     for n in range(1, 11):
         coeff = series.coeffs[n]
-        assert coeff.min_u_exponent() >= -3 * n
-        assert coeff.max_u_exponent() == 3 * n
+        assert coeff.u_terms[0][0] >= -3 * n
+        assert coeff.u_terms[-1][0] == 3 * n
         assert coeff.u_terms[-1][1] == 1  # top multiplicity one
         assert all((e - 3 * n) % 2 == 0 for e, _ in coeff.u_terms)
 
@@ -282,7 +282,7 @@ def test_packed_digits_are_nonnegative_and_sum_to_macmahon():
     counts = macmahon(40).coeffs
     for order in range(1, 41):
         for n, coeff in enumerate(z_motivic(order).coeffs):
-            assert coeff.is_tate()
+            assert not coeff.extras
             assert all(c > 0 and e >= -n for e, c in coeff.u_terms)
             assert sum(c for _, c in coeff.u_terms) == counts[n]
 

@@ -134,8 +134,16 @@ def test_multiplication_table_reflects_relations():
     x, y, y2 = idx[(1, 0)], idx[(0, 1)], idx[(0, 2)]
     assert a.basis_product(x, x) == {y2: Fraction(-1)}  # x^2 = -y^2
     assert a.basis_product(x, y) == {}  # xy = 0
-    table = a.multiplication_table()
-    assert all(i <= j for i, j in table)
+    table = multiplication_table(a)
+    assert list(table) == [(i, j) for i in range(4) for j in range(i, 4)]
+    assert table[x, x] == {y2: Fraction(-1)} and table[y, x] == {}
+    assert all(table[i, j] == oracle_basis_product(a, i, j) for i, j in table)
+
+
+def multiplication_table(algebra):
+    """Structure constants {(i, j): {k: c}} for i <= j, one ``basis_product`` each."""
+    n = algebra.dimension
+    return {(i, j): algebra.basis_product(i, j) for i in range(n) for j in range(i, n)}
 
 
 # -- matrix walks against one normal form per product ---------------------------------
@@ -344,11 +352,9 @@ def test_multipoly_basics():
     u, v = P(variables, "x*y").evaluate_quadratic([(1, 1), (0, 2)], -1)
     # (1 + i)(2i) = -2 + 2i
     assert (u, v) == (-2, 2)
-    pairs = f.to_pairs()
-    assert MultiPoly.from_pairs(variables, pairs) == f
-    assert MultiPoly.parse(variables, "Fraction(1, 2)*x") == MultiPoly.from_pairs(
-        variables, [[[1, 0], "1/2"]]
-    )
+    pairs = [[list(e), str(c)] for e, c in sorted(f.terms.items())]
+    assert MultiPoly(variables, pairs) == f
+    assert MultiPoly.parse(variables, "Fraction(1, 2)*x") == MultiPoly(variables, [[[1, 0], "1/2"]])
     with pytest.raises(ArithdtError):
         MultiPoly.parse(variables, "z + 1")
     with pytest.raises(ArithdtError):

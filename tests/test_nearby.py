@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_the_oracle_cases_cover_what_the_grouping_meets():
         strata = _random_snc(seed).strata
         sizes |= {len(r.index_set) for r in strata}
         repeated += len(strata) - len({r.index_set for r in strata})
-        extras += sum(not r.stratum_class.is_tate() for r in strata)
+        extras += sum(bool(r.stratum_class.extras) for r in strata)
     assert {1, 40} <= sizes and repeated and extras
     empty = SncData([], 3)
     assert nearby_class(empty) == oracle_nearby_class(empty) == local_nearby_class(empty)
@@ -170,9 +171,11 @@ def test_virtual_class_torus():
 
 
 def test_monodromy_orders():
+    # m_I, the gcd of the multiplicities, is read off the record's multiplicities
     record = StratumRecord.of([1, 2, 3], MOT_ONE, {1: 4, 2: 6, 3: 10})
-    assert record.monodromy_order == 2
-    assert StratumRecord.of([5], MOT_ONE, {5: 3}).monodromy_order == 3
+    assert record.multiplicities == ((1, 4), (2, 6), (3, 10))
+    assert gcd(*(n for _, n in record.multiplicities)) == 2
+    assert StratumRecord.of([5], MOT_ONE, {5: 3}).multiplicities == ((5, 3),)
 
 
 def test_stratum_validation():
@@ -199,6 +202,8 @@ def _stratum_json(indices, mult):
         # "2" and "02" name one index: the last one won
         (_stratum_json([2], {"2": 1, "02": 3}), "stratum index 2 appears twice in mult"),
         (_stratum_json([1, 2], {"1": 1, "2": 1, " 1": 1}), "stratum index 1 appears twice in mult"),
+        # repeated in both: the index list is read first
+        (_stratum_json([1, 1], {"1": 1, "01": 1}), "stratum index 1 appears twice in I"),
     ],
 )
 def test_a_repeated_index_is_refused(stratum, message):
@@ -206,6 +211,29 @@ def test_a_repeated_index_is_refused(stratum, message):
         StratumRecord.from_json_dict(stratum)
     with pytest.raises(InputDataError, match=f"^{message}$"):
         SncData.from_json_dict({"dim": 2, "strata": [stratum]})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        # each was the stratum {1}, and nearby_class of it was L
+        pytest.param(lambda: StratumRecord.of([1, 1], L), "stratum index 1 appears twice in I", id="of"),
+        pytest.param(lambda: StratumRecord([1, 1], L, {1: 1}), "stratum index 1 appears twice in I",
+                     id="constructor"),
+        pytest.param(lambda: StratumRecord.of([3, 1, 3], L, {1: 1, 3: 1}),
+                     "stratum index 3 appears twice in I", id="of-with-mults"),
+        # as pairs, a multiplicity can be named twice; the last one won
+        pytest.param(lambda: StratumRecord([2], L, [(2, 1), (2, 3)]),
+                     "stratum index 2 appears twice in mult", id="mult-pairs"),
+    ],
+)
+def test_the_constructors_refuse_a_repeated_index(build, message):
+    with pytest.raises(InputDataError, match=f"^{message}$"):
+        build()
+
+
+def test_of_reads_an_iterator_of_indices_once():
+    assert StratumRecord.of(iter([2, 1]), L) == StratumRecord.of({1, 2}, L)
 
 
 def test_json_round_trip():

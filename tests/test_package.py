@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,18 @@ def test_every_public_name_resolves():
     assert arithdt.dt is sys.modules["arithdt.dt"]
     assert arithdt.QQ is arithdt.fields.QQ
     assert arithdt.chi_a1 is arithdt.motivic.chi_a1
+
+
+def test_every_domain_error_is_raised_in_the_library():
+    from arithdt import errors
+
+    source = "\n".join(path.read_text() for path in Path(errors.__file__).parent.glob("*.py"))
+    domain = [name for name, value in vars(errors).items()
+              if isinstance(value, type) and issubclass(value, errors.ArithdtError)]
+    # a use is "raise Name" or a call "Name(", but not the "class Name(" that defines it
+    unused = [name for name in domain
+              if not re.search(rf"raise {name}\b|(?<!class ){name}\(", source)]
+    assert len(domain) > 10 and unused == []
 
 
 def test_unknown_attribute_raises():

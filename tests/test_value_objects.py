@@ -14,6 +14,7 @@ from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, make
 
 import pytest
 
+import arithdt.ekl
 from arithdt.castelnuovo import CastelnuovoInput, GvComparison, gv_compare
 from arithdt.dt import MatrixTriple, PartitionFunctionResult, partition_function
 from arithdt.ekl import ConjugatePair, EklResult, MilnorReport, ekl_class, milnor_chi_relation
@@ -208,19 +209,23 @@ def test_constructors_still_normalize():
     assert SquareClass._make(QQ, 3) == SquareClass.of(QQ, 12) == SquareClass(QQ, 3)
 
 
-def test_ekl_gram_is_built_on_first_read():
-    for result in _ekl_samples():
-        rows = result._gram_rows
-        assert rows is not None and result._gram is None
-        gram = result.gram
-        assert result._gram_rows is None and result.gram is gram
+def test_ekl_gram_is_built_on_first_read(monkeypatch):
+    walks = []
+    walk = arithdt.ekl._gram_walk
+    monkeypatch.setattr(arithdt.ekl, "_gram_walk", lambda *a: walks.append(1) or walk(*a))
+    samples = _ekl_samples()
+    assert len(walks) == 2  # one row walk per ekl_class, consumed by its elimination
+    for result in samples:
+        walks.clear()
+        assert result._gram is None
+        gram = result.gram  # the walk again, from the algebra and phi
+        assert len(walks) == 1 and result.gram is gram and len(walks) == 1
         assert len(gram) == result.rank and all(len(row) == result.rank for row in gram)
-        assert [{j: x for j, x in enumerate(row) if x} for row in gram] == rows
         public = EklResult(
             gw_class=result.gw_class, rank=result.rank, gram=gram,
             distinguished_socle=result.distinguished_socle, algebra=result.algebra,
         )
-        assert public == result and public.gram is gram
+        assert public == result and public.gram is gram and len(walks) == 1
 
 
 def test_gaussian_integer_repr_is_its_str():
