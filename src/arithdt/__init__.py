@@ -4,7 +4,8 @@ Modules:
 
 * ``fields`` / ``gw``: base fields, square classes, Grothendieck-Witt ring
   arithmetic, local symbols, trace forms, symmetric diagonalization;
-* ``gwalpha``: GW(k)(alpha) with alpha^2 = <-1>, and the Gaussian integers;
+* ``gwalpha`` / ``gaussian``: GW(k)(alpha) with alpha^2 = <-1>, and the
+  Gaussian integers;
 * ``motivic``: the Tate subring of motivic weights and the three Euler
   characteristic specializations;
 * ``series``: truncated power series over caller-supplied rings;
@@ -26,7 +27,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 # public name -> submodule that defines it; each submodule is public too, except
-# gwalpha, split off gw (so that GW(k) jobs need not compile it) after the names were fixed
+# gwalpha and gaussian, split off gw (so that a job compiles only the rings it uses)
+# after the names were fixed
 _EXPORTS = {
     name: module
     for module, names in (
@@ -40,7 +42,8 @@ _EXPORTS = {
         ("fields", "BaseField CC QQ RR SquareClass finite_field"),
         ("groebner", "QuotientAlgebra buchberger grevlex_key"),
         ("gw", "GwElement diagonalize_symmetric hasse_invariant hilbert_symbol trace_form"),
-        ("gwalpha", "GaussianInteger GwAlphaElement alpha_power"),
+        ("gaussian", "GaussianInteger"),
+        ("gwalpha", "GwAlphaElement alpha_power"),
         ("motivic", "GeneratorSpec L MotivicClass chi_a1 chi_complex chi_real grassmannian_class "
                     "projective_space_class quadratic_point_generator"),
         ("multipoly", "MultiPoly"),
@@ -53,7 +56,7 @@ _EXPORTS = {
     )
     for name in (module, *names.split())
 }
-del _EXPORTS["gwalpha"]
+del _EXPORTS["gwalpha"], _EXPORTS["gaussian"]
 
 __all__ = sorted(_EXPORTS)
 

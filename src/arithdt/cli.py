@@ -8,25 +8,32 @@ describing the invocation is written next to it; JSON written to stdout
 embeds the same manifest.
 
 Only the modules that parsing and dispatch need are imported here; each
-handler imports what it computes with, ``json`` is imported where JSON is
-read, and the JSON writer (``jsonout``) where JSON is written, so a job
-loads no other module.  ``main`` is the process entry point; ``dispatch``
-runs one command line for a caller in the same process.
+handler imports what it computes with (``gw`` only for a gw job, and a
+dt-a3 job only the modules of the series it prints), ``json`` is imported
+where JSON is read, and the JSON writer (``jsonout``) where JSON is
+written, so a job loads no other module.  ``main`` is the process entry
+point; ``dispatch`` runs one command line for a caller in the same process.
+
+One table, ``COMMANDS``, holds every subcommand's options.  It builds the
+argparse parser, and it feeds ``strict_args``, which reads a well-formed
+command line into the namespace argparse would make, without importing
+argparse.  Every other command line (``--help``, ``--version``, an
+abbreviation, ``--opt=value``, any usage error) goes to argparse, so help,
+usage and error bytes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ArithdtError, InputDataError, IntegerTooLongError, brief
 from .fields import QQ, parse_field_label, square_class_rep
-from .gw import GwElement, diagonalize_symmetric
 
 DEFAULT_MAX_ORDER = 30
 
@@ -82,8 +89,10 @@ def _emit(args, manifest: dict, payload: dict, text) -> None:
 _GW_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*\s*)?(?:(H)|<\s*(-?\d+(?:/\d+)?)\s*>)\s*")
 
 
-def parse_gw(text: str, field) -> GwElement:
-    """Parse '3*<1> + 2*<-1> - H' style expressions; blank or '0' is zero."""
+def parse_gw(text: str, field):
+    """Parse '3*<1> + 2*<-1> - H' style expressions into a GwElement; blank or '0' is zero."""
+    from .gw import GwElement
+
     if text.strip() in ("", "0"):
         return GwElement(field)
     pairs = []
@@ -161,6 +170,8 @@ _Answer = tuple  # (JSON payload, function making the text): ``_emit`` calls it 
 
 
 def _cmd_gw(args) -> _Answer:
+    from .gw import diagonalize_symmetric
+
     field = parse_field_label(args.field)
     a = parse_gw(args.a, field)
     op = args.op
@@ -198,12 +209,16 @@ def _cmd_gw(args) -> _Answer:
 
 
 def _cmd_dt_a3(args) -> _Answer:
-    from .dt import partition_function
+    from . import dt
 
     cap = max_series_order()
     if args.order > cap:
         raise InputDataError(f"order {args.order} exceeds the cap {cap} (ARITHDT_MAX_ORDER)")
-    series = getattr(partition_function(args.order, parse_field_label(args.field)), args.output)
+    field = parse_field_label(args.field)  # checked even when the series does not read it
+    if args.output == "arithmetic":
+        series = dt.z_arithmetic(args.order, field)
+    else:
+        series = getattr(dt, f"z_{args.output}")(args.order)
 
     def text() -> str:
         if args.output == "complex":
@@ -319,69 +334,116 @@ def _cmd_selftest(args) -> _Answer:
     return {"checks": [{"name": n, "ok": o} for n, o in report]}, lambda: "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMON = (
+    ("--json", {"action": "store_true", "help": "emit JSON to stdout"}),
+    ("--out", {"help": "write JSON payload to this path (with manifest)"}),
+)
+
+# subcommand -> (help, handler, options); each option is the name and keywords of
+# one add_argument call, in the order build_parser makes them
+COMMANDS = {
+    "gw": ("Grothendieck-Witt ring operations", _cmd_gw, (
+        ("--op", {"required": True,
+                  "choices": ["add", "sub", "mul", "equal", "rank", "signature",
+                              "discriminant", "diagonalize"]}),
+        ("--a", {"default": "0", "help": "GW expression, e.g. '3*<1> + 2*<-1>' or 'H'"}),
+        ("--b", {"help": "second GW expression"}),
+        ("--matrix", {"help": "JSON rows of a symmetric rational matrix"}),
+        ("--field", {"default": "Q", "help": "Q, R, C, or Fp (e.g. F5)"}),
+        ("--contract-h", {"action": "store_true", "dest": "contract_h"}),
+        *_COMMON,
+    )),
+    "dt-a3": ("degree-zero DT partition function of affine 3-space", _cmd_dt_a3, (
+        ("--order", {"type": int, "required": True}),
+        ("--output", {"default": "complex", "choices": ["motivic", "arithmetic", "complex", "real"]}),
+        ("--field", {"default": "Q"}),
+        *_COMMON,
+    )),
+    "ekl": ("local degree of a polynomial map at the origin", _cmd_ekl, (
+        ("--map", {"required": True, "help": "JSON file with vars and polys"}),
+        ("--field", {"default": "Q"}),
+        ("--contract-h", {"action": "store_true", "dest": "contract_h"}),
+        *_COMMON,
+    )),
+    "nearby": ("nearby class from SNC stratification data", _cmd_nearby, (
+        ("--data", {"required": True, "help": "JSON file with dim, strata, x0_class"}),
+        ("--local", {"action": "store_true", "help": "treat classes as fiber data"}),
+        *_COMMON,
+    )),
+    "gv": ("refined genus-bound invariants of the quintic", _cmd_gv, (
+        ("--m", {"type": int, "required": True}),
+        ("--compare", {"action": "store_true"}),
+        ("--field", {"default": "Q"}),
+        *_COMMON,
+    )),
+    "oracle": ("brute-force plane partition counts", _cmd_oracle, (
+        ("kind", {"choices": ["pp", "spp"]}),
+        ("--n", {"type": int, "required": True}),
+        *_COMMON,
+    )),
+    "selftest": ("run the built-in invariant suite", _cmd_selftest, _COMMON),
+}
+
+
+def build_parser():
+    """The argparse parser: it reads every command line that ``strict_args`` does not."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arithdt",
         description="Exact Grothendieck-Witt / motivic computations and refined DT-type counts",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit JSON to stdout")
-        p.add_argument("--out", help="write JSON payload to this path (with manifest)")
-
-    p = sub.add_parser("gw", help="Grothendieck-Witt ring operations")
-    p.add_argument("--op", required=True,
-                   choices=["add", "sub", "mul", "equal", "rank", "signature",
-                            "discriminant", "diagonalize"])
-    p.add_argument("--a", default="0", help="GW expression, e.g. '3*<1> + 2*<-1>' or 'H'")
-    p.add_argument("--b", help="second GW expression")
-    p.add_argument("--matrix", help="JSON rows of a symmetric rational matrix")
-    p.add_argument("--field", default="Q", help="Q, R, C, or Fp (e.g. F5)")
-    p.add_argument("--contract-h", action="store_true", dest="contract_h")
-    common(p)
-    p.set_defaults(handler=_cmd_gw)
-
-    p = sub.add_parser("dt-a3", help="degree-zero DT partition function of affine 3-space")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--output", default="complex",
-                   choices=["motivic", "arithmetic", "complex", "real"])
-    p.add_argument("--field", default="Q")
-    common(p)
-    p.set_defaults(handler=_cmd_dt_a3)
-
-    p = sub.add_parser("ekl", help="local degree of a polynomial map at the origin")
-    p.add_argument("--map", required=True, help="JSON file with vars and polys")
-    p.add_argument("--field", default="Q")
-    p.add_argument("--contract-h", action="store_true", dest="contract_h")
-    common(p)
-    p.set_defaults(handler=_cmd_ekl)
-
-    p = sub.add_parser("nearby", help="nearby class from SNC stratification data")
-    p.add_argument("--data", required=True, help="JSON file with dim, strata, x0_class")
-    p.add_argument("--local", action="store_true", help="treat classes as fiber data")
-    common(p)
-    p.set_defaults(handler=_cmd_nearby)
-
-    p = sub.add_parser("gv", help="refined genus-bound invariants of the quintic")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--compare", action="store_true")
-    p.add_argument("--field", default="Q")
-    common(p)
-    p.set_defaults(handler=_cmd_gv)
-
-    p = sub.add_parser("oracle", help="brute-force plane partition counts")
-    p.add_argument("kind", choices=["pp", "spp"])
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    common(p)
-    p.set_defaults(handler=_cmd_selftest)
-
+    for name, (help_text, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def strict_args(argv: list):
+    """The namespace argparse makes of a well-formed ``argv``, or None.
+
+    Well-formed is: a subcommand with no positional argument, then exact
+    names of its options, each at most once, each value not starting with
+    '-', every required option present, and every choice and int valid.
+    Anything else (help, --version, an abbreviation, --opt=value, a value
+    that looks like an option, every error) is argparse's to read.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, options = COMMANDS[argv[0]]
+    keywords = dict(options)
+    given = {}
+    rest = iter(argv[1:])
+    for option in rest:
+        kw = keywords.get(option)
+        if kw is None or option in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[option] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kw.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[option] = value
+    args = {"subcommand": argv[0]}
+    for option, kw in options:
+        if not option.startswith("--") or (kw.get("required") and option not in given):
+            return None
+        default = kw.get("default", False if kw.get("action") == "store_true" else None)
+        args[kw.get("dest", option[2:].replace("-", "_"))] = given.get(option, default)
+    args["handler"] = handler
+    return SimpleNamespace(**args)
 
 
 def _manifest_parameters(args) -> dict:
@@ -394,8 +456,11 @@ def _manifest_parameters(args) -> dict:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = strict_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     manifest = {
         "subcommand": args.subcommand,
         "parameters": _manifest_parameters(args),

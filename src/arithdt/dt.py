@@ -14,11 +14,16 @@ Truncation lemma: the m-th factor of each infinite product is 1 + O(t^m),
 so a series of order N only needs the finitely many factors with m <= N;
 the truncated result is exact.
 
-Each series has one route.  With u = L^{1/2} and t = T u, Z(T u) is
-divided over the integers: at u = 1 it is the MacMahon series M(T), at
-u = i the symmetric series M^sym(T), and at u = 2^b it packs Z(t) into
-base-2^b digits (Kronecker substitution; see z_motivic).  The arithmetic,
-complex and real series are termwise chi_a1 images of Z(t).
+Each series has one route, and a caller pays only for the one it asks for.
+With u = L^{1/2} and t = T u, Z(T u) is divided over the integers: at u = 1
+it is the MacMahon series M(T), at u = i the symmetric series M^sym(T), and
+at u = 2^b it packs Z(t) into base-2^b digits (Kronecker substitution; see
+z_motivic).  The complex series is M(-t), read off u = 1 with the sign
+(-1)^n, and the real series is (-i)^n M^sym_n in Z[i], read off u = i: each
+is a series over Z and its twist, with no motivic class or quadratic form
+made.  The arithmetic series is the termwise chi_a1 image of Z(t).  The
+motivic and quadratic-form modules are imported only by the functions that
+build those series, so a complex job compiles neither.
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -31,16 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArithdtError, json_rational
-from .fields import BaseField, Frozen, QQ, RR
-from .gwalpha import GwAlphaElement
-from .motivic import MotivicClass, chi_a1
-from .series import (
-    GAUSSIAN_RING,
-    INT_RING,
-    MOTIVIC_RING,
-    TruncatedSeries,
-    gw_alpha_ring,
-)
+from .fields import BaseField, Frozen, QQ
+from .series import INT_RING, TruncatedSeries
 
 
 def _z_at(order: int, q: int) -> TruncatedSeries:
@@ -77,6 +74,9 @@ def z_motivic(order: int) -> TruncatedSeries:
     base-2^b digits, read with shifts and masks, are the coefficients of
     u^{s-n} in z_n, s = 0, 1, ...: no digit carries.
     """
+    from .motivic import MotivicClass
+    from .series import MOTIVIC_RING
+
     b = max(macmahon(order).coeffs).bit_length()
     mask = (1 << b) - 1
     coeffs = []
@@ -92,6 +92,9 @@ def z_motivic(order: int) -> TruncatedSeries:
 
 
 def _chi_a1_image(motivic: TruncatedSeries, field: BaseField) -> TruncatedSeries:
+    from .motivic import chi_a1
+    from .series import gw_alpha_ring
+
     return motivic.map_coeffs(lambda c: chi_a1(c, field), gw_alpha_ring(field))
 
 
@@ -99,6 +102,26 @@ def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
     """Quadratic-form refinement, coefficients in GW(k)(alpha): the termwise
     chi_a1 image of z_motivic over ``field``, u = L^{1/2} sent to alpha."""
     return _chi_a1_image(z_motivic(order), field)
+
+
+def z_complex(order: int) -> TruncatedSeries:
+    """chi_complex of Z(t) termwise, the rank of the arithmetic series with alpha
+    sent to -1: M(-t), whose coefficient of t^n is (-1)^n M_n."""
+    return TruncatedSeries(INT_RING, order, [
+        (-1) ** n * c for n, c in enumerate(macmahon(order).coeffs)
+    ])
+
+
+def z_real(order: int) -> TruncatedSeries:
+    """chi_real of Z(t) termwise, the signature of the arithmetic series with
+    alpha sent to i: M^sym(-it), whose coefficient of t^n is (-i)^n M^sym_n."""
+    from .gaussian import GaussianInteger
+    from .series import GAUSSIAN_RING
+
+    minus_i = GaussianInteger(0, -1)
+    return TruncatedSeries(GAUSSIAN_RING, order, [
+        minus_i ** (n % 4) * c for n, c in enumerate(macmahon_symmetric(order).coeffs)
+    ])
 
 
 def macmahon(order: int) -> TruncatedSeries:
@@ -122,14 +145,11 @@ class PartitionFunctionResult(Frozen):
 
 
 def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionResult:
-    """The series over ``field``; the complex and real images do not depend on it."""
+    """The four series, each by its own route; only the arithmetic one depends on ``field``."""
     motivic = z_motivic(order)
-    arithmetic = _chi_a1_image(motivic, field)
-    # chi_complex and chi_real: the rank and signature of the image over Q or R, one chi_a1 each
-    ordered = arithmetic if field.is_ordered else _chi_a1_image(motivic, RR)
-    complex_series = ordered.map_coeffs(GwAlphaElement.numeric_complex, INT_RING)
-    real_series = ordered.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING)
-    return PartitionFunctionResult(motivic, arithmetic, complex_series, real_series)
+    return PartitionFunctionResult(
+        motivic, _chi_a1_image(motivic, field), z_complex(order), z_real(order)
+    )
 
 
 # -- the trace potential on matrix triples -------------------------------------

@@ -18,8 +18,8 @@ invariants of each field:
   prime dividing a diagonal entry (the local symbol is +1 elsewhere).
 
 GW(k)(alpha), the ring of GwAlphaElement with alpha a formal square root of
-<-1>, and the Gaussian integers it maps to live in ``gwalpha``, so a job in
-GW(k) alone does not compile them.
+<-1>, lives in ``gwalpha``, and the Gaussian integers it maps to in
+``gaussian``, so a job in GW(k) alone does not compile them.
 """
 
 from __future__ import annotations

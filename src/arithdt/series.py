@@ -8,8 +8,13 @@ the Euler products in dt.py are applied by one in-place division,
 __truediv__, whose cost is the divisor's nonzero terms times the order.
 dt.py divides one product over Z (INT_RING): Z(T u) at q = u^2, one
 q-binomial group per m, which is MacMahon's series at u = 1, M^sym at u = i
-and packs the motivic series at u = 2^b.  The arithmetic, complex and real
-series are chi_a1 images of the motivic series, taken by map_coeffs.
+and packs the motivic series at u = 2^b.  The complex and real series are
+read off the first two, and the arithmetic series is the chi_a1 image of the
+motivic series, taken by map_coeffs.
+
+Loading this module compiles no ring module: GAUSSIAN_RING and MOTIVIC_RING
+are built on first access (PEP 562), and gw_ring and gw_alpha_ring import
+their element types when called, so a series over Z needs only ``fields``.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ from fractions import Fraction
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
 from .fields import BaseField, Frozen, QQ, Value, binary_power
-from .gw import GwElement
-from .gwalpha import GAUSSIAN_ONE, GAUSSIAN_ZERO, GwAlphaElement
-from .motivic import MOT_ONE, MOT_ZERO
 
 
 class CoefficientRing(Frozen):
@@ -34,15 +36,32 @@ class CoefficientRing(Frozen):
 
 INT_RING = CoefficientRing("Z", 0, 1)
 FRACTION_RING = CoefficientRing("Q", Fraction(0), Fraction(1))
-GAUSSIAN_RING = CoefficientRing("Z[i]", GAUSSIAN_ZERO, GAUSSIAN_ONE)
-MOTIVIC_RING = CoefficientRing("motivic", MOT_ZERO, MOT_ONE)
+
+
+def __getattr__(name: str):
+    if name == "GAUSSIAN_RING":
+        from .gaussian import GAUSSIAN_ONE, GAUSSIAN_ZERO
+
+        ring = CoefficientRing("Z[i]", GAUSSIAN_ZERO, GAUSSIAN_ONE)
+    elif name == "MOTIVIC_RING":
+        from .motivic import MOT_ONE, MOT_ZERO
+
+        ring = CoefficientRing("motivic", MOT_ZERO, MOT_ONE)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = ring
+    return ring
 
 
 def gw_ring(field: BaseField = QQ) -> CoefficientRing:
+    from .gw import GwElement
+
     return CoefficientRing(f"GW({field})", GwElement.zero(field), GwElement.one(field))
 
 
 def gw_alpha_ring(field: BaseField = QQ) -> CoefficientRing:
+    from .gwalpha import GwAlphaElement
+
     return CoefficientRing(
         f"GW({field})(a)", GwAlphaElement.zero(field), GwAlphaElement.one(field)
     )

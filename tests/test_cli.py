@@ -9,13 +9,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from operator import getitem
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arithdt
+from arithdt import cli
 from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError, IntegerTooLongError, brief, brief_str
@@ -365,6 +369,116 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["no-such-command"])
     assert exc.value.code == 2
+
+
+# -- the strict parser against argparse -------------------------------------------
+
+# values the string options take, each read by the parser as it is; the handler refuses some
+STRING_VALUES = {
+    "--a": ["<2>", "H", "3*<1> + 2*<-1>", "<1/0>"],
+    "--b": ["<2>", "H - <3>"],
+    "--matrix": ["[[0,1],[1,0]]", "[[1]"],
+    "--field": ["Q", "R", "F5", "Fx"],
+    "--map": ["map.json"],
+    "--data": ["snc.json"],
+    "--out": ["o.json"],
+}
+LARGEST_INT = {"--order": 8, "--m": 3, "--n": 5}
+MUTATIONS = ["abbreviate", "equals", "dash", "repeat", "drop", "-h", "--", "stray"]
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, well_formed): a command line made from cli.COMMANDS, and whether the
+    strict parser should read it.  A line is near-valid when it draws a bad choice
+    or int, a positional argument (oracle), or one of MUTATIONS."""
+    name = draw(st.sampled_from(["gw", "dt-a3", "ekl", "nearby", "gv", "oracle"]))
+    keywords = dict(cli.COMMANDS[name][2])
+    well_formed = True
+    pairs = []
+    for option, kw in keywords.items():
+        if not option.startswith("--"):
+            pairs.append([draw(st.sampled_from(kw["choices"]))])
+            well_formed = False
+        elif not kw.get("required") and draw(st.booleans()):
+            continue
+        elif kw.get("action") == "store_true":
+            pairs.append([option])
+        elif "choices" in kw:
+            pairs.append([option, draw(st.sampled_from([*kw["choices"], "nope"]))])
+            well_formed &= pairs[-1][1] != "nope"
+        elif kw.get("type") is int:
+            pairs.append([option, draw(st.sampled_from([*map(str, range(LARGEST_INT[option] + 1)), "x"]))])
+            well_formed &= pairs[-1][1] != "x"
+        else:
+            pairs.append([option, draw(st.sampled_from(STRING_VALUES[option]))])
+    pairs = draw(st.permutations(pairs))
+    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
+    valued = [i for i, pair in enumerate(pairs) if len(pair) == 2]
+    if mutation == "abbreviate":
+        long = [i for i, pair in enumerate(pairs) if len(pair[0]) > 3 and pair[0].startswith("--")]
+        if long:
+            i = draw(st.sampled_from(long))
+            prefix = pairs[i][0][:draw(st.integers(3, len(pairs[i][0]) - 1))]
+            if prefix not in keywords:
+                pairs[i] = [prefix, *pairs[i][1:]]
+                well_formed = False
+    elif mutation in ("equals", "dash") and valued:
+        i = draw(st.sampled_from(valued))
+        option, value = pairs[i]
+        if mutation == "equals":
+            pairs[i] = [f"{option}={value}"]
+        else:
+            pairs[i] = [option, draw(st.sampled_from(["- <2>", "-5"]))]
+        well_formed = False
+    elif mutation == "repeat" and pairs:
+        pairs.append(list(draw(st.sampled_from(pairs))))
+        well_formed = False
+    elif mutation == "drop":
+        required = [i for i, pair in enumerate(pairs) if keywords.get(pair[0], {}).get("required")]
+        if required:
+            del pairs[draw(st.sampled_from(required))]
+            well_formed = False
+    elif mutation in ("-h", "--", "stray"):
+        pairs.insert(draw(st.integers(0, len(pairs))), ["positional" if mutation == "stray" else mutation])
+        well_formed = False
+    return [name, *(token for pair in pairs for token in pair)], well_formed
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``dispatch(argv)``, a usage error included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def argv_directory(tmp_path_factory):
+    """A working directory holding the input files the command lines name; every file a
+    job writes, under a name that a mutation made too, is written there."""
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "map.json").write_text(json.dumps({"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}))
+    (tmp / "snc.json").write_text(json.dumps(HYPERBOLA))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        yield tmp
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=command_lines())
+def test_strict_parser_reads_what_argparse_reads(line, argv_directory):
+    argv, well_formed = line
+    strict = cli.strict_args(argv)
+    assert (strict is not None) == well_formed, argv
+    if strict is not None:
+        assert vars(strict) == vars(cli.build_parser().parse_args(argv))
+    with mock.patch.object(cli, "strict_args", lambda argv: None):
+        by_argparse = _run(argv)
+    assert _run(argv) == by_argparse
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):

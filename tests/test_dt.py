@@ -19,14 +19,16 @@ from arithdt.dt import (
     trace_potential,
     trace_potential_gradient,
     z_arithmetic,
+    z_complex,
     z_motivic,
+    z_real,
 )
 from arithdt.fields import CC, QQ, RR, finite_field
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, grassmannian_class
 from arithdt.partitions import count_plane_partitions
-from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
+from arithdt.series import GAUSSIAN_RING, INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
 
 # frozen by hand from the factored product: the first factor alone gives t^1,
 # degree-2 contributions add the inverse pair factors of weight m = 2
@@ -310,22 +312,45 @@ def test_partition_function_bundle():
     assert pf.complex.coeffs == (1, -1, 3, -6, 13, -24, 48)
 
 
-@pytest.mark.parametrize("field,calls", [(RR, 31), (QQ, 31), (finite_field(5), 62)])
+def _images_of_the_arithmetic_series(order, field):
+    """The complex and real series as partition_function made them before each
+    series had a route of its own: the rank and signature, alpha sent to -1 and
+    to i, of the chi_a1 image of the motivic series over ``field`` if it is
+    ordered, and over R if not."""
+    ordered = field if field.is_ordered else RR
+    image = z_motivic(order).map_coeffs(lambda c: chi_a1(c, ordered), gw_alpha_ring(ordered))
+    return (image.map_coeffs(GwAlphaElement.numeric_complex, INT_RING),
+            image.map_coeffs(GwAlphaElement.numeric_real, GAUSSIAN_RING))
+
+
+@pytest.mark.parametrize("order", [*range(1, 31), 60])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_complex_and_real_routes_match_the_chi_a1_image(field, order):
+    complex_series, real_series = _images_of_the_arithmetic_series(order, field)
+    pf = partition_function(order, field)
+    for got, want in ((pf.complex, complex_series), (pf.real, real_series),
+                      (z_complex(order), complex_series), (z_real(order), real_series)):
+        assert got == want
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@pytest.mark.parametrize("field,calls", [(RR, 31), (QQ, 31), (finite_field(5), 31)])
 def test_partition_function_takes_the_image_over_r_once(field, calls, monkeypatch):
-    # over an ordered field (Q or R) the arithmetic series is the image that gives the
-    # complex and real series; over any other field they come from one more image, over R
+    # one chi_a1 image, the arithmetic series over the field asked for: the complex and
+    # real series are read off M and M^sym, so no field takes a second image over R
+    from arithdt import motivic
+
     seen = []
 
     def counted(m, *args):
         seen.append(m)
         return chi_a1(m, *args)
 
-    monkeypatch.setattr(dt, "chi_a1", counted)
+    monkeypatch.setattr(motivic, "chi_a1", counted)
     pf = partition_function(30, field)
     assert len(seen) == calls
-    over_r = z_motivic(30).map_coeffs(lambda c: chi_a1(c, RR), gw_alpha_ring(RR))
-    assert pf.complex.coeffs == tuple(q.numeric_complex() for q in over_r.coeffs)
-    assert pf.real.coeffs == tuple(q.numeric_real() for q in over_r.coeffs)
+    assert pf.arithmetic.coeffs[0].field == field
+    assert (pf.complex, pf.real) == _images_of_the_arithmetic_series(30, field)
 
 
 @pytest.mark.parametrize("order", [1, 7, 30])

@@ -80,7 +80,7 @@ sys.exit(status)
 """
 
 
-def _modules_after(*argv, code=_LOADED):
+def _modules_after(*argv, code=_LOADED, status=0):
     src = Path(arithdt.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -88,7 +88,7 @@ def _modules_after(*argv, code=_LOADED):
         # no bytecode is written into the tree under test, which would change its start-up time
         env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
@@ -97,14 +97,17 @@ def _loaded_after(*argv):
     return {m for m in _modules_after(*argv) if m.split(".")[0] == "arithdt"}
 
 
-GW_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors", "arithdt.fields", "arithdt.gw"}
+# what parsing and dispatch need: ``--version`` loads these and nothing else
+CLI_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors", "arithdt.fields"}
+GW_ONLY = CLI_ONLY | {"arithdt.gw"}
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["gw", "--op", "rank", "--a", "<2>"]],
+@pytest.mark.parametrize("argv,loaded", [(["--version"], CLI_ONLY),
+                                         (["gw", "--op", "rank", "--a", "<2>"], GW_ONLY)],
                          ids=["version", "gw"])
-def test_gw_jobs_load_four_modules(argv):
+def test_gw_jobs_load_four_modules(argv, loaded):
     modules = _modules_after(*argv)
-    assert {m for m in modules if m.split(".")[0] == "arithdt"} == GW_ONLY
+    assert {m for m in modules if m.split(".")[0] == "arithdt"} == loaded
     # text output reads and writes no JSON: neither the writer nor the json package is compiled
     assert "json" not in modules
 
@@ -117,6 +120,14 @@ def test_dt_job_loads_no_algebra_modules():
     loaded = _loaded_after("dt-a3", "--order", "5")
     assert "arithdt.dt" in loaded
     assert loaded.isdisjoint({"arithdt.groebner", "arithdt.ekl", "arithdt.multipoly"})
+
+
+@pytest.mark.parametrize("output,rings", [("complex", set()), ("real", {"arithdt.gaussian"})])
+def test_complex_and_real_series_jobs_load_no_quadratic_form(output, rings):
+    # M(-t) is a series over Z and (-i)^n M^sym_n one over Z[i]: no motivic class or
+    # quadratic form is made
+    loaded = _loaded_after("dt-a3", "--order", "5", "--output", output)
+    assert loaded == CLI_ONLY | {"arithdt.dt", "arithdt.series"} | rings
 
 
 def test_ekl_job_does_not_load_motivic(tmp_path):
@@ -177,3 +188,38 @@ def test_no_job_imports_dataclasses_or_inspect(argv, tmp_path):
     argv = [a.format(**files) for a in argv]
     bare = _modules_after(code="import sys; print(' '.join(sys.modules))")
     assert (_modules_after(*argv) - bare) & SLOW_IMPORTS == set()
+
+
+# a well-formed command line is read without argparse, which imports gettext, and whose
+# help formatter imports locale
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gw", "--op", "mul", "--a", "<2> + <3>", "--b", "<6>"],
+        *(["dt-a3", "--order", "6", "--output", output]
+          for output in ("motivic", "arithmetic", "complex", "real")),
+        ["ekl", "--map", "{map}", "--field", "R"],
+        ["nearby", "--data", "{snc}"],
+        ["gv", "--m", "2", "--compare"],
+    ],
+    ids=lambda argv: f"dt-a3-{argv[-1]}" if argv[0] == "dt-a3" else argv[0],
+)
+def test_well_formed_jobs_load_no_argparse(argv, mode, tmp_path):
+    files = {"map": tmp_path / "map.json", "snc": tmp_path / "snc.json"}
+    files["map"].write_text('{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}')
+    files["snc"].write_text(json.dumps(_SNC))
+    argv = [a.format(**files) for a in argv] + mode
+    modules = _modules_after(*argv)
+    assert modules & ARGPARSE == set()
+    # only a dt-a3 job builds a series
+    assert ("arithdt.series" in modules) == (argv[0] == "dt-a3")
+
+
+def test_other_command_lines_are_read_by_argparse():
+    # an abbreviated option, and a usage error
+    assert "argparse" in _modules_after("dt-a3", "--ord", "6")
+    assert "argparse" in _modules_after("dt-a3", "--order", "6", "--output", "nope", status=2)
