@@ -18,12 +18,11 @@ Each series has one route, and a caller pays only for the one it asks for.
 With u = L^{1/2} and t = T u, Z(T u) is divided over the integers: at u = 1
 it is the MacMahon series M(T), at u = i the symmetric series M^sym(T), and
 at u = 2^b it packs Z(t) into base-2^b digits (Kronecker substitution; see
-z_motivic).  The complex series is M(-t), read off u = 1 with the sign
-(-1)^n, and the real series is (-i)^n M^sym_n in Z[i], read off u = i: each
-is a series over Z and its twist, with no motivic class or quadratic form
-made.  The arithmetic series is the termwise chi_a1 image of Z(t).  The
-motivic and quadratic-form modules are imported only by the functions that
-build those series, so a complex job compiles neither.
+z_motivic).  The complex series M(-t) is read off u = 1 with the sign
+(-1)^n, the real series (-i)^n M^sym_n in Z[i] off u = i, and the arithmetic
+series, the chi_a1 image of Z(t), off both (see z_arithmetic): no motivic
+class is made for any of them.  ``motivic`` is imported only by z_motivic and
+the quadratic-form modules only by z_arithmetic, so a complex job needs neither.
 
 On the moduli side, the Hilbert scheme of points of A^3 is the critical
 locus of (A, B, C, v) -> Tr([A, B] C) on a space of matrix triples; the
@@ -37,7 +36,7 @@ from fractions import Fraction
 
 from .errors import ArithdtError, json_rational
 from .fields import BaseField, Frozen, QQ
-from .series import INT_RING, TruncatedSeries
+from .series import INT_RING, TruncatedSeries, gw_alpha_ring
 
 
 def _z_at(order: int, q: int) -> TruncatedSeries:
@@ -91,17 +90,20 @@ def z_motivic(order: int) -> TruncatedSeries:
     return TruncatedSeries(MOTIVIC_RING, order, coeffs)
 
 
-def _chi_a1_image(motivic: TruncatedSeries, field: BaseField) -> TruncatedSeries:
-    from .motivic import chi_a1
-    from .series import gw_alpha_ring
-
-    return motivic.map_coeffs(lambda c: chi_a1(c, field), gw_alpha_ring(field))
-
-
 def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
     """Quadratic-form refinement, coefficients in GW(k)(alpha): the termwise
-    chi_a1 image of z_motivic over ``field``, u = L^{1/2} sent to alpha."""
-    return _chi_a1_image(z_motivic(order), field)
+    chi_a1 image of z_motivic over ``field``, u = L^{1/2} sent to alpha.
+
+    As alpha^4 = 1 the image sums the u-terms of z_n by exponent mod 4, sums fixed
+    by z_n(+-1) = (+-1)^n M_n and z_n(+-i) = (-+i)^n S_n, S = M^sym.  Coefficient n
+    is alpha^{-n} ((M_n + S_n)/2 <1> + (M_n - S_n)/2 <-1>): the plane partitions
+    that are not transpose-symmetric come in pairs, so both halves are integers."""
+    from .gwalpha import _alpha_sum
+
+    counts = enumerate(zip(macmahon(order).coeffs, macmahon_symmetric(order).coeffs))
+    return TruncatedSeries(gw_alpha_ring(field), order, [
+        _alpha_sum(((-n, (m + s) // 2), (2 - n, (m - s) // 2)), field) for n, (m, s) in counts
+    ])
 
 
 def z_complex(order: int) -> TruncatedSeries:
@@ -146,9 +148,8 @@ class PartitionFunctionResult(Frozen):
 
 def partition_function(order: int, field: BaseField = QQ) -> PartitionFunctionResult:
     """The four series, each by its own route; only the arithmetic one depends on ``field``."""
-    motivic = z_motivic(order)
     return PartitionFunctionResult(
-        motivic, _chi_a1_image(motivic, field), z_complex(order), z_real(order)
+        z_motivic(order), z_arithmetic(order, field), z_complex(order), z_real(order)
     )
 
 

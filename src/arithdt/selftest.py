@@ -29,6 +29,7 @@ from .motivic import (
 from .multipoly import MultiPoly
 from .nearby import SncData, StratumRecord, local_nearby_class, nearby_class, virtual_class_critical_locus
 from .partitions import verify_macmahon, verify_symmetric
+from .series import gw_alpha_ring
 
 
 def _random_gw(rng, field=QQ) -> GwElement:
@@ -67,6 +68,8 @@ def run_selftest() -> list[tuple[str, bool]]:
     ms, minus_i = macmahon_symmetric(8), GaussianInteger(0, -1)
     check("dt: real series is M^sym(-it)",
           pf.real.coeffs == tuple(minus_i**n * ms.coeffs[n] for n in range(9)))
+    check("dt: arithmetic series is chi_a1 of the motivic series",
+          pf.arithmetic == pf.motivic.map_coeffs(lambda c: chi_a1(c, QQ), gw_alpha_ring(QQ)))
     check("dt: MacMahon vs enumeration", verify_macmahon(8).agrees)
     check("dt: symmetric MacMahon vs enumeration", verify_symmetric(8).agrees)
 

@@ -8,9 +8,8 @@ the Euler products in dt.py are applied by one in-place division,
 __truediv__, whose cost is the divisor's nonzero terms times the order.
 dt.py divides one product over Z (INT_RING): Z(T u) at q = u^2, one
 q-binomial group per m, which is MacMahon's series at u = 1, M^sym at u = i
-and packs the motivic series at u = 2^b.  The complex and real series are
-read off the first two, and the arithmetic series is the chi_a1 image of the
-motivic series, taken by map_coeffs.
+and packs the motivic series at u = 2^b.  The complex, real and arithmetic
+series are all read off the first two.
 
 Loading this module compiles no ring module: GAUSSIAN_RING and MOTIVIC_RING
 are built on first access (PEP 562), and gw_ring and gw_alpha_ring import

@@ -27,7 +27,7 @@ from arithdt.fields import CC, QQ, RR, finite_field
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, grassmannian_class
-from arithdt.partitions import count_plane_partitions
+from arithdt.partitions import count_plane_partitions, is_transpose_symmetric, plane_partitions
 from arithdt.series import GAUSSIAN_RING, INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
 
 # frozen by hand from the factored product: the first factor alone gives t^1,
@@ -327,17 +327,45 @@ def _images_of_the_arithmetic_series(order, field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_complex_and_real_routes_match_the_chi_a1_image(field, order):
     complex_series, real_series = _images_of_the_arithmetic_series(order, field)
+    # the arithmetic series as it was made before it was read off M and M^sym
+    arithmetic_series = z_motivic(order).map_coeffs(
+        lambda c: chi_a1(c, field), gw_alpha_ring(field))
     pf = partition_function(order, field)
     for got, want in ((pf.complex, complex_series), (pf.real, real_series),
-                      (z_complex(order), complex_series), (z_real(order), real_series)):
+                      (z_complex(order), complex_series), (z_real(order), real_series),
+                      (pf.arithmetic, arithmetic_series),
+                      (z_arithmetic(order, field), arithmetic_series)):
         assert got == want
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
-@pytest.mark.parametrize("field,calls", [(RR, 31), (QQ, 31), (finite_field(5), 31)])
-def test_partition_function_takes_the_image_over_r_once(field, calls, monkeypatch):
-    # one chi_a1 image, the arithmetic series over the field asked for: the complex and
-    # real series are read off M and M^sym, so no field takes a second image over R
+def _transpose_plane_partition(pp):
+    # row lengths do not increase, so the rows that reach column j are a prefix
+    width = len(pp[0]) if pp else 0
+    return tuple(tuple(row[j] for row in pp if j < len(row)) for j in range(width))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_arithmetic_coefficients_count_transpose_orbits(n):
+    # Burnside for transposition on the plane partitions of n: s fixed points give s <1>,
+    # and f two-element orbits give f <1> + f <-1> = f H, with no MacMahon series used
+    fixed, orbits = 0, set()
+    for pp in plane_partitions(n):
+        transpose = _transpose_plane_partition(pp)
+        assert is_transpose_symmetric(pp) == (transpose == pp)
+        if transpose == pp:
+            fixed += 1
+        else:
+            orbits.add(min(pp, transpose))
+    pairs = len(orbits)
+    form = GwAlphaElement.from_even(GwElement(QQ, [(1, fixed + pairs), (-1, pairs)]))
+    assert alpha_power(QQ, n) * z_arithmetic(10).coeffs[n] == form
+
+
+@pytest.mark.parametrize("field", [RR, QQ, finite_field(5)], ids=str)
+def test_partition_function_takes_no_chi_a1_image(field, monkeypatch):
+    # every series but the motivic one is read off M and M^sym, so no field takes
+    # a chi_a1 image, over itself or over R
     from arithdt import motivic
 
     seen = []
@@ -348,7 +376,7 @@ def test_partition_function_takes_the_image_over_r_once(field, calls, monkeypatc
 
     monkeypatch.setattr(motivic, "chi_a1", counted)
     pf = partition_function(30, field)
-    assert len(seen) == calls
+    assert seen == []
     assert pf.arithmetic.coeffs[0].field == field
     assert (pf.complex, pf.real) == _images_of_the_arithmetic_series(30, field)
 

@@ -130,6 +130,15 @@ def test_complex_and_real_series_jobs_load_no_quadratic_form(output, rings):
     assert loaded == CLI_ONLY | {"arithdt.dt", "arithdt.series"} | rings
 
 
+@pytest.mark.parametrize("flags,writer", [([], set()), (["--json"], {"arithdt.jsonout"})],
+                         ids=["text", "json"])
+def test_arithmetic_series_job_loads_no_motivic_class(flags, writer):
+    # the quadratic forms are read off M and M^sym, so arithdt.motivic is not compiled
+    loaded = _loaded_after("dt-a3", "--order", "5", "--output", "arithmetic", *flags)
+    rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
+    assert loaded == CLI_ONLY | {"arithdt.dt", "arithdt.series"} | rings | writer
+
+
 def test_ekl_job_does_not_load_motivic(tmp_path):
     path = tmp_path / "map.json"
     path.write_text('{"vars": ["x", "y"], "polys": [[[[1, 0], "2"]], [[[0, 1], "-2"]]]}')
