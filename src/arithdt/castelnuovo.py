@@ -24,8 +24,7 @@ from math import comb
 from .errors import ArithdtError, NonIntegralCoefficientError
 from .fields import BaseField, Frozen, QQ
 from .gw import GwElement
-from .gwalpha import GwAlphaElement
-from .motivic import MotivicClass, chi_a1, projective_space_class
+from .gwalpha import GwAlphaElement, _alpha_sum
 
 
 def castelnuovo_bound(d: int) -> Fraction:
@@ -71,6 +70,8 @@ class CastelnuovoInput(Frozen):
 
 def gv_virtual_class_motivic(m: int) -> MotivicClass:
     """L^{N/2+2} [P^N][P^4] as an exact class in half powers of L."""
+    from .motivic import MotivicClass, projective_space_class
+
     n = fiber_dimension(m)
     return (
         MotivicClass.u_power(n + 4)
@@ -86,11 +87,11 @@ def gv_arithmetic_direct(m: int, field: BaseField = QQ) -> GwAlphaElement:
     [P^n] goes to ceil((n+1)/2) <1> + floor((n+1)/2) <-1>.  The class, of
     about 2.5 m^2 terms, therefore has the image of the two-term class
     u^{N+4} (c_+ + c_- L), where c_+ <1> + c_- <-1> is the image of
-    [P^N][P^4]: O(1) work however large m is.
+    [P^N][P^4]: O(1) work however large m is, and no motivic class is made.
     """
     n = fiber_dimension(m)
     a, b = (n + 2) // 2, (n + 1) // 2  # [P^N] -> a<1> + b<-1>, and [P^4] -> 3<1> + 2<-1>
-    return chi_a1(MotivicClass([(n + 4, 3 * a + 2 * b), (n + 6, 2 * a + 3 * b)]), field)
+    return _alpha_sum(((n + 4, 3 * a + 2 * b), (n + 6, 2 * a + 3 * b)), field)
 
 
 def gv_closed_form(m: int, field: BaseField = QQ) -> GwAlphaElement:

@@ -12,7 +12,9 @@ on the rightmost nonzero exponent difference being negative.
 QuotientAlgebra presents A = Q[x]/(ideal) for zero-dimensional ideals whose
 only zero over the algebraic closure is the origin; that locality condition
 is what the downstream local-degree constructions need, and it is checked
-by requiring every variable to be nilpotent in A.  The algebra builds the
+by requiring every variable to be nilpotent in A.  Its basis is the
+standard monomials, a finite down-set (Macaulay; Cox-Little-O'Shea, ch. 5
+sec. 3) walked up from 1 in at most n * dim tests.  The algebra builds the
 matrices of multiplication by each variable once; every product in A is a
 walk through them.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import product
 
 from .errors import (
     ArithdtError,
@@ -166,7 +167,9 @@ class QuotientAlgebra:
 
     Carries the reduced Groebner basis and its leading monomials (worked out
     once, by ``of_ideal``), the ascending-grevlex standard monomial basis
-    b_0 = 1, b_1, ..., its position index, and the sparse matrices M_{x_k} of
+    b_0 = 1, b_1, ... (walked up from 1: each b is raised only in the
+    variables at or after its last nonzero exponent, so n * dim candidates
+    at most), its position index, and the sparse matrices M_{x_k} of
     multiplication by each variable, built once here.
     Entry ``matrices[k][j]`` is column j of M_{x_k}: the coordinate dict of
     x_k * b_j.  A product that is itself a standard monomial is read off the
@@ -212,25 +215,18 @@ class QuotientAlgebra:
             raise NotSupportedAtOriginError("ideal is the unit ideal; empty zero set")
         n = len(variables)
         lms = [leading_monomial(g) for g in basis]
-        bounds = []
-        for i in range(n):
-            pure = [
-                lm[i]
-                for lm in lms
-                if lm[i] > 0 and all(lm[j] == 0 for j in range(n) if j != i)
-            ]
-            if not pure:
+        for i, name in enumerate(variables):
+            if not any(lm[i] and sum(lm) == lm[i] for lm in lms):
                 raise PositiveDimensionalIdealError(
-                    f"no pure power of {variables[i]} among leading monomials: "
-                    "quotient is infinite-dimensional"
+                    f"no pure power of {name} among leading monomials: quotient is infinite-dimensional"
                 )
-            bounds.append(min(pure))
-        monomials = [
-            exps
-            for exps in product(*(range(b) for b in bounds))
-            if not any(_divides(lm, exps) for lm in lms)
-        ]
-        monomials.sort(key=grevlex_key)
+        walk = [((0,) * n, 0)]  # (monomial, its last raised variable): each has one parent
+        for mono, last in walk:  # grows as the walk goes
+            for k in range(last, n):
+                raised = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
+                if not any(_divides(lm, raised) for lm in lms):
+                    walk.append((raised, k))
+        monomials = sorted((mono for mono, _ in walk), key=grevlex_key)
         algebra = cls(variables, basis, lms, monomials)
         for i in range(n):
             # coordinates of x_i^dim, from those of b_0 = 1, stopping at the first zero power

@@ -17,13 +17,16 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_groebner import thin_staircase
 
 import arithdt
 from arithdt import cli
 from arithdt.cli import dispatch, parse_gw
 from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError, IntegerTooLongError, brief, brief_str
-from arithdt.fields import QQ
+from arithdt.ekl import ekl_class
+from arithdt.fields import QQ, RR
+from arithdt.groebner import QuotientAlgebra
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GwAlphaElement
 from arithdt.motivic import MotivicClass, chi_a1, chi_complex, chi_real
@@ -686,14 +689,14 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == arithdt.__version__
 
 
-def _ekl_process(tmp_path, payload):
-    """Run ``arithdt ekl --map`` as a whole process; its result and wall time."""
+def _ekl_process(tmp_path, payload, *flags):
+    """Run ``arithdt ekl --map`` with ``flags`` as a whole process; its result and wall time."""
     path = tmp_path / "map.json"
     path.write_text(json.dumps(payload))
     src = Path(arithdt.__file__).resolve().parent.parent
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "arithdt", "ekl", "--map", str(path)],
+        [sys.executable, "-m", "arithdt", "ekl", "--map", str(path), *flags],
         capture_output=True, text=True, timeout=120,
         env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
     )
@@ -719,6 +722,46 @@ def test_ekl_milnor_dimension_1089_in_bounded_time(tmp_path):
     proc, seconds = _ekl_process(tmp_path, payload)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:3] == ["545*<1> + 544*<-1>", "rank: 1089", "signature: 1"]
+    assert seconds < 5
+
+
+def test_ekl_thin_staircase_in_bounded_time(tmp_path):
+    """(x*y, x^2000 + y^2000), dim 4,000: ~0.4-0.6 s; the box of 2001^2 points took ~5.7 s.
+
+    Its class is N*H.  A = Q[x, y]/(x*y, x^N + y^N) is graded, with A_0 = <1>,
+    A_i = <x^i, y^i> for 0 < i < N and socle A_N = <x^N> (y^N = -x^N).  The
+    Jacobian is -2N x^N, so phi is dual to x^N and vanishes off A_N.  The
+    form pairs A_i perfectly with A_{N-i} and A_i with A_j not at all unless
+    i + j = N, so each pair i < N - i is hyperbolic of rank 2 dim A_i.  For
+    even N the middle degree has x^{N/2} * x^{N/2} = x^N, y^{N/2} * y^{N/2} =
+    -x^N and x^{N/2} * y^{N/2} = 0, so it gives <c> + <-c> = H.  The rank is
+    dim A = 2N, so the class is N*H.
+    """
+    N = 2000
+    payload = {"vars": ["x", "y"], "polys": [[[[1, 1], "1"]], [[[N, 0], "1"], [[0, N], "1"]]]}
+    proc, seconds = _ekl_process(tmp_path, payload, "--contract-h")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2000*H", "rank: 4000", "signature: 0"]
+    assert seconds < 3
+
+
+@pytest.mark.parametrize("field", [QQ, RR], ids=["Q", "R"])
+def test_ekl_thin_staircase_is_n_hyperbolic_planes(field):
+    # the proof is in the docstring of test_ekl_thin_staircase_in_bounded_time
+    for N in range(1, 41):
+        assert ekl_class(thin_staircase(N), field).gw_class == GwElement.hyperbolic(field) * N, N
+
+
+def test_thin_staircase_algebra_at_dimension_20000_in_bounded_time():
+    """(x*y, x^10000 + y^10000): ~0.6 s in process, with 30,000 walk candidates.
+
+    The box had 10001^2 = 10^8 points.  The whole ``ekl`` job on it takes
+    ~8 s, nearly all in the Gram elimination, so it has no bound here.
+    """
+    start = time.perf_counter()
+    algebra = QuotientAlgebra.of_ideal(thin_staircase(10_000))
+    seconds = time.perf_counter() - start
+    assert algebra.dimension == 20_000
     assert seconds < 5
 
 

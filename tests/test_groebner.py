@@ -156,24 +156,32 @@ def oracle_basis_product(algebra, i, j):
     return dict(sorted((algebra.index[e], c) for e, c in nf.terms.items()))
 
 
+def box_monomials(lms, n):
+    """The standard monomials, grevlex-sorted, as the box of the pure-power bounds lists them.
+
+    None when some variable has no pure power among the leading monomials lms.
+    """
+    bounds = []
+    for i in range(n):
+        pure = [lm[i] for lm in lms if lm[i] and not any(lm[j] for j in range(n) if j != i)]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    box = itertools.product(*(range(b) for b in bounds))
+    kept = (e for e in box if not any(all(x <= y for x, y in zip(lm, e)) for lm in lms))
+    return sorted(kept, key=grevlex_key)
+
+
 def oracle_locality_error(polys):
     """The error of_ideal should raise, found by reducing x_i^dim for every variable x_i."""
     variables = polys[0].variables
     basis = buchberger(polys)
     lms = [leading_monomial(g) for g in basis]
     n = len(variables)
-    bounds = []
-    for i in range(n):
-        pure = [lm[i] for lm in lms if lm[i] and not any(lm[j] for j in range(n) if j != i)]
-        if not pure:
-            return PositiveDimensionalIdealError
-        bounds.append(min(pure))
-    dim = sum(
-        1
-        for exps in itertools.product(*(range(b) for b in bounds))
-        if not any(all(x <= y for x, y in zip(lm, exps)) for lm in lms)
-    )
-    powers = [tuple(dim if j == i else 0 for j in range(n)) for i in range(n)]
+    box = box_monomials(lms, n)
+    if box is None:
+        return PositiveDimensionalIdealError
+    powers = [tuple(len(box) if j == i else 0 for j in range(n)) for i in range(n)]
     if all(normal_form(MultiPoly(variables, {p: 1}), basis, lms).is_zero() for p in powers):
         return None
     return NotSupportedAtOriginError
@@ -224,6 +232,100 @@ def test_basis_product_matches_per_pair_normal_form(polys):
     for i in range(algebra.dimension):
         for j in range(algebra.dimension):
             assert algebra.basis_product(i, j) == oracle_basis_product(algebra, i, j), (i, j)
+
+
+# -- the walk of the standard monomials against the box ---------------------------------
+
+
+@pytest.fixture
+def walk(monkeypatch):
+    """of_ideal, returning the algebra and the number of candidates its walk tested.
+
+    A candidate is a monomial tested against the leading monomials after the
+    Groebner basis is made and before the matrices are built.
+    """
+    tested, walking = set(), []
+    divides, basis_of, build = groebner._divides, groebner.buchberger, QuotientAlgebra.__init__
+
+    def counting_divides(a, b):
+        if walking:
+            tested.add(b)
+        return divides(a, b)
+
+    def basis_then_walk(generators):
+        basis = basis_of(generators)
+        walking.append(True)
+        return basis
+
+    def build_after_walk(self, *args):
+        walking.clear()
+        build(self, *args)
+
+    monkeypatch.setattr(groebner, "_divides", counting_divides)
+    monkeypatch.setattr(groebner, "buchberger", basis_then_walk)
+    monkeypatch.setattr(QuotientAlgebra, "__init__", build_after_walk)
+
+    def run(polys):
+        tested.clear()
+        walking.clear()  # an ideal of_ideal refused may have stopped before its matrices
+        algebra = QuotientAlgebra.of_ideal(polys)
+        return algebra, len(tested)
+
+    return run
+
+
+def assert_walk_is_the_box(walk, polys):
+    algebra, candidates = walk(polys)
+    n = len(algebra.variables)
+    assert list(algebra.standard_monomials) == box_monomials(algebra.leading_monomials, n)
+    # every standard monomial but 1 is a candidate
+    assert algebra.dimension - 1 <= candidates <= n * algebra.dimension
+    return algebra, candidates
+
+
+def thin_staircase(N):
+    """(x*y, x^N + y^N): dim 2N, but its box has (N + 1)^2 points."""
+    return [P(("x", "y"), "x*y"), P(("x", "y"), f"x**{N} + y**{N}")]
+
+
+@pytest.mark.parametrize("polys", WALK_CASES, ids=_case_id)
+def test_walk_lists_the_box_on_the_walk_cases(walk, polys):
+    assert_walk_is_the_box(walk, polys)
+
+
+def test_walk_lists_the_box_on_thin_staircases(walk):
+    for N in range(1, 61):
+        algebra, candidates = assert_walk_is_the_box(walk, thin_staircase(N))
+        # 1, x, ..., x^{N-1} raise x and y, and y, ..., y^N raise y only: 3N, not (N + 1)^2
+        assert algebra.dimension == 2 * N and candidates == 3 * N
+
+
+@pytest.mark.parametrize("a,c", itertools.product((1, 2, 3, 5, 8, 13), repeat=2))
+def test_walk_lists_the_box_off_the_graded_family(walk, a, c):
+    # x^a + y^3 + x*y is not quasi-homogeneous; with y^c its only zero is the origin
+    assert_walk_is_the_box(walk, [P(("x", "y"), f"x**{a} + y**3 + x*y"), P(("x", "y"), f"y**{c}")])
+
+
+def _random_system(seed):
+    """Three or four polynomials in x, y, z of one to three terms of degree 1 to 4."""
+    rng = random.Random(seed)
+    exps = [e for e in itertools.product(range(5), repeat=3) if 1 <= sum(e) <= 4]
+    return [
+        MultiPoly(("x", "y", "z"), {e: rng.choice((-2, -1, 1, 2)) for e in rng.sample(exps, rng.randint(1, 3))})
+        for _ in range(rng.randint(3, 4))
+    ]
+
+
+def test_walk_lists_the_box_on_random_ternary_systems(walk):
+    accepted = []
+    for seed in range(200):
+        try:
+            algebra, _ = assert_walk_is_the_box(walk, _random_system(seed))
+        except (PositiveDimensionalIdealError, NotSupportedAtOriginError):
+            continue
+        accepted.append(algebra.dimension)
+    # 18 of the 200 seeds meet only at the origin, with dims from 1 to 48
+    assert len(accepted) == 18 and max(accepted) == 48
 
 
 def plain_buchberger(generators):
@@ -303,17 +405,7 @@ def test_dimensions_against_sympy(variables, texts):
     }
     assert ours == theirs
 
-    import itertools
-
-    bounds = []
-    for i in range(len(variables)):
-        pure = [lm[i] for lm in leading if lm[i] > 0 and all(lm[j] == 0 for j in range(len(variables)) if j != i)]
-        bounds.append(min(pure))
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(all(x <= y for x, y in zip(lm, exps)) for lm in leading):
-            count += 1
-    assert algebra.dimension == count
+    assert algebra.dimension == len(box_monomials(leading, len(variables)))
 
 
 GENERIC_CASES = [_dense_forms(seed, n, d) for (n, d), seeds in GENERIC_SEEDS.items() for seed in seeds]

@@ -139,6 +139,15 @@ def test_arithmetic_series_job_loads_no_motivic_class(flags, writer):
     assert loaded == CLI_ONLY | {"arithdt.dt", "arithdt.series"} | rings | writer
 
 
+@pytest.mark.parametrize("flags,writer", [([], set()), (["--compare", "--json"], {"arithdt.jsonout"})],
+                         ids=["text", "compare-json"])
+def test_gv_job_loads_no_motivic_class(flags, writer):
+    # the refined class is the alpha-sum of two terms, so arithdt.motivic is not compiled
+    loaded = _loaded_after("gv", "--m", "7", *flags)
+    rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
+    assert loaded == CLI_ONLY | {"arithdt.castelnuovo"} | rings | writer
+
+
 def test_ekl_job_does_not_load_motivic(tmp_path):
     path = tmp_path / "map.json"
     path.write_text('{"vars": ["x", "y"], "polys": [[[[1, 0], "2"]], [[[0, 1], "-2"]]]}')
