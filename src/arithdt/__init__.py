@@ -15,8 +15,8 @@ Modules:
 * ``dt``: partition functions for degree-zero counts on affine 3-space;
 * ``castelnuovo``: refined genus-bound fiber integrals for the quintic;
 * ``partitions``: brute-force plane-partition oracles;
-* ``cli``: the ``arithdt`` command-line tool, with its JSON writer in
-  ``jsonout``.
+* ``cli``: the ``arithdt`` command-line tool, with one module per
+  subcommand in ``commands`` and its JSON writer in ``jsonout``.
 
 Each public name is loaded from its submodule on first access (PEP 562), so
 ``import arithdt`` and a CLI run compile only the modules they use.

@@ -1,0 +1,22 @@
+"""One module per ``arithdt`` subcommand, each loaded only by its own job.
+
+``cli.dispatch`` imports the module that ``cli.COMMANDS`` names for the
+subcommand and calls its ``run(args)``, which returns the JSON payload and a
+function making the text: ``cli._emit`` calls that function only in text
+mode.  A module imports, at its top, the library modules its job computes
+with, and keeps the helpers only it uses, so a job compiles no other
+subcommand's code.
+"""
+
+from ..errors import InputDataError
+
+
+def load_json(path: str):
+    """The JSON document in the file ``path``; ``json`` is imported only here."""
+    import json
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise InputDataError(f"cannot read JSON from {path}: {exc}") from exc

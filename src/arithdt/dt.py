@@ -32,8 +32,6 @@ here as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ArithdtError, json_rational
 from .fields import BaseField, Frozen, QQ
 from .series import INT_RING, TruncatedSeries, gw_alpha_ring
@@ -202,6 +200,8 @@ def _transpose(x) -> tuple:
 
 
 def _trace(x) -> Fraction:
+    from fractions import Fraction
+
     return sum((x[i][i] for i in range(len(x))), Fraction(0))
 
 
@@ -228,5 +228,4 @@ def trace_potential_gradient(t: MatrixTriple) -> tuple:
 
 
 def gradient_vanishes(t: MatrixTriple) -> bool:
-    zero = tuple(tuple(Fraction(0) for _ in range(t.size)) for _ in range(t.size))
-    return all(g == zero for g in trace_potential_gradient(t))
+    return all(x == 0 for g in trace_potential_gradient(t) for row in g for x in row)

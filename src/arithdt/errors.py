@@ -5,7 +5,6 @@ CLI can map it to a single exit code; usage errors are left to argparse.
 """
 
 import sys
-from fractions import Fraction
 
 
 class ArithdtError(Exception):
@@ -95,7 +94,7 @@ def brief(value) -> str:
     return _cut(repr(value))
 
 
-def brief_str(value: Fraction) -> str:
+def brief_str(value: "Fraction") -> str:
     """``str(value)`` cut as ``brief`` cuts a repr, so ``1/5`` stays ``1/5``.
 
     A part of over 4,300 digits, which str() refuses, is shown as ``brief`` shows an int.
@@ -118,9 +117,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_rational(value, what: str) -> Fraction:
+def json_rational(value, what: str) -> "Fraction":
     """``value`` as a Fraction if it is an int, a Fraction or a rational string;
-    floats and bools are refused, never read as binary fractions."""
+    floats and bools are refused, never read as binary fractions.
+
+    ``fractions`` is imported here, not when this module loads: a job that
+    makes no rational does not load it (nor ``decimal`` and ``numbers``).
+    """
+    from fractions import Fraction
+
     if type(value) is not int and not isinstance(value, (Fraction, str)):
         raise InputDataError(f"{what} must be an integer, a fraction or a rational string, got {brief(value)}")
     try:

@@ -361,8 +361,13 @@ def parse_field_label(label: str) -> BaseField:
 
 
 def square_class_rep(field: BaseField, value) -> int:
-    """Canonical integer representative of the square class of value."""
-    value = json_rational(value, "value")
+    """Canonical integer representative of the square class of value.
+
+    An int is read as it is (its numerator is itself, its denominator 1), and
+    anything else by ``json_rational``, so integer reps make no Fraction.
+    """
+    if type(value) is not int:
+        value = json_rational(value, "value")
     if value == 0:
         raise ArithdtError("square classes are indexed by nonzero elements")
     kind = field.kind

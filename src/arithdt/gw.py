@@ -24,7 +24,6 @@ GW(k)(alpha), the ring of GwAlphaElement with alpha a formal square root of
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -346,6 +345,8 @@ def _diagonalize_rows(rows: list, field: BaseField) -> GwElement:
     reduced block by block, with the pivots of the dense reduction.  The
     row dicts are consumed.
     """
+    from fractions import Fraction
+
     for i, row in enumerate(rows):
         for j, x in row.items():
             if rows[j].get(i) != x:

@@ -22,6 +22,11 @@ Three ring morphisms specialize a class, all through one evaluation:
   characteristic with compact support, the rank of ``chi_a1``;
 * ``chi_real`` sends u to i (so L goes to -1), with values in Z[i]: the
   signature of ``chi_a1``, taken over R, where square classes are signs.
+
+Loading this module compiles no quadratic-form module: ``gw``, ``gwalpha``
+and ``gaussian`` are imported by ``chi_a1`` and the generator specs, and the
+default generator table (``DEFAULT_GENERATORS``, with ``SPEC_C``) is built on
+first access (PEP 562), so a job that only multiplies classes needs neither.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from itertools import chain, zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
 from .fields import BaseField, Frozen, QQ, RR, Value, binary_power, linear_sum, render_sum
-from .gw import GwElement, trace_form
-from .gwalpha import GaussianInteger, GwAlphaElement, _alpha_sum
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
 
@@ -236,24 +239,42 @@ def quadratic_point_generator(d: int) -> GeneratorSpec:
     The A^1-Euler characteristic is the trace form of the extension, with
     Gram matrix diag(2, 2d) on the basis (1, sqrt(d)).
     """
+    from .gaussian import GaussianInteger
+    from .gw import trace_form
+    from .gwalpha import GwAlphaElement
+
     chi_a1 = GwAlphaElement.from_even(trace_form(d, 1))
     chi_real = GaussianInteger(2 if d > 0 else 0, 0)
     return GeneratorSpec(f"SpecQ(sqrt({d}))", 2, chi_real, chi_a1)
 
 
-# The class of Spec C over R: a conjugate pair of points.
-SPEC_C = GeneratorSpec(
-    "SpecC",
-    2,
-    GaussianInteger(0, 0),
-    GwAlphaElement.from_even(GwElement.hyperbolic(QQ)),
-)
+def _default_generators() -> dict[str, GeneratorSpec]:
+    """DEFAULT_GENERATORS, built on first use together with SPEC_C, the class
+    of Spec C over R: a conjugate pair of points."""
+    global SPEC_C, DEFAULT_GENERATORS
+    try:
+        return DEFAULT_GENERATORS
+    except NameError:
+        from .gaussian import GaussianInteger
+        from .gw import GwElement
+        from .gwalpha import GwAlphaElement
 
-DEFAULT_GENERATORS: dict[str, GeneratorSpec] = {SPEC_C.name: SPEC_C}
+        SPEC_C = GeneratorSpec(
+            "SpecC", 2, GaussianInteger(0, 0), GwAlphaElement.from_even(GwElement.hyperbolic(QQ))
+        )
+        DEFAULT_GENERATORS = {SPEC_C.name: SPEC_C}
+        return DEFAULT_GENERATORS
+
+
+def __getattr__(name: str):
+    if name not in ("SPEC_C", "DEFAULT_GENERATORS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _default_generators()
+    return globals()[name]
 
 
 def _resolve_generator(name: str, generators) -> GeneratorSpec:
-    table = DEFAULT_GENERATORS if generators is None else generators
+    table = _default_generators() if generators is None else generators
     try:
         return table[name]
     except KeyError:
@@ -262,6 +283,8 @@ def _resolve_generator(name: str, generators) -> GeneratorSpec:
 
 def chi_a1(m: MotivicClass, field: BaseField = QQ, generators=None) -> GwAlphaElement:
     """Evaluate u -> alpha; the compactly supported A^1-Euler characteristic."""
+    from .gwalpha import _alpha_sum
+
     total = _alpha_sum(m.u_terms, field)
     for name, coeff in m.extras:
         spec = _resolve_generator(name, generators)

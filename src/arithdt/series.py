@@ -11,14 +11,13 @@ q-binomial group per m, which is MacMahon's series at u = 1, M^sym at u = i
 and packs the motivic series at u = 2^b.  The complex, real and arithmetic
 series are all read off the first two.
 
-Loading this module compiles no ring module: GAUSSIAN_RING and MOTIVIC_RING
-are built on first access (PEP 562), and gw_ring and gw_alpha_ring import
-their element types when called, so a series over Z needs only ``fields``.
+Loading this module compiles no ring module and imports no ``fractions``:
+FRACTION_RING, GAUSSIAN_RING and MOTIVIC_RING are built on first access
+(PEP 562), and gw_ring and gw_alpha_ring import their element types when
+called, so a series over Z needs only ``fields``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
 from .fields import BaseField, Frozen, QQ, Value, binary_power
@@ -34,11 +33,14 @@ class CoefficientRing(Frozen):
 
 
 INT_RING = CoefficientRing("Z", 0, 1)
-FRACTION_RING = CoefficientRing("Q", Fraction(0), Fraction(1))
 
 
 def __getattr__(name: str):
-    if name == "GAUSSIAN_RING":
+    if name == "FRACTION_RING":
+        from fractions import Fraction
+
+        ring = CoefficientRing("Q", Fraction(0), Fraction(1))
+    elif name == "GAUSSIAN_RING":
         from .gaussian import GAUSSIAN_ONE, GAUSSIAN_ZERO
 
         ring = CoefficientRing("Z[i]", GAUSSIAN_ZERO, GAUSSIAN_ONE)
@@ -189,7 +191,10 @@ class TruncatedSeries(Value):
         for c in self.coeffs:
             if hasattr(c, "to_json_dict"):
                 c = c.to_json_dict()
-            elif isinstance(c, Fraction):
-                c = str(c)
+            elif type(c) is not int:  # only a non-int can be a Fraction
+                from fractions import Fraction
+
+                if isinstance(c, Fraction):
+                    c = str(c)
             coeffs.append(c)
         return {"ring": self.ring.name, "order": self.order, "coeffs": coeffs}

@@ -21,7 +21,8 @@ from test_groebner import thin_staircase
 
 import arithdt
 from arithdt import cli
-from arithdt.cli import dispatch, parse_gw
+from arithdt.cli import dispatch
+from arithdt.commands.gw import parse_gw
 from arithdt.dt import z_motivic
 from arithdt.errors import InputDataError, IntegerTooLongError, brief, brief_str
 from arithdt.ekl import ekl_class

@@ -192,6 +192,31 @@ def test_spec_c_generator():
     assert chi_a1(circle).even.gw_equal(GwElement.zero(QQ))
 
 
+@pytest.mark.parametrize("field", [QQ, RR, finite_field(5)], ids=str)
+def test_default_generator_table_is_built_once_on_first_use(field, monkeypatch):
+    from arithdt import motivic
+
+    assert motivic.SPEC_C is motivic.DEFAULT_GENERATORS["SpecC"]
+    # L + (1 - L^{1/2})*[SpecC], with its chi_a1 taken from the table already built
+    m = MotivicClass([(2, 1)], {"SpecC": [(0, 1), (1, -1)]})
+    expected = chi_a1(m, field)
+    # forget the table, and count the specs built from here on
+    monkeypatch.delitem(vars(motivic), "SPEC_C")
+    monkeypatch.delitem(vars(motivic), "DEFAULT_GENERATORS")
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return GeneratorSpec(*args)  # its consistency check runs
+
+    monkeypatch.setattr(motivic, "GeneratorSpec", counted)
+    assert chi_a1(m, field) == expected
+    assert chi_a1(m, field) == expected
+    assert motivic.SPEC_C is motivic.DEFAULT_GENERATORS["SpecC"]
+    assert built == ["SpecC"]
+    assert motivic.SPEC_C == SPEC_C
+
+
 def test_generator_spec_consistency_enforced():
     with pytest.raises(ArithdtError):
         GeneratorSpec("bad", 3, GaussianInteger(0, 0),

@@ -53,7 +53,8 @@ def test_every_public_name_resolves():
 def test_every_domain_error_is_raised_in_the_library():
     from arithdt import errors
 
-    source = "\n".join(path.read_text() for path in Path(errors.__file__).parent.glob("*.py"))
+    # every module, those of arithdt.commands too
+    source = "\n".join(path.read_text() for path in Path(errors.__file__).parent.rglob("*.py"))
     domain = [name for name, value in vars(errors).items()
               if isinstance(value, type) and issubclass(value, errors.ArithdtError)]
     # a use is "raise Name" or a call "Name(", but not the "class Name(" that defines it
@@ -98,9 +99,15 @@ def _loaded_after(*argv):
 
 
 # what parsing and dispatch need: ``--version`` loads these and nothing else
-CLI_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors", "arithdt.fields"}
-GW_ONLY = CLI_ONLY | {"arithdt.gw"}
+CLI_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors"}
+# what every job adds: the base fields, and the package of the subcommand modules
+JOB = CLI_ONLY | {"arithdt.fields", "arithdt.commands"}
+GW_ONLY = JOB | {"arithdt.commands.gw", "arithdt.gw"}
+DT_ONLY = JOB | {"arithdt.commands.dt_a3", "arithdt.dt", "arithdt.series"}
 
+# a well-formed command line is read without argparse, which imports gettext, and whose
+# help formatter imports locale
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 @pytest.mark.parametrize("argv,loaded", [(["--version"], CLI_ONLY),
                                          (["gw", "--op", "rank", "--a", "<2>"], GW_ONLY)],
@@ -110,6 +117,47 @@ def test_gw_jobs_load_four_modules(argv, loaded):
     assert {m for m in modules if m.split(".")[0] == "arithdt"} == loaded
     # text output reads and writes no JSON: neither the writer nor the json package is compiled
     assert "json" not in modules
+    # ``--version`` is answered without argparse too
+    assert modules & ARGPARSE == set()
+
+
+def test_version_prints_argparse_bytes(monkeypatch, capsys):
+    from arithdt import cli
+
+    answers = []
+    for strict in (cli.strict_args, lambda argv: None):  # None: argparse reads the command line
+        monkeypatch.setattr(cli, "strict_args", strict)
+        with pytest.raises(SystemExit) as exc:
+            cli.dispatch(["--version"])
+        answers.append((exc.value.code, capsys.readouterr()))
+    assert answers[0] == answers[1] == (0, (arithdt.__version__ + "\n", ""))
+
+
+# a job that makes no rational loads no ``fractions``, with the ``decimal`` and
+# ``numbers`` that it imports
+FRACTIONS = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--version"], id="version"),
+        pytest.param(["gw", "--op", "mul", "--a", "<6> + <10>", "--b", "<15>"], id="gw-mul"),
+        *(pytest.param(["dt-a3", "--order", "6", "--output", output, *flags], id=f"dt-a3-{output}-{mode}")
+          for output in ("motivic", "arithmetic", "complex", "real")
+          for mode, flags in (("text", []), ("json", ["--json"]))),
+    ],
+)
+def test_jobs_without_a_rational_load_no_fractions(argv):
+    assert _modules_after(*argv) & FRACTIONS == set()
+
+
+def test_jobs_with_a_rational_load_fractions(tmp_path):
+    # the lazy imports are live: a rational rep, and an EKL Gram matrix
+    assert "fractions" in _modules_after("gw", "--op", "rank", "--a", "<1/3>")
+    path = tmp_path / "map.json"
+    path.write_text('{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}')
+    assert "fractions" in _modules_after("ekl", "--map", str(path))
 
 
 def test_gw_json_job_loads_the_writer():
@@ -127,7 +175,7 @@ def test_complex_and_real_series_jobs_load_no_quadratic_form(output, rings):
     # M(-t) is a series over Z and (-i)^n M^sym_n one over Z[i]: no motivic class or
     # quadratic form is made
     loaded = _loaded_after("dt-a3", "--order", "5", "--output", output)
-    assert loaded == CLI_ONLY | {"arithdt.dt", "arithdt.series"} | rings
+    assert loaded == DT_ONLY | rings
 
 
 @pytest.mark.parametrize("flags,writer", [([], set()), (["--json"], {"arithdt.jsonout"})],
@@ -136,7 +184,16 @@ def test_arithmetic_series_job_loads_no_motivic_class(flags, writer):
     # the quadratic forms are read off M and M^sym, so arithdt.motivic is not compiled
     loaded = _loaded_after("dt-a3", "--order", "5", "--output", "arithmetic", *flags)
     rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
-    assert loaded == CLI_ONLY | {"arithdt.dt", "arithdt.series"} | rings | writer
+    assert loaded == DT_ONLY | rings | writer
+
+
+@pytest.mark.parametrize("flags,writer", [([], set()), (["--json"], {"arithdt.jsonout"})],
+                         ids=["text", "json"])
+def test_motivic_series_job_loads_no_quadratic_form(flags, writer):
+    # the series is read off one packed integer per t^n, and [SpecC]'s spec, a
+    # GwAlphaElement, is built only on first use: no gw, gwalpha or gaussian
+    loaded = _loaded_after("dt-a3", "--order", "5", "--output", "motivic", *flags)
+    assert loaded == DT_ONLY | {"arithdt.motivic"} | writer
 
 
 @pytest.mark.parametrize("flags,writer", [([], set()), (["--compare", "--json"], {"arithdt.jsonout"})],
@@ -145,7 +202,7 @@ def test_gv_job_loads_no_motivic_class(flags, writer):
     # the refined class is the alpha-sum of two terms, so arithdt.motivic is not compiled
     loaded = _loaded_after("gv", "--m", "7", *flags)
     rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
-    assert loaded == CLI_ONLY | {"arithdt.castelnuovo"} | rings | writer
+    assert loaded == JOB | {"arithdt.commands.gv", "arithdt.castelnuovo"} | rings | writer
 
 
 def test_ekl_job_does_not_load_motivic(tmp_path):
@@ -160,7 +217,7 @@ def test_ekl_job_does_not_load_motivic(tmp_path):
 
 def test_library_imports_only_the_standard_library():
     package = Path(arithdt.__file__).resolve().parent
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):  # arithdt.commands too
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -206,11 +263,6 @@ def test_no_job_imports_dataclasses_or_inspect(argv, tmp_path):
     argv = [a.format(**files) for a in argv]
     bare = _modules_after(code="import sys; print(' '.join(sys.modules))")
     assert (_modules_after(*argv) - bare) & SLOW_IMPORTS == set()
-
-
-# a well-formed command line is read without argparse, which imports gettext, and whose
-# help formatter imports locale
-ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
