@@ -8,17 +8,19 @@ describing the invocation is written next to it; JSON written to stdout
 embeds the same manifest.
 
 Each subcommand's handler is the ``run`` of its own module in
-``arithdt.commands``, which ``dispatch`` imports for that job alone: a job
-compiles no other subcommand's code, and the handler imports what it
-computes with (``gw`` only for a gw job, and a dt-a3 job only the modules of
-the series it prints).  ``json`` is imported where JSON is read, and the
-JSON writer (``jsonout``) where JSON is written, so a job loads no other
-module.  ``main`` is the process entry point; ``dispatch`` runs one command
-line for a caller in the same process.
+``arithdt.commands``, named by the subcommand (``dt_a3`` for ``dt-a3``), which
+``dispatch`` imports for that job alone: a job compiles no other
+subcommand's code, and the handler imports what it computes with (``gw``
+only for a gw job, and a dt-a3 job only the modules of the series it
+prints).  ``json`` is imported where JSON is read, and the JSON writer
+(``jsonout``) and the manifest only where JSON is written, so a job loads
+no other module.  ``main`` is the process entry point; ``dispatch`` runs one
+command line for a caller in the same process.
 
-One table, ``COMMANDS``, holds every subcommand's options.  It builds the
-argparse parser, and it feeds ``strict_args``, which reads a well-formed
-command line into the namespace argparse would make, and answers
+One table, ``COMMANDS``, describes every subcommand: its help and its
+options.  It builds the argparse parser, and it feeds ``strict_args``, which
+reads a well-formed command line, a subcommand's positional choice
+included, into the namespace argparse would make, and answers
 ``--version`` alone, without importing argparse.  Every other command line
 (``--help``, an abbreviation, ``--opt=value``, any usage error) goes to
 argparse, so help, usage and error bytes are argparse's own.
@@ -37,36 +39,38 @@ from . import __version__
 from .errors import ArithdtError, InputDataError, IntegerTooLongError
 
 
-def _emit(args, manifest: dict, payload: dict, text) -> None:
+def _emit(args, payload: dict, text) -> None:
     """Write ``payload`` as JSON (to ``--out`` or, with ``--json``, to stdout), or
-    else the string that ``text()`` makes: the text is built only when printed."""
-    out_path = getattr(args, "out", None)
-    as_json = getattr(args, "json", False) or out_path is not None
-    if as_json:
-        from .jsonout import write_json
-    if out_path:
-        manifest["outputs"].append(out_path)
-        written = []
-        try:
-            for path, value in ((out_path, payload), (out_path + ".manifest.json", manifest)):
-                with open(path, "w", encoding="utf-8") as fh:
-                    written.append(path)
-                    write_json(fh, value)
-        except BaseException as exc:
-            for path in written:  # no partial answer is left behind
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-            if isinstance(exc, OSError):
-                raise InputDataError(f"cannot write {out_path}: {exc}") from exc
-            raise
-        return
-    manifest["outputs"].append("stdout")
-    if as_json:
-        payload = dict(payload)
-        payload["manifest"] = manifest
-        write_json(sys.stdout, payload)
-    else:
+    else the string that ``text()`` makes: the text is built only when printed.
+    JSON carries a manifest of the run, made of ``args`` only here."""
+    if not (args.json or args.out is not None):
         sys.stdout.write(text() + "\n")
+        return
+    from .jsonout import write_json
+
+    manifest = {
+        "subcommand": args.subcommand,
+        "parameters": {key: value for key, value in sorted(vars(args).items())
+                       if key not in ("subcommand", "json", "out") and value is not None},
+        "artifact_version": __version__,
+        "outputs": [args.out or "stdout"],
+    }
+    if not args.out:
+        write_json(sys.stdout, {**payload, "manifest": manifest})
+        return
+    written = []
+    try:
+        for path, value in ((args.out, payload), (args.out + ".manifest.json", manifest)):
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                write_json(fh, value)
+    except BaseException as exc:
+        for path in written:  # no partial answer is left behind
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise InputDataError(f"cannot write {args.out}: {exc}") from exc
+        raise
 
 
 _COMMON = (
@@ -74,11 +78,10 @@ _COMMON = (
     ("--out", {"help": "write JSON payload to this path (with manifest)"}),
 )
 
-# subcommand -> (help, handler, options): the handler is the module of
-# arithdt.commands whose ``run`` answers the subcommand, and each option is the
-# name and keywords of one add_argument call, in the order build_parser makes them
+# subcommand -> (help, options): each option is the name and keywords of one
+# add_argument call, in the order build_parser makes them
 COMMANDS = {
-    "gw": ("Grothendieck-Witt ring operations", "gw", (
+    "gw": ("Grothendieck-Witt ring operations", (
         ("--op", {"required": True,
                   "choices": ["add", "sub", "mul", "equal", "rank", "signature",
                               "discriminant", "diagonalize"]}),
@@ -89,35 +92,35 @@ COMMANDS = {
         ("--contract-h", {"action": "store_true", "dest": "contract_h"}),
         *_COMMON,
     )),
-    "dt-a3": ("degree-zero DT partition function of affine 3-space", "dt_a3", (
+    "dt-a3": ("degree-zero DT partition function of affine 3-space", (
         ("--order", {"type": int, "required": True}),
         ("--output", {"default": "complex", "choices": ["motivic", "arithmetic", "complex", "real"]}),
         ("--field", {"default": "Q"}),
         *_COMMON,
     )),
-    "ekl": ("local degree of a polynomial map at the origin", "ekl", (
+    "ekl": ("local degree of a polynomial map at the origin", (
         ("--map", {"required": True, "help": "JSON file with vars and polys"}),
         ("--field", {"default": "Q"}),
         ("--contract-h", {"action": "store_true", "dest": "contract_h"}),
         *_COMMON,
     )),
-    "nearby": ("nearby class from SNC stratification data", "nearby", (
+    "nearby": ("nearby class from SNC stratification data", (
         ("--data", {"required": True, "help": "JSON file with dim, strata, x0_class"}),
         ("--local", {"action": "store_true", "help": "treat classes as fiber data"}),
         *_COMMON,
     )),
-    "gv": ("refined genus-bound invariants of the quintic", "gv", (
+    "gv": ("refined genus-bound invariants of the quintic", (
         ("--m", {"type": int, "required": True}),
         ("--compare", {"action": "store_true"}),
         ("--field", {"default": "Q"}),
         *_COMMON,
     )),
-    "oracle": ("brute-force plane partition counts", "oracle", (
+    "oracle": ("brute-force plane partition counts", (
         ("kind", {"choices": ["pp", "spp"]}),
         ("--n", {"type": int, "required": True}),
         *_COMMON,
     )),
-    "selftest": ("run the built-in invariant suite", "selftest", _COMMON),
+    "selftest": ("run the built-in invariant suite", _COMMON),
 }
 
 
@@ -131,43 +134,51 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, handler, options) in COMMANDS.items():
+    for name, (help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for option, keywords in options:
             p.add_argument(option, **keywords)
-        p.set_defaults(handler=handler)
     return parser
 
 
 def strict_args(argv: list):
     """The namespace argparse makes of a well-formed ``argv``, or None.
 
-    Well-formed is: a subcommand with no positional argument, then exact
-    names of its options, each at most once, each value not starting with
-    '-', every required option present, and every choice and int valid.
-    Anything else (help, an abbreviation, --opt=value, a value that looks
-    like an option, every error) is argparse's to read.  ``--version``
-    alone is answered here, with argparse's stdout and exit status.
+    Well-formed is: a subcommand, then, in any order, exact names of its
+    options, each at most once, each value not starting with '-', and one
+    token not starting with '-' for each of its positionals; every
+    positional and required option present, and every choice and int
+    valid.  Anything else (help, an abbreviation, --opt=value, a value that
+    looks like an option, a stray token, every error) is argparse's to
+    read.  ``--version`` alone is answered here, with argparse's stdout and
+    exit status.
     """
     if argv == ["--version"]:
         print(__version__)  # argparse's version action writes this line to stdout, then exits 0
         raise SystemExit(0)
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, handler, options = COMMANDS[argv[0]]
+    options = COMMANDS[argv[0]][1]
     keywords = dict(options)
+    positionals = (option for option, _ in options if not option.startswith("-"))
     given = {}
     rest = iter(argv[1:])
-    for option in rest:
-        kw = keywords.get(option)
-        if kw is None or option in given:
-            return None
-        if kw.get("action") == "store_true":
-            given[option] = True
-            continue
-        value = next(rest, None)
-        if value is None or value.startswith("-"):
-            return None
+    for token in rest:
+        if token.startswith("-"):
+            option, kw = token, keywords.get(token)
+            if kw is None or option in given:
+                return None
+            if kw.get("action") == "store_true":
+                given[option] = True
+                continue
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+        else:  # argparse gives a positional token to the first positional not yet filled
+            option = next(positionals, None)
+            if option is None:
+                return None
+            kw, value = keywords[option], token
         if kw.get("type") is int:
             try:
                 value = int(value)
@@ -178,21 +189,13 @@ def strict_args(argv: list):
         given[option] = value
     args = {"subcommand": argv[0]}
     for option, kw in options:
-        if not option.startswith("--") or (kw.get("required") and option not in given):
+        positional = not option.startswith("-")
+        if option not in given and (positional or kw.get("required")):
             return None
         default = kw.get("default", False if kw.get("action") == "store_true" else None)
-        args[kw.get("dest", option[2:].replace("-", "_"))] = given.get(option, default)
-    args["handler"] = handler
+        dest = kw.get("dest", option if positional else option[2:].replace("-", "_"))
+        args[dest] = given.get(option, default)
     return SimpleNamespace(**args)
-
-
-def _manifest_parameters(args) -> dict:
-    skip = {"handler", "subcommand", "json", "out"}
-    return {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in skip and value is not None
-    }
 
 
 def dispatch(argv=None) -> int:
@@ -201,16 +204,10 @@ def dispatch(argv=None) -> int:
     args = strict_args(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    manifest = {
-        "subcommand": args.subcommand,
-        "parameters": _manifest_parameters(args),
-        "artifact_version": __version__,
-        "outputs": [],
-    }
-    handler = import_module(f".commands.{args.handler}", __package__)
+    handler = import_module(".commands." + args.subcommand.replace("-", "_"), __package__)
     try:
         payload, text = handler.run(args)
-        _emit(args, manifest, payload, text)
+        _emit(args, payload, text)
     except ArithdtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

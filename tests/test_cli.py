@@ -340,7 +340,19 @@ def test_selftest_subcommand(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
     assert "all checks passed" in out
-    assert "FAIL" not in out.replace("FAILURES PRESENT", "")
+    assert "FAIL" not in out
+
+
+def test_a_failed_selftest_is_one_error_line(monkeypatch, capsys):
+    from arithdt.commands import selftest
+
+    suite = selftest.run_selftest
+    failing = "dt: MacMahon vs enumeration"
+    monkeypatch.setattr(selftest, "run_selftest",
+                        lambda: [(name, ok and name != failing) for name, ok in suite()])
+    code, out, err = run_cli(["selftest"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and failing in err
 
 
 def test_deterministic_output_bytes(capsys):
@@ -395,15 +407,16 @@ MUTATIONS = ["abbreviate", "equals", "dash", "repeat", "drop", "-h", "--", "stra
 def command_lines(draw):
     """(argv, well_formed): a command line made from cli.COMMANDS, and whether the
     strict parser should read it.  A line is near-valid when it draws a bad choice
-    or int, a positional argument (oracle), or one of MUTATIONS."""
+    or int (a positional's among them), or one of MUTATIONS: a repeated or dropped
+    positional too."""
     name = draw(st.sampled_from(["gw", "dt-a3", "ekl", "nearby", "gv", "oracle"]))
-    keywords = dict(cli.COMMANDS[name][2])
+    keywords = dict(cli.COMMANDS[name][1])
     well_formed = True
     pairs = []
     for option, kw in keywords.items():
         if not option.startswith("--"):
-            pairs.append([draw(st.sampled_from(kw["choices"]))])
-            well_formed = False
+            pairs.append([draw(st.sampled_from([*kw["choices"], "nope"]))])
+            well_formed &= pairs[-1][0] != "nope"
         elif not kw.get("required") and draw(st.booleans()):
             continue
         elif kw.get("action") == "store_true":
@@ -439,7 +452,8 @@ def command_lines(draw):
         pairs.append(list(draw(st.sampled_from(pairs))))
         well_formed = False
     elif mutation == "drop":
-        required = [i for i, pair in enumerate(pairs) if keywords.get(pair[0], {}).get("required")]
+        required = [i for i, pair in enumerate(pairs)
+                    if not pair[0].startswith("-") or keywords.get(pair[0], {}).get("required")]
         if required:
             del pairs[draw(st.sampled_from(required))]
             well_formed = False

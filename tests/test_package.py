@@ -275,6 +275,8 @@ def test_no_job_imports_dataclasses_or_inspect(argv, tmp_path):
         ["ekl", "--map", "{map}", "--field", "R"],
         ["nearby", "--data", "{snc}"],
         ["gv", "--m", "2", "--compare"],
+        ["oracle", "pp", "--n", "4"],
+        ["selftest"],
     ],
     ids=lambda argv: f"dt-a3-{argv[-1]}" if argv[0] == "dt-a3" else argv[0],
 )
@@ -285,8 +287,8 @@ def test_well_formed_jobs_load_no_argparse(argv, mode, tmp_path):
     argv = [a.format(**files) for a in argv] + mode
     modules = _modules_after(*argv)
     assert modules & ARGPARSE == set()
-    # only a dt-a3 job builds a series
-    assert ("arithdt.series" in modules) == (argv[0] == "dt-a3")
+    # only a dt-a3 job, and the selftest that runs every module, builds a series
+    assert ("arithdt.series" in modules) == (argv[0] in ("dt-a3", "selftest"))
 
 
 def test_other_command_lines_are_read_by_argparse():
