@@ -39,20 +39,19 @@ _EXPORTS = {
         ("ekl", "ConjugatePair EklResult MilnorReport ekl_class global_degree_univariate "
                 "local_degree_simple milnor_chi_relation milnor_number_a1"),
         ("errors", ""),
-        ("fields", "BaseField CC QQ RR SquareClass finite_field"),
+        ("fields", "BaseField CC CoefficientRing QQ RR SquareClass finite_field"),
         ("groebner", "QuotientAlgebra buchberger grevlex_key"),
-        ("gw", "GwElement diagonalize_symmetric hasse_invariant hilbert_symbol trace_form"),
-        ("gaussian", "GaussianInteger"),
-        ("gwalpha", "GwAlphaElement alpha_power"),
-        ("motivic", "GeneratorSpec L MotivicClass chi_a1 chi_complex chi_real grassmannian_class "
+        ("gw", "GwElement diagonalize_symmetric gw_ring hasse_invariant hilbert_symbol trace_form"),
+        ("gaussian", "GAUSSIAN_RING GaussianInteger"),
+        ("gwalpha", "GeneratorSpec GwAlphaElement alpha_power gw_alpha_ring"),
+        ("motivic", "L MOTIVIC_RING MotivicClass chi_a1 chi_complex chi_real grassmannian_class "
                     "projective_space_class quadratic_point_generator"),
         ("multipoly", "MultiPoly"),
         ("nearby", "SncData StratumRecord local_nearby_class nearby_class "
                    "virtual_class_critical_locus virtual_class_torus"),
         ("partitions", "count_plane_partitions count_symmetric_plane_partitions plane_partitions "
                        "verify_macmahon verify_symmetric"),
-        ("series", "CoefficientRing GAUSSIAN_RING INT_RING MOTIVIC_RING TruncatedSeries "
-                   "gw_alpha_ring gw_ring"),
+        ("series", "INT_RING TruncatedSeries"),
     )
     for name in (module, *names.split())
 }

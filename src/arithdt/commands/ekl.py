@@ -7,10 +7,20 @@ from ..multipoly import MultiPoly
 from . import load_json
 
 
-def _polys_from_json(data: dict) -> list:
+def _polys_from_json(data) -> list:
+    if not isinstance(data, dict):
+        raise InputDataError("malformed polynomial payload: the top level must be a JSON object")
     try:
-        variables = tuple(str(v) for v in data["vars"])
-        polys = [MultiPoly(variables, pairs) for pairs in data["polys"]]
+        variables, rows = data["vars"], data["polys"]
+    except KeyError as exc:
+        raise InputDataError(f"malformed polynomial payload: {exc}") from exc
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise InputDataError('malformed polynomial payload: "vars" must be a JSON list of strings')
+    if not isinstance(rows, list):
+        raise InputDataError('malformed polynomial payload: "polys" must be a JSON list')
+    variables = tuple(variables)
+    try:
+        polys = [MultiPoly(variables, pairs) for pairs in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed polynomial payload: {exc}") from exc
     if len(set(variables)) != len(variables):

@@ -14,7 +14,7 @@ from ..ekl import ekl_class, global_degree_univariate, milnor_number_a1
 from ..errors import ArithdtError
 from ..fields import QQ
 from ..gw import GwElement, hilbert_symbol
-from ..gwalpha import GaussianInteger, GwAlphaElement
+from ..gwalpha import GaussianInteger, GwAlphaElement, gw_alpha_ring
 from ..motivic import (
     L,
     MOT_ONE,
@@ -29,7 +29,6 @@ from ..multipoly import MultiPoly
 from ..nearby import (SncData, StratumRecord, local_nearby_class, nearby_class,
                       virtual_class_critical_locus)
 from ..partitions import verify_macmahon, verify_symmetric
-from ..series import gw_alpha_ring
 
 
 def _random_gw(rng, field=QQ) -> GwElement:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .errors import ArithdtError, json_rational
 from .fields import BaseField, Frozen, QQ
-from .series import INT_RING, TruncatedSeries, gw_alpha_ring
+from .series import INT_RING, TruncatedSeries
 
 
 def _z_at(order: int, q: int) -> TruncatedSeries:
@@ -71,8 +71,7 @@ def z_motivic(order: int) -> TruncatedSeries:
     base-2^b digits, read with shifts and masks, are the coefficients of
     u^{s-n} in z_n, s = 0, 1, ...: no digit carries.
     """
-    from .motivic import MotivicClass
-    from .series import MOTIVIC_RING
+    from .motivic import MOTIVIC_RING, MotivicClass
 
     b = max(macmahon(order).coeffs).bit_length()
     mask = (1 << b) - 1
@@ -96,7 +95,7 @@ def z_arithmetic(order: int, field: BaseField = QQ) -> TruncatedSeries:
     by z_n(+-1) = (+-1)^n M_n and z_n(+-i) = (-+i)^n S_n, S = M^sym.  Coefficient n
     is alpha^{-n} ((M_n + S_n)/2 <1> + (M_n - S_n)/2 <-1>): the plane partitions
     that are not transpose-symmetric come in pairs, so both halves are integers."""
-    from .gwalpha import _alpha_sum
+    from .gwalpha import _alpha_sum, gw_alpha_ring
 
     counts = enumerate(zip(macmahon(order).coeffs, macmahon_symmetric(order).coeffs))
     return TruncatedSeries(gw_alpha_ring(field), order, [
@@ -115,8 +114,7 @@ def z_complex(order: int) -> TruncatedSeries:
 def z_real(order: int) -> TruncatedSeries:
     """chi_real of Z(t) termwise, the signature of the arithmetic series with
     alpha sent to i: M^sym(-it), whose coefficient of t^n is (-i)^n M^sym_n."""
-    from .gaussian import GaussianInteger
-    from .series import GAUSSIAN_RING
+    from .gaussian import GAUSSIAN_RING, GaussianInteger
 
     minus_i = GaussianInteger(0, -1)
     return TruncatedSeries(GAUSSIAN_RING, order, [

@@ -6,6 +6,9 @@ a unique integer representative per class -- square-free with sign over Q,
 +-1 over R, 1 over C, and 1 or a fixed least nonresidue over F_p -- so that
 equality and hashing of generators reduce to integer comparisons.  Every
 integer the package factors goes through ``factorize``.
+
+The bases of every value type live here too (``Value``, ``Frozen``), and
+``CoefficientRing``, the series adapter each ring module builds for itself.
 """
 
 from __future__ import annotations
@@ -202,9 +205,8 @@ class Value:
     A subclass names its fields in ``__match_args__``.  Instances of one class
     are equal when their field tuples are, and hash as that tuple; another
     type compares unequal.  The rings subclass it directly and set their slots
-    in their constructors; the records subclass ``Frozen``.  Only ``BaseField``,
-    which every ring operation compares, keeps its own faster ``__eq__`` and
-    ``__hash__``, and ``MultiPoly`` its own ``__hash__``, as its terms are a dict.
+    in their constructors; the records subclass ``Frozen``.  Only ``MultiPoly``
+    keeps its own ``__hash__``, as its terms are a dict.
     """
 
     __slots__ = ()
@@ -255,6 +257,15 @@ class Frozen(Value):
     def __reduce__(self):
         # copy and pickle rebuild through the public constructor
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class CoefficientRing(Frozen):
+    """Adapter naming a coefficient ring and carrying its constants."""
+
+    __slots__ = __match_args__ = ("name", "zero", "one")
+
+    def __init__(self, name: str, zero, one) -> None:
+        self._assign(name, zero, one)
 
 
 def render_sum(pieces) -> str:
@@ -313,15 +324,6 @@ class BaseField(Frozen):
         elif p is not None:
             raise ArithdtError("p is only meaningful for finite fields")
         self._assign(kind, p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # field by field, without building tuples: every ring operation compares fields
-        return self is other or (self.kind == other.kind and self.p == other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
 
     @property
     def is_ordered(self) -> bool:

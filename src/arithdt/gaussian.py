@@ -1,13 +1,14 @@
 """The Gaussian integers Z[i], the value ring of the real Euler characteristic.
 
 Kept apart from ``gwalpha`` and ``gw``, so that the real DT series, a series
-over Z[i], compiles no quadratic-form module.
+over Z[i] (``GAUSSIAN_RING``, its series adapter), compiles no quadratic-form
+module.
 """
 
 from __future__ import annotations
 
 from .errors import ArithdtError, json_int
-from .fields import Frozen, binary_power
+from .fields import CoefficientRing, Frozen, binary_power
 
 
 class GaussianInteger(Frozen):
@@ -65,3 +66,4 @@ class GaussianInteger(Frozen):
 
 GAUSSIAN_ZERO = GaussianInteger(0, 0)
 GAUSSIAN_ONE = GaussianInteger(1, 0)
+GAUSSIAN_RING = CoefficientRing("Z[i]", GAUSSIAN_ZERO, GAUSSIAN_ONE)

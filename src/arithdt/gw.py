@@ -36,6 +36,7 @@ from .errors import (
 )
 from .fields import (
     BaseField,
+    CoefficientRing,
     QQ,
     SquareClass,
     Value,
@@ -252,6 +253,11 @@ class GwElement(Value):
 
         field = parse_field_label(data["field"])
         return cls(field, data["terms"])
+
+
+def gw_ring(field: BaseField = QQ) -> CoefficientRing:
+    """The series adapter of GW(field)."""
+    return CoefficientRing(f"GW({field})", GwElement.zero(field), GwElement.one(field))
 
 
 # -- local symbols and form classification ----------------------------------

@@ -6,12 +6,16 @@ supported A^1-Euler characteristic.  Its signed real count lies in the
 Gaussian integers, GaussianInteger, defined in ``gaussian`` and importable
 from here.  Kept apart from ``gw`` so that a job in GW(k) alone does not
 compile this module.
+
+The values of ``motivic``'s generators are elements of this ring, so their
+``GeneratorSpec`` and the default table ``DEFAULT_GENERATORS`` (with
+``SPEC_C``) live here, built when this module loads.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError
-from .fields import BaseField, QQ, Value
+from .errors import ArithdtError, FieldMismatchError
+from .fields import BaseField, CoefficientRing, Frozen, QQ, Value
 from .gaussian import GaussianInteger
 from .gw import GwElement
 
@@ -128,6 +132,32 @@ class GwAlphaElement(Value):
         return cls(GwElement.from_json_dict(data["even"]), GwElement.from_json_dict(data["odd"]))
 
 
+def gw_alpha_ring(field: BaseField = QQ) -> CoefficientRing:
+    """The series adapter of GW(field)(alpha)."""
+    return CoefficientRing(
+        f"GW({field})(a)", GwAlphaElement.zero(field), GwAlphaElement.one(field)
+    )
+
+
+class GeneratorSpec(Frozen):
+    """Specialization data for one symbolic generator class of ``motivic``.
+
+    chi_a1 is stored over Q and reinterpreted over the requested field; the
+    three values must be mutually consistent (rank and signature of chi_a1
+    recover chi_complex and chi_real).
+    """
+
+    __slots__ = __match_args__ = ("name", "chi_complex", "chi_real", "chi_a1")
+
+    def __init__(self, name: str, chi_complex: int, chi_real: GaussianInteger,
+                 chi_a1: GwAlphaElement) -> None:
+        if chi_a1.numeric_complex() != chi_complex:
+            raise ArithdtError(f"generator {name}: chi_a1 rank does not match chi_complex")
+        if chi_a1.numeric_real() != chi_real:
+            raise ArithdtError(f"generator {name}: chi_a1 signature does not match chi_real")
+        self._assign(name, chi_complex, chi_real, chi_a1)
+
+
 def _alpha_sum(terms, field: BaseField) -> GwAlphaElement:
     """Sum of c * alpha^e over (e, c) pairs, with coefficients summed by e mod 4.
 
@@ -146,3 +176,10 @@ def _alpha_sum(terms, field: BaseField) -> GwAlphaElement:
 def alpha_power(field: BaseField, e: int) -> GwAlphaElement:
     """alpha^e for any integer e, using alpha^2 = <-1> and alpha^-1 = <-1>alpha."""
     return _alpha_sum(((e, 1),), field)
+
+
+# the class of Spec C over R: a conjugate pair of points
+SPEC_C = GeneratorSpec(
+    "SpecC", 2, GaussianInteger(0, 0), GwAlphaElement.from_even(GwElement.hyperbolic(QQ))
+)
+DEFAULT_GENERATORS = {SPEC_C.name: SPEC_C}

@@ -23,10 +23,11 @@ Three ring morphisms specialize a class, all through one evaluation:
 * ``chi_real`` sends u to i (so L goes to -1), with values in Z[i]: the
   signature of ``chi_a1``, taken over R, where square classes are signs.
 
-Loading this module compiles no quadratic-form module: ``gw``, ``gwalpha``
-and ``gaussian`` are imported by ``chi_a1`` and the generator specs, and the
-default generator table (``DEFAULT_GENERATORS``, with ``SPEC_C``) is built on
-first access (PEP 562), so a job that only multiplies classes needs neither.
+A generator's values are a ``gwalpha.GeneratorSpec``, and the default
+table (``gwalpha.DEFAULT_GENERATORS``, with ``SPEC_C``) is built when
+``gwalpha`` loads.  Loading this module compiles no quadratic-form module:
+``chi_a1`` and ``quadratic_point_generator`` import ``gw``, ``gwalpha`` and
+``gaussian``, so a job that only multiplies classes needs none of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from itertools import chain, zip_longest
 
 from .errors import ArithdtError, GeneratorProductError, json_int
-from .fields import BaseField, Frozen, QQ, RR, Value, binary_power, linear_sum, render_sum
+from .fields import BaseField, CoefficientRing, QQ, RR, Value, binary_power, linear_sum, render_sum
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
 
@@ -212,25 +213,7 @@ L_HALF = MotivicClass.u_power(1)
 L_INV = MotivicClass.lefschetz(-1)
 MOT_ONE = MotivicClass.one()
 MOT_ZERO = MotivicClass.zero()
-
-
-class GeneratorSpec(Frozen):
-    """Specialization data for one symbolic generator class.
-
-    chi_a1 is stored over Q and reinterpreted over the requested field; the
-    three values must be mutually consistent (rank and signature of chi_a1
-    recover chi_complex and chi_real).
-    """
-
-    __slots__ = __match_args__ = ("name", "chi_complex", "chi_real", "chi_a1")
-
-    def __init__(self, name: str, chi_complex: int, chi_real: GaussianInteger,
-                 chi_a1: GwAlphaElement) -> None:
-        if chi_a1.numeric_complex() != chi_complex:
-            raise ArithdtError(f"generator {name}: chi_a1 rank does not match chi_complex")
-        if chi_a1.numeric_real() != chi_real:
-            raise ArithdtError(f"generator {name}: chi_a1 signature does not match chi_real")
-        self._assign(name, chi_complex, chi_real, chi_a1)
+MOTIVIC_RING = CoefficientRing("motivic", MOT_ZERO, MOT_ONE)
 
 
 def quadratic_point_generator(d: int) -> GeneratorSpec:
@@ -241,53 +224,28 @@ def quadratic_point_generator(d: int) -> GeneratorSpec:
     """
     from .gaussian import GaussianInteger
     from .gw import trace_form
-    from .gwalpha import GwAlphaElement
+    from .gwalpha import GeneratorSpec, GwAlphaElement
 
     chi_a1 = GwAlphaElement.from_even(trace_form(d, 1))
     chi_real = GaussianInteger(2 if d > 0 else 0, 0)
     return GeneratorSpec(f"SpecQ(sqrt({d}))", 2, chi_real, chi_a1)
 
 
-def _default_generators() -> dict[str, GeneratorSpec]:
-    """DEFAULT_GENERATORS, built on first use together with SPEC_C, the class
-    of Spec C over R: a conjugate pair of points."""
-    global SPEC_C, DEFAULT_GENERATORS
-    try:
-        return DEFAULT_GENERATORS
-    except NameError:
-        from .gaussian import GaussianInteger
-        from .gw import GwElement
-        from .gwalpha import GwAlphaElement
-
-        SPEC_C = GeneratorSpec(
-            "SpecC", 2, GaussianInteger(0, 0), GwAlphaElement.from_even(GwElement.hyperbolic(QQ))
-        )
-        DEFAULT_GENERATORS = {SPEC_C.name: SPEC_C}
-        return DEFAULT_GENERATORS
-
-
-def __getattr__(name: str):
-    if name not in ("SPEC_C", "DEFAULT_GENERATORS"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _default_generators()
-    return globals()[name]
-
-
-def _resolve_generator(name: str, generators) -> GeneratorSpec:
-    table = _default_generators() if generators is None else generators
-    try:
-        return table[name]
-    except KeyError:
-        raise ArithdtError(f"unknown generator class [{name}]") from None
-
-
 def chi_a1(m: MotivicClass, field: BaseField = QQ, generators=None) -> GwAlphaElement:
-    """Evaluate u -> alpha; the compactly supported A^1-Euler characteristic."""
-    from .gwalpha import _alpha_sum
+    """Evaluate u -> alpha; the compactly supported A^1-Euler characteristic.
 
+    A generator class is looked up in ``generators``, by default
+    ``gwalpha.DEFAULT_GENERATORS``.
+    """
+    from .gwalpha import DEFAULT_GENERATORS, _alpha_sum
+
+    table = DEFAULT_GENERATORS if generators is None else generators
     total = _alpha_sum(m.u_terms, field)
     for name, coeff in m.extras:
-        spec = _resolve_generator(name, generators)
+        try:
+            spec = table[name]
+        except KeyError:
+            raise ArithdtError(f"unknown generator class [{name}]") from None
         total = total + _alpha_sum(coeff, field) * spec.chi_a1.to_field(field)
     return total
 

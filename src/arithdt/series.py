@@ -12,60 +12,18 @@ and packs the motivic series at u = 2^b.  The complex, real and arithmetic
 series are all read off the first two.
 
 Loading this module compiles no ring module and imports no ``fractions``:
-FRACTION_RING, GAUSSIAN_RING and MOTIVIC_RING are built on first access
-(PEP 562), and gw_ring and gw_alpha_ring import their element types when
-called, so a series over Z needs only ``fields``.
+it defines only INT_RING, the adapter of Z.  Every other ring's adapter is
+defined in the module of its elements (``gaussian.GAUSSIAN_RING``,
+``motivic.MOTIVIC_RING``, ``gw.gw_ring``, ``gwalpha.gw_alpha_ring``), so a
+series over Z needs only ``fields``.
 """
 
 from __future__ import annotations
 
 from .errors import ArithdtError, NonUnitError, SeriesMismatchError
-from .fields import BaseField, Frozen, QQ, Value, binary_power
-
-
-class CoefficientRing(Frozen):
-    """Adapter naming a coefficient ring and carrying its constants."""
-
-    __slots__ = __match_args__ = ("name", "zero", "one")
-
-    def __init__(self, name: str, zero, one) -> None:
-        self._assign(name, zero, one)
-
+from .fields import CoefficientRing, Value, binary_power
 
 INT_RING = CoefficientRing("Z", 0, 1)
-
-
-def __getattr__(name: str):
-    if name == "FRACTION_RING":
-        from fractions import Fraction
-
-        ring = CoefficientRing("Q", Fraction(0), Fraction(1))
-    elif name == "GAUSSIAN_RING":
-        from .gaussian import GAUSSIAN_ONE, GAUSSIAN_ZERO
-
-        ring = CoefficientRing("Z[i]", GAUSSIAN_ZERO, GAUSSIAN_ONE)
-    elif name == "MOTIVIC_RING":
-        from .motivic import MOT_ONE, MOT_ZERO
-
-        ring = CoefficientRing("motivic", MOT_ZERO, MOT_ONE)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = ring
-    return ring
-
-
-def gw_ring(field: BaseField = QQ) -> CoefficientRing:
-    from .gw import GwElement
-
-    return CoefficientRing(f"GW({field})", GwElement.zero(field), GwElement.one(field))
-
-
-def gw_alpha_ring(field: BaseField = QQ) -> CoefficientRing:
-    from .gwalpha import GwAlphaElement
-
-    return CoefficientRing(
-        f"GW({field})(a)", GwAlphaElement.zero(field), GwAlphaElement.one(field)
-    )
 
 
 class TruncatedSeries(Value):
@@ -191,10 +149,7 @@ class TruncatedSeries(Value):
         for c in self.coeffs:
             if hasattr(c, "to_json_dict"):
                 c = c.to_json_dict()
-            elif type(c) is not int:  # only a non-int can be a Fraction
-                from fractions import Fraction
-
-                if isinstance(c, Fraction):
-                    c = str(c)
+            elif not isinstance(c, int) and hasattr(c, "denominator"):  # a Fraction, as "p/q"
+                c = str(c)
             coeffs.append(c)
         return {"ring": self.ring.name, "order": self.order, "coeffs": coeffs}

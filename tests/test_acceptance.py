@@ -23,7 +23,7 @@ from arithdt.dt import (
 from arithdt.ekl import ekl_class, milnor_chi_relation, milnor_number_a1
 from arithdt.fields import CC, QQ, RR, finite_field
 from arithdt.gw import GwElement
-from arithdt.gwalpha import GaussianInteger, GwAlphaElement
+from arithdt.gwalpha import GaussianInteger, GwAlphaElement, gw_alpha_ring
 from arithdt.motivic import (
     L,
     MOT_ONE,
@@ -41,7 +41,6 @@ from arithdt.nearby import (
     virtual_class_critical_locus,
 )
 from arithdt.partitions import count_plane_partitions, count_symmetric_plane_partitions
-from arithdt.series import gw_alpha_ring
 from test_dt import _z_arithmetic_product
 
 

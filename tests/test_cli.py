@@ -283,6 +283,36 @@ def test_malformed_strata_keep_their_error_line(strata, where, op, args, tmp_pat
     assert err == f"error: malformed {where}: {_type_error(op, *args)}\n"
 
 
+_SQUARE = [[[[1, 0], 1]], [[[0, 1], 1]]]
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        pytest.param([["x", "y"], _SQUARE], "the top level must be a JSON object", id="top-list"),
+        pytest.param("xy", "the top level must be a JSON object", id="top-string"),
+        pytest.param({"vars": "xy", "polys": _SQUARE},
+                     '"vars" must be a JSON list of strings', id="vars-string"),
+        pytest.param({"vars": [1, 2], "polys": _SQUARE},
+                     '"vars" must be a JSON list of strings', id="vars-numbers"),
+        pytest.param({"vars": {"x": 0, "y": 1}, "polys": _SQUARE},
+                     '"vars" must be a JSON list of strings', id="vars-object"),
+        pytest.param({"vars": None, "polys": _SQUARE},
+                     '"vars" must be a JSON list of strings', id="vars-null"),
+        pytest.param({"vars": ["x", "y"], "polys": {"p": _SQUARE[0], "q": _SQUARE[1]}},
+                     '"polys" must be a JSON list', id="polys-object"),
+        pytest.param({"vars": ["x", "y"], "polys": "p"}, '"polys" must be a JSON list',
+                     id="polys-string"),
+    ],
+)
+def test_malformed_polynomial_payload_is_refused(payload, message, tmp_path, capsys):
+    # a malformed map is never read as names: one line naming the field that is wrong
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["ekl", "--map", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: malformed polynomial payload: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv,cls,json_renders,text_renders",
     [

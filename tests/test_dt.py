@@ -25,10 +25,11 @@ from arithdt.dt import (
 )
 from arithdt.fields import CC, QQ, RR, finite_field
 from arithdt.gw import GwElement
-from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
-from arithdt.motivic import MotivicClass, chi_a1, chi_complex, grassmannian_class
+from arithdt.gaussian import GAUSSIAN_RING
+from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power, gw_alpha_ring
+from arithdt.motivic import MOTIVIC_RING, MotivicClass, chi_a1, chi_complex, grassmannian_class
 from arithdt.partitions import count_plane_partitions, is_transpose_symmetric, plane_partitions
-from arithdt.series import GAUSSIAN_RING, INT_RING, MOTIVIC_RING, TruncatedSeries, gw_alpha_ring
+from arithdt.series import INT_RING, TruncatedSeries
 
 # frozen by hand from the factored product: the first factor alone gives t^1,
 # degree-2 contributions add the inverse pair factors of weight m = 2

@@ -8,8 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from arithdt.fields import CC, QQ, RR, finite_field  # noqa: E402
+from arithdt.gwalpha import SPEC_C  # noqa: E402
 from arithdt.motivic import (  # noqa: E402
-    SPEC_C,
     MotivicClass,
     chi_a1,
     chi_complex,

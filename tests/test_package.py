@@ -230,6 +230,31 @@ def test_library_imports_only_the_standard_library():
                 assert top == "arithdt" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
+def test_constants_live_with_their_rings():
+    # a constant is built in the module of its type, when that module loads: the
+    # export table is the one lazy hook, and a series over Z loads no other ring
+    package = Path(arithdt.__file__).resolve().parent
+    hooks = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+               for node in tree.body):
+            hooks.append(path.relative_to(package).as_posix())
+    assert hooks == ["__init__.py"]
+    imported = set()
+    for node in ast.walk(ast.parse((package / "series.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            if node.level and not node.module:  # from . import name
+                imported.update(alias.name for alias in node.names)
+    rings = {"gaussian", "motivic", "gw", "gwalpha", "fractions"}
+    assert {name.split(".")[-1] for name in imported} & rings == set()
+    assert not any(isinstance(node, ast.Global)
+                   for node in ast.walk(ast.parse((package / "motivic.py").read_text())))
+
+
 # start-up is most of a short job: dataclasses alone, with the inspect it imports,
 # cost about as much as all of arithdt's own modules
 SLOW_IMPORTS = {"dataclasses", "inspect"}

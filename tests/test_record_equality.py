@@ -19,12 +19,14 @@ import arithdt.ekl  # noqa: F401
 import arithdt.nearby  # noqa: F401
 import arithdt.partitions  # noqa: F401
 from arithdt.errors import FieldMismatchError
-from arithdt.fields import QQ, RR, Frozen, Value
+from arithdt.fields import QQ, RR, CoefficientRing, Frozen, Value
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GwAlphaElement
 from arithdt.motivic import MotivicClass
 from arithdt.multipoly import MultiPoly
-from arithdt.series import FRACTION_RING, INT_RING, TruncatedSeries
+from arithdt.series import INT_RING, TruncatedSeries
+
+FRACTION_RING = CoefficientRing("Q", Fraction(0), Fraction(1))
 
 CLASSES = sorted(Frozen.__subclasses__(), key=lambda c: c.__name__)
 

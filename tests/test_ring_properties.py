@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from arithdt.fields import QQ, finite_field  # noqa: E402
 from arithdt.gw import GwElement  # noqa: E402
 from arithdt.gwalpha import GwAlphaElement  # noqa: E402
-from arithdt.motivic import MotivicClass  # noqa: E402
+from arithdt.motivic import MOTIVIC_RING, MotivicClass  # noqa: E402
 from arithdt.multipoly import MultiPoly  # noqa: E402
-from arithdt.series import INT_RING, MOTIVIC_RING, TruncatedSeries  # noqa: E402
+from arithdt.series import INT_RING, TruncatedSeries  # noqa: E402
 
 F5 = finite_field(5)
 Q_REPS = (1, -1, 2, -2, 3, -3, 5, 6, -7, 12, -18, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 9))

@@ -1,17 +1,15 @@
 """Truncated series: ring laws, division, inverses, coefficient maps."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from arithdt.errors import ArithdtError, NonUnitError, SeriesMismatchError
-from arithdt.motivic import MOT_ONE, MotivicClass, chi_complex
-from arithdt.series import (
-    GAUSSIAN_RING,
-    INT_RING,
-    MOTIVIC_RING,
-    TruncatedSeries,
-)
+from arithdt.fields import CoefficientRing
+from arithdt.gaussian import GAUSSIAN_RING
+from arithdt.motivic import MOT_ONE, MOTIVIC_RING, MotivicClass, chi_complex
+from arithdt.series import INT_RING, TruncatedSeries
 
 
 def ints(order, terms):
@@ -142,3 +140,10 @@ def test_json():
     a = ints(3, {0: 1, 2: -4})
     data = a.to_json_dict()
     assert data == {"ring": "Z", "order": 3, "coeffs": [1, 0, -4, 0]}
+
+
+def test_json_writes_a_rational_coefficient_as_its_string():
+    # series builds no rational ring and imports no fractions, yet writes a Fraction as "p/q"
+    ring = CoefficientRing("Q", Fraction(0), Fraction(1))
+    a = TruncatedSeries(ring, 2, [Fraction(1), Fraction(-1, 3), Fraction(0)])
+    assert a.to_json_dict() == {"ring": "Q", "order": 2, "coeffs": ["1", "-1/3", "0"]}

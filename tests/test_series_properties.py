@@ -5,19 +5,19 @@ factor, so it is checked against multiplication and against itself, and the
 whole m-th factor of the motivic series against its m linear factors.
 """
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from arithdt.motivic import L, MotivicClass, grassmannian_class  # noqa: E402
-from arithdt.series import (  # noqa: E402
-    FRACTION_RING,
-    INT_RING,
-    MOTIVIC_RING,
-    TruncatedSeries,
-)
+from arithdt.fields import CoefficientRing  # noqa: E402
+from arithdt.motivic import MOTIVIC_RING, L, MotivicClass, grassmannian_class  # noqa: E402
+from arithdt.series import INT_RING, TruncatedSeries  # noqa: E402
+
+FRACTION_RING = CoefficientRing("Q", Fraction(0), Fraction(1))
 
 RINGS = {
     "Z": (INT_RING, st.integers(-4, 4)),

@@ -19,13 +19,14 @@ from arithdt.castelnuovo import CastelnuovoInput, GvComparison, gv_compare
 from arithdt.dt import MatrixTriple, PartitionFunctionResult, partition_function
 from arithdt.ekl import ConjugatePair, EklResult, MilnorReport, ekl_class, milnor_chi_relation
 from arithdt.errors import ArithdtError, InputDataError
-from arithdt.fields import CC, QQ, RR, BaseField, Frozen, SquareClass, finite_field
-from arithdt.gwalpha import GaussianInteger
-from arithdt.motivic import L, MOT_ONE, SPEC_C, GeneratorSpec, MotivicClass, quadratic_point_generator
+from arithdt.fields import CC, QQ, RR, BaseField, CoefficientRing, Frozen, SquareClass, finite_field
+from arithdt.gw import gw_ring
+from arithdt.gwalpha import SPEC_C, GaussianInteger, GeneratorSpec
+from arithdt.motivic import L, MOT_ONE, MotivicClass, quadratic_point_generator
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
 from arithdt.partitions import VerifyReport, verify_macmahon
-from arithdt.series import INT_RING, CoefficientRing, gw_ring
+from arithdt.series import INT_RING
 
 
 def _twin(cls):
