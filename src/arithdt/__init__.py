@@ -2,8 +2,11 @@
 
 Modules:
 
-* ``fields`` / ``gw``: base fields, square classes, Grothendieck-Witt ring
-  arithmetic, local symbols, trace forms, symmetric diagonalization;
+* ``fields`` / ``factor``: base fields and square classes, and the exact
+  integer factoring they rest on;
+* ``gw`` / ``forms``: Grothendieck-Witt ring arithmetic and trace forms, and
+  the classification of forms: symmetric diagonalization, local symbols and
+  the equality of classes;
 * ``gwalpha`` / ``gaussian``: GW(k)(alpha) with alpha^2 = <-1>, and the
   Gaussian integers;
 * ``motivic``: the Tate subring of motivic weights and the three Euler
@@ -27,7 +30,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 # public name -> submodule that defines it; each submodule is public too, except
-# gwalpha and gaussian, split off gw (so that a job compiles only the rings it uses)
+# forms, gwalpha and gaussian, split off gw (so that a job compiles only what it runs)
 # after the names were fixed
 _EXPORTS = {
     name: module
@@ -41,7 +44,8 @@ _EXPORTS = {
         ("errors", ""),
         ("fields", "BaseField CC CoefficientRing QQ RR SquareClass finite_field"),
         ("groebner", "QuotientAlgebra buchberger grevlex_key"),
-        ("gw", "GwElement diagonalize_symmetric gw_ring hasse_invariant hilbert_symbol trace_form"),
+        ("gw", "GwElement diagonalize_symmetric gw_ring trace_form"),
+        ("forms", "hasse_invariant hilbert_symbol"),
         ("gaussian", "GAUSSIAN_RING GaussianInteger"),
         ("gwalpha", "GeneratorSpec GwAlphaElement alpha_power gw_alpha_ring"),
         ("motivic", "L MOTIVIC_RING MotivicClass chi_a1 chi_complex chi_real grassmannian_class "
@@ -55,7 +59,7 @@ _EXPORTS = {
     )
     for name in (module, *names.split())
 }
-del _EXPORTS["gwalpha"], _EXPORTS["gaussian"]
+del _EXPORTS["forms"], _EXPORTS["gwalpha"], _EXPORTS["gaussian"]
 
 __all__ = sorted(_EXPORTS)
 

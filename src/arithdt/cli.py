@@ -145,13 +145,14 @@ def strict_args(argv: list):
     """The namespace argparse makes of a well-formed ``argv``, or None.
 
     Well-formed is: a subcommand, then, in any order, exact names of its
-    options, each at most once, each value not starting with '-', and one
-    token not starting with '-' for each of its positionals; every
-    positional and required option present, and every choice and int
-    valid.  Anything else (help, an abbreviation, --opt=value, a value that
-    looks like an option, a stray token, every error) is argparse's to
-    read.  ``--version`` alone is answered here, with argparse's stdout and
-    exit status.
+    options, each at most once, each value not starting with '-' unless it
+    starts with '- ' (a signed expression), and one token not starting
+    with '-' for each of its positionals; every positional and required
+    option present, and every choice and int valid.  Anything else (help,
+    an abbreviation, --opt=value, a value that looks like an option or a
+    negative number, a stray token, every error) is argparse's to read.
+    ``--version`` alone is answered here, with argparse's stdout and exit
+    status.
     """
     if argv == ["--version"]:
         print(__version__)  # argparse's version action writes this line to stdout, then exits 0
@@ -172,7 +173,8 @@ def strict_args(argv: list):
                 given[option] = True
                 continue
             value = next(rest, None)
-            if value is None or value.startswith("-"):
+            # argparse reads a token with a space as a value, so "- 3*<1>" is one
+            if value is None or value.startswith("-") and not value.startswith("- "):
                 return None
         else:  # argparse gives a positional token to the first positional not yet filled
             option = next(positionals, None)

@@ -13,7 +13,8 @@ from ..dt import (MatrixTriple, commutator, gradient_vanishes, macmahon, macmaho
 from ..ekl import ekl_class, global_degree_univariate, milnor_number_a1
 from ..errors import ArithdtError
 from ..fields import QQ
-from ..gw import GwElement, hilbert_symbol
+from ..forms import hilbert_symbol
+from ..gw import GwElement
 from ..gwalpha import GaussianInteger, GwAlphaElement, gw_alpha_ring
 from ..motivic import (
     L,

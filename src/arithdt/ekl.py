@@ -16,7 +16,7 @@ for an earlier standard monomial b_p, and its row is w_p . M_{x_k}: the sum
 of row l of M_{x_k} times w_p[l] over the nonzeros of w_p only.  With the
 default phi on a monomial algebra each w_p has one nonzero, so a row costs
 O(1) arithmetic.  Each row is kept as a dict of its nonzeros, which the
-elimination kernel of ``gw`` consumes directly.  The result keeps phi
+elimination kernel of ``forms`` consumes directly.  The result keeps phi
 alone: ``EklResult.gram`` walks the rows again from the algebra and phi,
 and writes them dense, only when it is first read.
 
@@ -46,7 +46,8 @@ from .errors import (
 )
 from .fields import BaseField, Frozen, QQ, linear_sum, squarefree_part
 from .groebner import QuotientAlgebra, buchberger, grevlex_key
-from .gw import GwElement, _diagonalize_rows, trace_form
+from .forms import _diagonalize_rows
+from .gw import GwElement, trace_form
 from .multipoly import MultiPoly
 
 _ZERO = Fraction(0)  # every zero slot of a dense Gram row; one shared immutable value

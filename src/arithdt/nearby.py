@@ -7,8 +7,9 @@ component multiplicities.  The nearby class is the alternating sum
 
     S = sum over I of (1 - L)^(|I| - 1) * [stratum_I]
 
-and the virtual class of a critical locus is -L^(-dim/2) (S - [X_0]).  S is
-one ``motivic.sum_products``, so it goes through the motivic sum kernel.
+and the virtual class of a critical locus is -L^(-dim/2) (S - [X_0]).  S and
+the virtual class are each one ``motivic.sum_products``, so they go through
+the motivic sum kernel.
 Coverings are not constructed here; their classes are input.  The
 multiplicities are recorded but not acted on: all classes are assumed to lie
 in the subring with trivial monodromy action.
@@ -140,10 +141,14 @@ def local_nearby_class(data: SncData) -> MotivicClass:
 def virtual_class_critical_locus(
     s_f: MotivicClass, x0: MotivicClass, dim_x: int
 ) -> MotivicClass:
-    """-L^(-dim/2) (S_f - [X_0]); odd dimensions use the half power of L."""
-    return -MotivicClass.u_power(-dim_x) * (s_f - x0)
+    """-L^(-dim/2) (S_f - [X_0]); odd dimensions use the half power of L.
+
+    One ``sum_products``: S_f times -u^(-dim) plus [X_0] times u^(-dim).
+    """
+    e = json_int(-dim_x, "exponent")
+    return sum_products(((s_f, ((e, -1),)), (x0, ((e, 1),))))
 
 
 def virtual_class_torus(x0: MotivicClass, x1: MotivicClass, dim_x: int) -> MotivicClass:
     """-L^(-dim/2) ([X_1] - [X_0]); the caller asserts circle-compact equivariance."""
-    return -MotivicClass.u_power(-dim_x) * (x1 - x0)
+    return virtual_class_critical_locus(x1, x0, dim_x)

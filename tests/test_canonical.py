@@ -19,13 +19,8 @@ from arithdt.ekl import ConjugatePair, ekl_class, global_degree_univariate, loca
 from arithdt.errors import ArithdtError, GeneratorProductError
 from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors, square_class_rep
 from arithdt.groebner import buchberger, leading_monomial, normal_form
-from arithdt.gw import (
-    GwElement,
-    diagonalize_symmetric,
-    hasse_invariant,
-    hilbert_symbol,
-    trace_form,
-)
+from arithdt.forms import hasse_invariant, hilbert_symbol
+from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
 from arithdt.gwalpha import GaussianInteger
 from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly

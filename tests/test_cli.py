@@ -419,12 +419,13 @@ def test_usage_errors_exit_two(capsys):
 
 # -- the strict parser against argparse -------------------------------------------
 
-# values the string options take, each read by the parser as it is; the handler refuses some
+# values the string options take, each read by the parser as it is; the handler refuses some.
+# A value that starts with "- " is a value to argparse, as it holds a space.
 STRING_VALUES = {
-    "--a": ["<2>", "H", "3*<1> + 2*<-1>", "<1/0>"],
-    "--b": ["<2>", "H - <3>"],
+    "--a": ["<2>", "H", "3*<1> + 2*<-1>", "<1/0>", "- 3*<1> + <2>"],
+    "--b": ["<2>", "H - <3>", "- H", "- x=y"],
     "--matrix": ["[[0,1],[1,0]]", "[[1]"],
-    "--field": ["Q", "R", "F5", "Fx"],
+    "--field": ["Q", "R", "F5", "Fx", "- x=y"],
     "--map": ["map.json"],
     "--data": ["snc.json"],
     "--out": ["o.json"],
@@ -476,7 +477,7 @@ def command_lines(draw):
         if mutation == "equals":
             pairs[i] = [f"{option}={value}"]
         else:
-            pairs[i] = [option, draw(st.sampled_from(["- <2>", "-5"]))]
+            pairs[i] = [option, draw(st.sampled_from(["-<2>", "-5", "-h x"]))]
         well_formed = False
     elif mutation == "repeat" and pairs:
         pairs.append(list(draw(st.sampled_from(pairs))))

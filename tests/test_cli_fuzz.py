@@ -33,50 +33,105 @@ CASES = 100  # per seed
 BUDGET_S = 10  # per run: a hang, not a slow answer
 USAGE_ERROR = re.compile(r"arithdt( \S+)?: error: ")
 
-_HYPERBOLA = {
-    "dim": 2,
-    "x0_class": {"u_coeffs": [[2, 2], [0, -1]]},
-    "strata": [
-        {"I": [1], "mult": {"1": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]]}},
-        {"I": [2], "mult": {"2": 1}, "class": {"u_coeffs": [[2, 1], [0, -1]]}},
-        {"I": [1, 2], "mult": {"1": 1, "2": 1}, "class": {"u_coeffs": [[0, 1]]}},
-    ],
-}
+# --map and --data files are drawn too: a good payload, or one with a defect of the kind
+# a user makes (a wrong type, a float, "1/0", a repeated variable or index, a missing key)
+COEFFS = ([1, -1, 2, "3", "-1/2", "5/3"], [0.5, "1/0", "x", None, True, [1]])
 
-# input files: the good ones first, then the malformed or absurd
-MAPS = {
-    "map.json": {"vars": ["x", "y"], "polys": [[[[1, 0], "2"]], [[[0, 2], "1"]]]},
-    "milnor.json": {"vars": ["x", "y"], "polys": [[[[3, 0], "4"]], [[[0, 3], "4"]]]},
-    "rational.json": {"vars": ["x"], "polys": [[[[2], "1/3"], [[0], "-2"]]]},
-    "float-map.json": {"vars": ["x"], "polys": [[[[2], 0.5]]]},
-    "zero-den.json": {"vars": ["x"], "polys": [[[[2], "1/0"]]]},
-    "repeated-var.json": {"vars": ["x", "x"], "polys": [[[[1, 0], 1]], [[[0, 1], 1]]]},
-    "not-square.json": {"vars": ["x", "y"], "polys": [[[[1, 1], 1]]]},
-    "positive-dim.json": {"vars": ["x", "y"], "polys": [[[[1, 1], 1]], [[[2, 1], 1]]]},
-    "no-polys.json": {"vars": ["x"], "polys": []},
-}
-SNC = {
-    "snc.json": _HYPERBOLA,
-    "snc-local.json": {**_HYPERBOLA, "x0_class": None},
-    "specc.json": {"dim": 2, "strata": [
-        {"I": [1], "mult": {"1": 1}, "class": {"u_coeffs": [[2, 1]], "extras": {"SpecC": [[0, 1]]}}}]},
-    "repeated-index.json": {"dim": 2, "strata": [{"I": [1, 1], "mult": {"1": 1}, "class": {"u_coeffs": [[2, 1]]}}]},
-    "rational-class.json": {"dim": 2, "strata": [], "x0_class": {"u_coeffs": [["1/2", 1]]}},
-    "negative-dim.json": {"dim": -1, "strata": []},
-    "strata-not-list.json": {"dim": 2, "strata": 5},
-    "list.json": [1, 2, 3],
-}
+
+def _coeff(rng):
+    return rng.choice(COEFFS[0])
+
+
+def _map_payload(rng, good):
+    """A square system vanishing at the origin: x_i^d_i plus up to two terms of degree <= 3."""
+    n = rng.choice((1, 1, 2, 2, 2, 3))
+    polys = []
+    for i in range(n):
+        lead = [0] * n
+        lead[i] = rng.randint(1, 3 if n < 3 else 2)
+        terms = [[lead, _coeff(rng)]]
+        for _ in range(rng.randint(0, 2)):
+            exps = [rng.randint(0, 2) for _ in range(n)]
+            if 0 < sum(exps) <= 3:
+                terms.append([exps, _coeff(rng)])
+        polys.append(terms)
+    payload = {"vars": ["x", "y", "z"][:n], "polys": polys}
+    if good:
+        return payload
+    term = rng.choice(rng.choice(polys))
+    defect = rng.randrange(8)
+    if defect == 0:
+        term[1] = rng.choice(COEFFS[1])  # a float, 1/0, a name, null, a bool or a list
+    elif defect == 1:
+        term[0] = rng.choice(["1", [-1] * n, [1.5] * n, [1] * (n + 1), None])
+    elif defect == 2:
+        payload["vars"] = ["x"] * max(2, n)  # a repeated variable
+    elif defect == 3:
+        del payload[rng.choice(["vars", "polys"])]
+    elif defect == 4:
+        payload[rng.choice(["vars", "polys"])] = rng.choice(["xy", 5, {"x": 1}, [[1]]])
+    elif defect == 5:
+        payload = [payload] if rng.random() < 0.5 else "map"
+    elif defect == 6:
+        polys.pop() if rng.random() < 0.5 else polys.append(polys[0])  # not square
+    else:
+        polys[0].append({"exps": [1] * n, "coeff": 1})
+    return payload
+
+
+def _class_payload(rng):
+    out = {"u_coeffs": [[rng.randint(-2, 4), rng.randint(-3, 3)] for _ in range(rng.randint(0, 3))]}
+    if rng.random() < 0.3:
+        out["extras"] = {"SpecC": [[rng.randint(0, 2), rng.randint(-2, 2)]]}
+    return out
+
+
+def _snc_payload(rng, good):
+    """SNC data of up to four strata on indices 1..5, with [X_0] or without it."""
+    strata = []
+    for _ in range(rng.randint(0, 4)):
+        index_set = rng.sample(range(1, 6), rng.randint(1, 3))
+        strata.append({"I": index_set, "mult": {str(i): rng.randint(1, 3) for i in index_set},
+                       "class": _class_payload(rng)})
+    payload = {"dim": rng.randint(1, 4), "strata": strata}
+    if rng.random() < 0.7:
+        payload["x0_class"] = _class_payload(rng)
+    if good:
+        return payload
+    cls = rng.choice([s["class"] for s in strata] + [payload.get("x0_class") or _class_payload(rng)])
+    defect = rng.randrange(8)
+    if defect == 0:
+        cls["u_coeffs"] = [[rng.choice([0.5, "1/0", "1/2", None]), 1]]
+    elif defect == 1 and strata:
+        strata[0]["I"] = strata[0]["I"][:1] * 2  # a repeated index
+    elif defect == 2:
+        victim = rng.choice(strata) if strata and rng.random() < 0.7 else payload
+        del victim[rng.choice([k for k in victim if k != "x0_class"])]
+    elif defect == 3:
+        payload[rng.choice(["dim", "strata", "x0_class"])] = rng.choice(["2", 2.0, 5, [1], {"I": 1}, None])
+    elif defect == 4 and strata:
+        strata[0][rng.choice(["I", "mult", "class"])] = rng.choice(["12", 3, [1, "x"], {"1": 0}, None])
+    elif defect == 5:
+        payload["dim"] = rng.choice([-1, 0])
+    elif defect == 6:
+        cls["extras"] = rng.choice([{"Foo": [[0, 1]]}, [["SpecC", 1]], {"SpecC": 1}])
+    else:
+        payload = [payload] if rng.random() < 0.5 else "snc"
+    return payload
+
+
+PAYLOADS = {"--map": _map_payload, "--data": _snc_payload}
+# files that cannot be read as JSON: a truncated one, a missing one, a directory
 BAD_FILES = ["bad.json", "missing.json", "."]
 
 # (good, bad) values of the string options, by name; an option not named here draws from all
 VALUES = {
-    "--a": (["<2>", "3*<1> + 2*<-1>", "H - <3>", "<1/3>", "0", ""], ["<0>", "<1/0>", "2*<", "<x>"]),
-    "--b": (["<2>", "H", "<-1> + <5>", "<3/4>"], ["<0>", "<<"]),
+    "--a": (["<2>", "3*<1> + 2*<-1>", "H - <3>", "<1/3>", "0", "", "- <2> + 3*<-1>"],
+            ["<0>", "<1/0>", "2*<", "<x>", "- x=y"]),
+    "--b": (["<2>", "H", "<-1> + <5>", "<3/4>", "- H"], ["<0>", "<<"]),
     "--matrix": (["[[0,1],[1,0]]", "[[1,2],[2,1]]", "[[2]]", "[]"],
                  ["[[1,2],[3,4]]", "[[1]", "5", '[["x"]]', '[["1/0"]]', "[[0.5]]"]),
     "--field": (["Q", "R", "C", "F2", "F5"], ["F4", "Fx", "", "q"]),
-    "--map": (list(MAPS)[:3], list(MAPS)[3:] + BAD_FILES),
-    "--data": (list(SNC)[:3], list(SNC)[3:] + BAD_FILES),
     # blocked.json can be opened, but its manifest path is a directory
     "--out": (["o.json"], ["blocked.json", "missing-dir/o.json", "."]),
 }
@@ -86,18 +141,26 @@ INTS = (["0", "1", "2", "3", "4", "5"], ["-1", "x", "1.5"])
 MUTATIONS = ["abbreviate", "equals", "unknown", "repeat", "drop", "stray", "--"]
 
 
-def _value(rng, option, kw):
-    """A good value with probability 0.85, else a bad one."""
+def _value(rng, option, kw, files):
+    """A good value with probability 0.85, else a bad one.  A file option names a new
+    file of ``files`` (name -> drawn payload), or now and then one that cannot be read."""
+    good = rng.random() < 0.85
+    if option in PAYLOADS:
+        if not good and rng.random() < 0.3:
+            return rng.choice(BAD_FILES)
+        name = f"{option[2:]}{len(files)}.json"
+        files[name] = PAYLOADS[option](rng, good)
+        return name
     if "choices" in kw:
-        good, bad = kw["choices"], ["nope"]
+        pools = kw["choices"], ["nope"]
     elif kw.get("type") is int:
-        good, bad = INTS
+        pools = INTS
     else:
-        good, bad = VALUES.get(option, ANY_VALUE)
-    return rng.choice(good if rng.random() < 0.85 else bad)
+        pools = VALUES.get(option, ANY_VALUE)
+    return rng.choice(pools[0] if good else pools[1])
 
 
-def command_line(rng) -> list:
+def command_line(rng, files) -> list:
     """One argv drawn from ``cli.COMMANDS``: every positional and required option, some of
     the others, in any order, and with probability 1/4 one usage error."""
     name = rng.choice(list(cli.COMMANDS))
@@ -105,9 +168,10 @@ def command_line(rng) -> list:
     pairs = []
     for option, kw in options:
         if not option.startswith("-"):
-            pairs.append([_value(rng, option, kw)])
+            pairs.append([_value(rng, option, kw, files)])
         elif kw.get("required") or rng.random() < 0.4:
-            pairs.append([option] if kw.get("action") == "store_true" else [option, _value(rng, option, kw)])
+            pairs.append([option] if kw.get("action") == "store_true"
+                         else [option, _value(rng, option, kw, files)])
     rng.shuffle(pairs)
     mutation = rng.choice(MUTATIONS) if rng.random() < 0.25 else None
     if mutation == "abbreviate" and pairs and pairs[0][0].startswith("--"):
@@ -154,8 +218,6 @@ def _run(argv):
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
-    for name, value in {**MAPS, **SNC}.items():
-        (tmp_path / name).write_text(json.dumps(value))
     (tmp_path / "bad.json").write_text('{"vars": [')
     (tmp_path / "blocked.json.manifest.json").mkdir()
     monkeypatch.chdir(tmp_path)
@@ -166,7 +228,10 @@ def workdir(tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_command_line_ends_in_an_exit_code(seed, workdir):
     rng = random.Random(seed)
-    argvs = {tuple(command_line(rng)) for _ in range(CASES)}
+    files = {}
+    argvs = {tuple(command_line(rng, files)) for _ in range(CASES)}
+    for name, payload in files.items():
+        (workdir / name).write_text(json.dumps(payload))
     exits = set()
     for argv in sorted(argvs):
         argv = list(argv)

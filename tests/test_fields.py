@@ -1,4 +1,4 @@
-"""fields.factorize and its views against trial division, with the refusals past psi_13.
+"""factor.factorize and its views against trial division, with the refusals past psi_13.
 
 The four trial-division loops below are the oracle: plain, slow and
 obviously right wherever they finish.
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import arithdt
-from arithdt import fields
+from arithdt import factor
 from arithdt.errors import ArithdtError
 from arithdt.fields import binary_power, factorize, is_prime, prime_factors, squarefree_part
 from arithdt.motivic import MotivicClass
@@ -165,7 +165,7 @@ def test_factors_above_psi_13_are_refused(n):
 
 def test_rho_budget_is_a_refusal(monkeypatch):
     # M61 * P80 has 141 bits, below 425, so each step costs one unit of the whole budget
-    monkeypatch.setattr(fields, "_RHO_STEPS", 1 << 12)
+    monkeypatch.setattr(factor, "_RHO_STEPS", 1 << 12)
     with pytest.raises(ArithdtError, match="within 4096 Pollard-Brent steps"):
         factorize(M61 * P80)
 
@@ -183,7 +183,7 @@ def test_prime_powers_answer_as_sympy(n):
 
 def test_is_prime_does_not_factor(monkeypatch):
     # a failed Miller-Rabin base proves p * q composite, with no rho step taken
-    monkeypatch.setattr(fields, "_rho_split", None)
+    monkeypatch.setattr(factor, "_rho_split", None)
     assert not is_prime(P80 * Q80)
     assert not is_prime(M61**2)
     assert is_prime(P80)

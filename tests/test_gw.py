@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithdt import gw
+from arithdt import forms
 from arithdt.errors import (
     ArithdtError,
     FieldMismatchError,
@@ -15,13 +15,8 @@ from arithdt.errors import (
     UnsupportedFieldError,
 )
 from arithdt.fields import CC, QQ, RR, SquareClass, finite_field, prime_factors, square_class_rep, squarefree_part
-from arithdt.gw import (
-    GwElement,
-    diagonalize_symmetric,
-    hasse_invariant,
-    hilbert_symbol,
-    trace_form,
-)
+from arithdt.forms import hasse_invariant, hilbert_symbol
+from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1
 
@@ -707,7 +702,7 @@ def test_hasse_invariant_refuses_zero_entries(entries):
 
 def _gw_equal_expanded(a, b):
     """gw_equal over Q through the multiplicity-expanded diagonal entries."""
-    pos, neg = (a - b)._split()
+    pos, neg = forms._split(a - b)
     x, y = ([r for r, m in g.terms for _ in range(m)] for g in (pos, neg))
     if len(x) != len(y) or pos.signature() != neg.signature():
         return False
@@ -744,7 +739,7 @@ def test_gw_equal_does_not_expand_multiplicities(monkeypatch):
         symbols.append(place)
         return hilbert_symbol(a, b, place)
 
-    monkeypatch.setattr(gw, "hilbert_symbol", counting_symbol)
+    monkeypatch.setattr(forms, "hilbert_symbol", counting_symbol)
     a, b = GwElement(QQ, [(3, 3000)]), GwElement(QQ, [(1, 3000)])
     c, d = unit(3) + unit(2), unit(1) + unit(6)
     start = time.perf_counter()
@@ -761,7 +756,7 @@ def test_gw_equal_factors_each_distinct_rep_once(monkeypatch):
         calls.append(n)
         return prime_factors(n)
 
-    monkeypatch.setattr(gw, "prime_factors", counting_factors)
+    monkeypatch.setattr(forms, "prime_factors", counting_factors)
     big = 999961 * 1000033  # a sum of two squares
     a = GwElement(QQ, [(big, 2), (6, 5), (-5, 4)])
     b = GwElement(QQ, [(1, 2), (-30, 4), (7, 2), (6, 3)])  # same rank, signature, discriminant

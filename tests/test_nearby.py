@@ -170,6 +170,21 @@ def test_virtual_class_torus():
     assert hilb1 == z_motivic(2).coeffs[1]
 
 
+def oracle_virtual_class(s_f, x0, dim_x):
+    """-L^(-dim/2) (S_f - [X_0]) by the ring operations, one class per step."""
+    return -MotivicClass.u_power(-dim_x) * (s_f - x0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_virtual_classes_are_the_ring_expression(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        a, b = (_random_class(rng, rng.random() < 0.4) for _ in range(2))
+        dim = rng.randint(1, 7)
+        assert virtual_class_critical_locus(a, b, dim) == oracle_virtual_class(a, b, dim), (a, b, dim)
+        assert virtual_class_torus(b, a, dim) == oracle_virtual_class(a, b, dim), (a, b, dim)
+
+
 def test_monodromy_orders():
     # m_I, the gcd of the multiplicities, is read off the record's multiplicities
     record = StratumRecord.of([1, 2, 3], MOT_ONE, {1: 4, 2: 6, 3: 10})

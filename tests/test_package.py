@@ -100,8 +100,9 @@ def _loaded_after(*argv):
 
 # what parsing and dispatch need: ``--version`` loads these and nothing else
 CLI_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors"}
-# what every job adds: the base fields, and the package of the subcommand modules
-JOB = CLI_ONLY | {"arithdt.fields", "arithdt.commands"}
+# what every job adds: the base fields with their factoring, and the package of the
+# subcommand modules
+JOB = CLI_ONLY | {"arithdt.fields", "arithdt.factor", "arithdt.commands"}
 GW_ONLY = JOB | {"arithdt.commands.gw", "arithdt.gw"}
 DT_ONLY = JOB | {"arithdt.commands.dt_a3", "arithdt.dt", "arithdt.series"}
 
@@ -199,10 +200,34 @@ def test_motivic_series_job_loads_no_quadratic_form(flags, writer):
 @pytest.mark.parametrize("flags,writer", [([], set()), (["--compare", "--json"], {"arithdt.jsonout"})],
                          ids=["text", "compare-json"])
 def test_gv_job_loads_no_motivic_class(flags, writer):
-    # the refined class is the alpha-sum of two terms, so arithdt.motivic is not compiled
+    # the refined class is the alpha-sum of two terms, so arithdt.motivic is not compiled;
+    # the report compares it with the closed form in GW(k), text or not, so forms is
     loaded = _loaded_after("gv", "--m", "7", *flags)
-    rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
+    rings = {"arithdt.gw", "arithdt.forms", "arithdt.gwalpha", "arithdt.gaussian"}
     assert loaded == JOB | {"arithdt.commands.gv", "arithdt.castelnuovo"} | rings | writer
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["dt-a3", "--order", "6", "--output", output, *flags]
+          for output in ("motivic", "arithmetic", "complex", "real") for flags in ([], ["--json"])),
+        *(["gw", "--op", op, "--a", "<2> + <3>", "--b", "<6>"] for op in ("rank", "add", "mul")),
+    ],
+    ids=lambda argv: "-".join(argv[:4:2] if argv[0] == "gw" else [argv[0], argv[4], *argv[5:]]),
+)
+def test_ring_jobs_load_no_form_classifier(argv):
+    # the quadratic forms of these jobs are added and multiplied, never classified
+    assert "arithdt.forms" not in _loaded_after(*argv)
+
+
+def test_jobs_that_classify_forms_load_the_classifier(tmp_path):
+    # ekl eliminates its Gram matrix, and equality of classes compares invariants
+    path = tmp_path / "map.json"
+    path.write_text('{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}')
+    for argv in (["ekl", "--map", str(path)], ["gw", "--op", "equal", "--a", "<2> + <-2>", "--b", "H"],
+                 ["gv", "--m", "7", "--compare"]):
+        assert "arithdt.forms" in _loaded_after(*argv), argv
 
 
 def test_ekl_job_does_not_load_motivic(tmp_path):
@@ -295,6 +320,8 @@ def test_no_job_imports_dataclasses_or_inspect(argv, tmp_path):
     "argv",
     [
         ["gw", "--op", "mul", "--a", "<2> + <3>", "--b", "<6>"],
+        # a signed expression: argparse too reads a token with a space as a value
+        pytest.param(["gw", "--op", "add", "--a", "<2>", "--b", "- 3*<5> + <-1>"], id="gw-signed"),
         *(["dt-a3", "--order", "6", "--output", output]
           for output in ("motivic", "arithmetic", "complex", "real")),
         ["ekl", "--map", "{map}", "--field", "R"],
