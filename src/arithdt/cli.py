@@ -14,8 +14,9 @@ subcommand's code, and the handler imports what it computes with (``gw``
 only for a gw job, and a dt-a3 job only the modules of the series it
 prints).  ``json`` is imported where JSON is read, and the JSON writer
 (``jsonout``) and the manifest only where JSON is written, so a job loads
-no other module.  ``main`` is the process entry point; ``dispatch`` runs one
-command line for a caller in the same process.
+no other module.  ``main`` is the process entry point, which ends the process
+at its answer, with no interpreter teardown; ``dispatch`` runs one command
+line for a caller in the same process.
 
 One table, ``COMMANDS``, describes every subcommand: its help and its
 options.  It builds the argparse parser, and it feeds ``strict_args``, which
@@ -29,7 +30,6 @@ argparse, so help, usage and error bytes are argparse's own.
 from __future__ import annotations
 
 import contextlib
-import gc
 import os
 import sys
 from importlib import import_module
@@ -224,23 +224,24 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    """The process entry point: ``dispatch`` the command line, then exit.
+    """The process entry point: ``dispatch`` the command line, then end the process.
 
-    What is alive when ``dispatch`` ends lives until exit, so ``gc.freeze``
-    takes it out of the collections of interpreter shutdown, which would
-    otherwise walk every imported module's objects.  ``dispatch`` leaves the
-    collector alone, for callers in a process that goes on.  A reader that
-    closes stdout early ends the job with exit 1 and no traceback, as the
-    Python docs advise for SIGPIPE.
+    Once the answer and its error line are flushed, nothing is left to do, so
+    the process ends with ``os._exit``: no module teardown, no freeing and no
+    ``atexit`` handler.  The ``SystemExit`` of argparse and of ``--version``
+    leaves the same way, with its code.  A reader that closes stdout early
+    ends the job with exit 1 and no traceback, as the Python docs advise for
+    SIGPIPE.  Any other exception leaves as Python ends it, with a traceback
+    and exit 1.  ``dispatch`` keeps the interpreter, for callers in a process
+    that goes on.
     """
     try:
-        status = dispatch()
-        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        try:
+            status = dispatch()
+        except SystemExit as exc:  # usage errors, --help and --version
+            status = exc.code
+        sys.stdout.flush()  # a closed pipe shows here
     except BrokenPipeError:
-        # nothing more reaches the reader: let the flush at shutdown go nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        status = 1
-    finally:
-        gc.freeze()
-    sys.exit(status)
+        status = 1  # nothing more reaches the reader
+    sys.stderr.flush()
+    os._exit(status)

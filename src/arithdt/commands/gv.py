@@ -1,20 +1,27 @@
-"""``arithdt gv``: refined genus-bound invariants of the quintic, and their comparison."""
+"""``arithdt gv``: refined genus-bound invariants of the quintic, and their comparison.
 
-from ..castelnuovo import gv_compare
+Without ``--compare`` the job computes only the direct class it prints; the
+closed form and its ``gw_equal`` decisions are made only for ``--compare``.
+"""
+
+from ..castelnuovo import fiber_dimension, gv_arithmetic_direct, gv_compare
 from ..fields import parse_field_label
 
 
 def run(args) -> tuple:
-    report = gv_compare(args.m, parse_field_label(args.field))
-    rendered = report.direct.render()
+    field = parse_field_label(args.field)
+    report = gv_compare(args.m, field) if args.compare else None
+    direct = report.direct if args.compare else gv_arithmetic_direct(args.m, field)
+    fiber_dim = fiber_dimension(args.m)
+    rendered = direct.render()
     payload = {
-        "m": report.m,
-        "fiber_dim": report.fiber_dim,
-        "direct": report.direct.to_json_dict(),
+        "m": args.m,
+        "fiber_dim": fiber_dim,
+        "direct": direct.to_json_dict(),
         "rendered": rendered,
-        "rank": report.rank_direct,
+        "rank": direct.rank(),
     }
-    lines = [f"m={report.m} (N={report.fiber_dim}): {rendered}"]
+    lines = [f"m={args.m} (N={fiber_dim}): {rendered}"]
     if args.compare:
         payload["compare"] = {
             "closed": report.closed.to_json_dict() if report.closed else None,

@@ -4,14 +4,16 @@ The primes up to 41 are divided out.  Each cofactor is proved prime by
 Miller-Rabin to 13 bases (a proof below psi_13), or split as a perfect
 power, or split by Pollard-Brent rho within a step budget; what cannot be
 proved or split within these bounds is refused with an ArithdtError.
-``is_prime`` decides without factoring, and ``squarefree_part`` and
-``prime_factors`` read ``factorize``.
+``is_prime`` decides without factoring.  ``fields.squarefree_part`` and
+``fields.prime_factors`` import ``factorize`` on their first input other than
++-1, and the F_p constructor imports ``is_prime``, so a job that factors no
+integer does not compile this module.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from math import gcd, prod
+from math import gcd
 
 from .errors import ArithdtError, brief
 
@@ -159,14 +161,3 @@ def is_prime(n: int) -> bool:
             return n == p
     return _is_prime_cofactor(n)
 
-
-def squarefree_part(n: int) -> int:
-    """n divided by the largest square dividing it: square-free, with the sign of n."""
-    if n == 0:
-        raise ArithdtError("0 has no square class")
-    return (1 if n > 0 else -1) * prod(p for p, e in factorize(n).items() if e % 2)
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, ascending."""
-    return list(factorize(n)) if n else []

@@ -5,8 +5,10 @@ square classes k^x/(k^x)^2 of the base field k.  Each supported field gets
 a unique integer representative per class -- square-free with sign over Q,
 +-1 over R, 1 over C, and 1 or a fixed least nonresidue over F_p -- so that
 equality and hashing of generators reduce to integer comparisons.  The
-integers are factored in ``factor``, whose ``factorize``, ``is_prime``,
-``prime_factors`` and ``squarefree_part`` are bound here too.
+integers are factored in ``factor``, which ``squarefree_part`` and
+``prime_factors`` import on the first input other than +-1 (and 0), and the
+F_p constructor when it tests p: a job that factors no integer compiles no
+factoring code.
 
 The bases of every value type live here too (``Value``, ``Frozen``), and
 ``CoefficientRing``, the series adapter each ring module builds for itself.
@@ -14,10 +16,30 @@ The bases of every value type live here too (``Value``, ``Frozen``), and
 
 from __future__ import annotations
 
+from math import prod
 from operator import attrgetter
 
 from .errors import ArithdtError, FrozenInstanceError, brief, brief_str, json_int, json_rational
-from .factor import factorize, is_prime, prime_factors, squarefree_part
+
+
+def squarefree_part(n: int) -> int:
+    """n divided by the largest square dividing it: square-free, with the sign of n."""
+    if n == 1 or n == -1:
+        return n
+    if n == 0:
+        raise ArithdtError("0 has no square class")
+    from .factor import factorize
+
+    return (1 if n > 0 else -1) * prod(p for p, e in factorize(n).items() if e % 2)
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of |n|, ascending."""
+    if -1 <= n <= 1:
+        return []
+    from .factor import factorize
+
+    return list(factorize(n))
 
 
 def binary_power(x, n: int, one):
@@ -163,6 +185,8 @@ class BaseField(Frozen):
         if kind not in (self.RATIONALS, self.REALS, self.COMPLEXES, self.FINITE):
             raise ArithdtError(f"unknown base field kind: {kind!r}")
         if kind == self.FINITE:
+            from .factor import is_prime
+
             if p is None or json_int(p, "p") == 2 or not is_prime(p):
                 raise ArithdtError("finite base fields require an odd prime p")
         elif p is not None:

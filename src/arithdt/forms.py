@@ -20,7 +20,8 @@ multiplies classes does not compile it.
 from __future__ import annotations
 
 from .errors import ArithdtError, SingularMatrixError, json_rational
-from .fields import BaseField, is_prime, legendre_symbol, linear_sum, prime_factors
+from .factor import is_prime
+from .fields import BaseField, legendre_symbol, linear_sum, prime_factors
 from .gw import GwElement
 
 INFINITE_PLACE = "inf"

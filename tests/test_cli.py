@@ -350,6 +350,33 @@ def test_gv_subcommand(capsys):
     assert data["compare"]["alpha_factor_match"] is True
 
 
+@pytest.mark.parametrize("label", ["Q", "R", "F5"])
+def test_gv_without_compare_prints_the_direct_class_of_the_report(label, capsys):
+    # the job computes the direct class alone; the report of gv_compare is the oracle
+    from arithdt.castelnuovo import gv_compare
+    from arithdt.fields import parse_field_label
+    from arithdt.jsonout import write_json
+
+    for m in range(1, 41):
+        report = gv_compare(m, parse_field_label(label))
+        payload = {"m": report.m, "fiber_dim": report.fiber_dim, "direct": report.direct.to_json_dict(),
+                   "rendered": report.direct.render(), "rank": report.rank_direct}
+        argv = ["gv", "--m", str(m), "--field", label]
+        assert run_cli(argv, capsys) == (0, f"m={m} (N={report.fiber_dim}): {payload['rendered']}\n", "")
+        code, out, err = run_cli(argv + ["--json"], capsys)
+        expected = io.StringIO()
+        write_json(expected, {**payload, "manifest": json.loads(out)["manifest"]})
+        assert (code, out, err) == (0, expected.getvalue(), "")
+
+
+@pytest.mark.parametrize("argv", [["--m", "0"], ["--m", "-3"], ["--m", "2", "--field", "Fx"]],
+                         ids=["zero", "negative", "field"])
+def test_gv_errors_do_not_depend_on_compare(argv, capsys):
+    code, out, err = run_cli(["gv", *argv], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert run_cli(["gv", *argv, "--compare"], capsys) == (code, out, err)
+
+
 def test_gv_over_unordered_fields(capsys):
     code, out, _ = run_cli(["gv", "--m", "3", "--field", "C"], capsys)
     assert code == 0 and out.startswith("m=3 (N=19): ")

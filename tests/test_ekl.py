@@ -18,7 +18,8 @@ from arithdt.ekl import (
     milnor_number_a1,
 )
 from arithdt.errors import ArithdtError, DegenerateSystemError, InputDataError
-from arithdt.fields import CC, QQ, RR, factorize, finite_field, linear_sum, squarefree_part
+from arithdt.factor import factorize
+from arithdt.fields import CC, QQ, RR, finite_field, linear_sum, squarefree_part
 from arithdt.groebner import buchberger, grevlex_key, leading_monomial, normal_form
 from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
 from arithdt.gwalpha import DEFAULT_GENERATORS

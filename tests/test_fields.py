@@ -1,9 +1,12 @@
 """factor.factorize and its views against trial division, with the refusals past psi_13.
 
 The four trial-division loops below are the oracle: plain, slow and
-obviously right wherever they finish.
+obviously right wherever they finish.  ``fields.squarefree_part`` and
+``fields.prime_factors`` answer +-1 (and 0) without loading ``factor``; the
+``factor``-based versions they replaced are kept here as their oracles.
 """
 
+import math
 import random
 import subprocess
 import sys
@@ -15,13 +18,16 @@ import pytest
 import arithdt
 from arithdt import factor
 from arithdt.errors import ArithdtError
-from arithdt.fields import binary_power, factorize, is_prime, prime_factors, squarefree_part
+from arithdt.factor import factorize, is_prime
+from arithdt.fields import binary_power, prime_factors, squarefree_part
 from arithdt.motivic import MotivicClass
 
 PSI_13 = 3317044064679887385961981
 M89 = 2**89 - 1  # a Mersenne prime above psi_13
 # primes of 40, 61 and 80 bits; P80 and Q80 are the first primes past 2^80 and 2^80 + 2^70
 P40, M61, P80, Q80 = 1099511627689, 2**61 - 1, 1208925819614629174706189, 1210106411235346586009689
+# primes of 501 bits, the first past 2^500 and past 2^500 + 2^490; rho does not split their product
+P500, Q500 = 2**500 + 55, 2**500 + 2**490 + 191
 
 
 # -- the trial-division oracle ------------------------------------------------
@@ -84,6 +90,18 @@ def oracle_factorize(n):
     return out
 
 
+def factor_squarefree_part(n):
+    """The view of ``factorize`` that ``fields.squarefree_part`` was, with its refusal of 0."""
+    if n == 0:
+        raise ArithdtError("0 has no square class")
+    return (1 if n > 0 else -1) * math.prod(p for p, e in factorize(n).items() if e % 2)
+
+
+def factor_prime_factors(n):
+    """The view of ``factorize`` that ``fields.prime_factors`` was."""
+    return list(factorize(n)) if n else []
+
+
 def _seeded_inputs():
     """2,400 signed n != 0 with |n| < 10^9, log-uniform in size so small n are well covered."""
     rng = random.Random(0)
@@ -102,6 +120,46 @@ def test_views_match_trial_division():
         assert is_prime(n) == oracle_is_prime(n), n
         assert squarefree_part(n) == oracle_squarefree_part(n), n
         assert prime_factors(n) == oracle_prime_factors(n), n
+
+
+def _outcome(fn, n):
+    """What fn(n) gives: its value, or the type and message of what it raises."""
+    try:
+        return fn(n)
+    except ArithdtError as exc:
+        return type(exc), str(exc)
+
+
+def _semiprimes():
+    rng = random.Random(34)
+    primes = [p for p in range(10**5, 10**5 + 2000) if oracle_is_prime(p)] + [P40, M61]
+    return [rng.choice(primes) * rng.choice(primes) * rng.choice((1, -1)) for _ in range(60)]
+
+
+ORACLE_INPUTS = {
+    "units": [0, 1, -1],
+    "squares": [4, -4, 9, 49, 43**2, P40**2, -(M61**2), (2 * 3 * 5 * 7) ** 2],
+    "prime-powers": [2**30, -(3**19), 7 * P40**3, M61**5, 2 * P80**3, 41**7],
+    "semiprimes": _semiprimes(),
+    # refused: a factor past psi_13, psi_13 itself, and cofactors past 1024 bits
+    "refusals": [M89, -3 * M89, PSI_13, M61**17, 10**3999 + 1, P500 * Q500 * P40],
+}
+
+
+@pytest.mark.parametrize("inputs", ORACLE_INPUTS.values(), ids=ORACLE_INPUTS.keys())
+def test_fields_views_answer_as_the_factor_views(inputs):
+    for n in inputs:
+        assert _outcome(squarefree_part, n) == _outcome(factor_squarefree_part, n), n
+        assert _outcome(prime_factors, n) == _outcome(factor_prime_factors, n), n
+
+
+def test_fields_views_refuse_as_the_factor_views_when_rho_runs_out(monkeypatch):
+    monkeypatch.setattr(factor, "_RHO_STEPS", 1 << 12)
+    for n in (M61 * P80, -M61 * P80 * 9):
+        refusal = _outcome(factor_squarefree_part, n)
+        assert refusal[0] is ArithdtError and refusal[1].startswith("cannot factor the 141-bit")
+        assert _outcome(squarefree_part, n) == refusal
+        assert _outcome(prime_factors, n) == _outcome(factor_prime_factors, n) == refusal
 
 
 def test_every_small_n_matches_trial_division():
@@ -260,10 +318,6 @@ def test_unprovable_primes_exit_one_with_one_line(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert seconds < 5.0
-
-
-# primes of 501 bits, the first past 2^500 and past 2^500 + 2^490; rho does not split their product
-P500, Q500 = 2**500 + 55, 2**500 + 2**490 + 191
 
 
 def test_long_composite_is_refused_in_seconds():

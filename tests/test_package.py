@@ -100,9 +100,8 @@ def _loaded_after(*argv):
 
 # what parsing and dispatch need: ``--version`` loads these and nothing else
 CLI_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors"}
-# what every job adds: the base fields with their factoring, and the package of the
-# subcommand modules
-JOB = CLI_ONLY | {"arithdt.fields", "arithdt.factor", "arithdt.commands"}
+# what every job adds: the base fields, and the package of the subcommand modules
+JOB = CLI_ONLY | {"arithdt.fields", "arithdt.commands"}
 GW_ONLY = JOB | {"arithdt.commands.gw", "arithdt.gw"}
 DT_ONLY = JOB | {"arithdt.commands.dt_a3", "arithdt.dt", "arithdt.series"}
 
@@ -111,7 +110,7 @@ DT_ONLY = JOB | {"arithdt.commands.dt_a3", "arithdt.dt", "arithdt.series"}
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 @pytest.mark.parametrize("argv,loaded", [(["--version"], CLI_ONLY),
-                                         (["gw", "--op", "rank", "--a", "<2>"], GW_ONLY)],
+                                         (["gw", "--op", "rank", "--a", "<1>"], GW_ONLY)],
                          ids=["version", "gw"])
 def test_gw_jobs_load_four_modules(argv, loaded):
     modules = _modules_after(*argv)
@@ -162,7 +161,7 @@ def test_jobs_with_a_rational_load_fractions(tmp_path):
 
 
 def test_gw_json_job_loads_the_writer():
-    assert _loaded_after("gw", "--op", "rank", "--a", "<2>", "--json") == GW_ONLY | {"arithdt.jsonout"}
+    assert _loaded_after("gw", "--op", "rank", "--a", "<1>", "--json") == GW_ONLY | {"arithdt.jsonout"}
 
 
 def test_dt_job_loads_no_algebra_modules():
@@ -197,14 +196,45 @@ def test_motivic_series_job_loads_no_quadratic_form(flags, writer):
     assert loaded == DT_ONLY | {"arithdt.motivic"} | writer
 
 
-@pytest.mark.parametrize("flags,writer", [([], set()), (["--compare", "--json"], {"arithdt.jsonout"})],
-                         ids=["text", "compare-json"])
-def test_gv_job_loads_no_motivic_class(flags, writer):
+@pytest.mark.parametrize(
+    "flags,classifier",
+    [([], set()), (["--compare", "--json"], {"arithdt.jsonout", "arithdt.forms", "arithdt.factor"})],
+    ids=["text", "compare-json"],
+)
+def test_gv_job_loads_no_motivic_class(flags, classifier):
     # the refined class is the alpha-sum of two terms, so arithdt.motivic is not compiled;
-    # the report compares it with the closed form in GW(k), text or not, so forms is
+    # only the comparison with the closed form decides equality in GW(k), with forms and
+    # the factoring of its Hasse invariants
     loaded = _loaded_after("gv", "--m", "7", *flags)
-    rings = {"arithdt.gw", "arithdt.forms", "arithdt.gwalpha", "arithdt.gaussian"}
-    assert loaded == JOB | {"arithdt.commands.gv", "arithdt.castelnuovo"} | rings | writer
+    rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
+    assert loaded == JOB | {"arithdt.commands.gv", "arithdt.castelnuovo"} | rings | classifier
+
+
+_MAP = '{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}'
+
+
+@pytest.mark.parametrize(
+    "argv,factors",
+    [
+        *(pytest.param(["dt-a3", "--order", "6", "--output", output, *flags], False,
+                       id=f"dt-a3-{output}-{'json' if flags else 'text'}")
+          for output in ("motivic", "arithmetic", "complex", "real") for flags in ([], ["--json"])),
+        pytest.param(["nearby", "--data", "{snc}"], False, id="nearby"),
+        pytest.param(["gw", "--op", "rank", "--a", "<1>"], False, id="gw-unit"),
+        pytest.param(["gw", "--op", "rank", "--a", "<6>"], True, id="gw-six"),
+        pytest.param(["gw", "--op", "rank", "--a", "<2>", "--field", "F5"], True, id="gw-F5"),
+        pytest.param(["ekl", "--map", "{map}"], True, id="ekl"),
+        pytest.param(["gv", "--m", "7", "--compare"], True, id="gv-compare"),
+    ],
+)
+def test_factor_is_loaded_only_by_jobs_that_factor(argv, factors, tmp_path):
+    # the square class of +-1 needs no factoring; every other rep, the prime test of
+    # F_p, and the Hasse invariants of a classified form do
+    files = {"map": tmp_path / "map.json", "snc": tmp_path / "snc.json"}
+    files["map"].write_text(_MAP)
+    files["snc"].write_text(json.dumps(_SNC))
+    loaded = _loaded_after(*(a.format(**files) for a in argv))
+    assert ("arithdt.factor" in loaded) == factors
 
 
 @pytest.mark.parametrize(
