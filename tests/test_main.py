@@ -100,12 +100,12 @@ def test_main_in_a_process_answers_as_dispatch_does(argv, code, tmp_path, capsys
     files["map"].write_text(json.dumps(_MAP))
     files["snc"].write_text(json.dumps(_SNC))
     argv = [a.format(**files) for a in argv]
-    proc = subprocess.run(MAIN + argv, capture_output=True, timeout=60, env=ENV)
-    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
-    assert proc.returncode == code
+    returncode, _, err = answer = _in_main(argv)
+    assert answer == _in_process(argv, capsys)
+    assert returncode == code
     if code == 1:
-        assert proc.stderr.decode().splitlines()[0].startswith("error: ")
-        assert len(proc.stderr.splitlines()) == 1
+        assert err.decode().splitlines()[0].startswith("error: ")
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
