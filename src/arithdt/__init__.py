@@ -2,20 +2,23 @@
 
 Modules:
 
-* ``fields`` / ``factor``: base fields and square classes, and the exact
-  integer factoring they rest on;
-* ``gw`` / ``forms``: Grothendieck-Witt ring arithmetic and trace forms, and
-  the classification of forms: symmetric diagonalization, local symbols and
-  the equality of classes;
+* ``fields`` / ``factor`` / ``squares``: base fields, the exact integer
+  factoring behind square-free parts, and square classes with their
+  canonical representatives;
+* ``gw`` / ``elimination`` / ``forms``: Grothendieck-Witt ring arithmetic
+  and trace forms, the elimination kernel of symmetric diagonalization, and
+  the classification of forms: local symbols and the equality of classes;
 * ``gwalpha`` / ``gaussian``: GW(k)(alpha) with alpha^2 = <-1>, and the
   Gaussian integers;
 * ``motivic``: the Tate subring of motivic weights and the three Euler
   characteristic specializations;
 * ``series``: truncated power series over caller-supplied rings;
-* ``multipoly`` / ``groebner`` / ``ekl``: exact polynomial systems, grevlex
-  Groebner bases, quotient algebras and local degree classes;
+* ``multipoly`` / ``groebner`` / ``ekl`` / ``degrees``: exact polynomial
+  systems, grevlex Groebner bases, quotient algebras and local degree
+  classes; simple-zero, univariate and Milnor degrees in ``degrees``;
 * ``nearby``: nearby classes and virtual classes from SNC strata;
-* ``dt``: partition functions for degree-zero counts on affine 3-space;
+* ``dt`` / ``potential``: partition functions for degree-zero counts on
+  affine 3-space, and the trace potential on matrix triples;
 * ``castelnuovo``: refined genus-bound fiber integrals for the quintic;
 * ``partitions``: brute-force plane-partition oracles;
 * ``cli``: the ``arithdt`` command-line tool, with one module per
@@ -30,19 +33,23 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 # public name -> submodule that defines it; each submodule is public too, except
-# forms, gwalpha and gaussian, split off gw (so that a job compiles only what it runs)
-# after the names were fixed
+# those split off after the names were fixed (so that a job compiles only what it
+# runs): forms, gwalpha, gaussian and squares off gw and fields, potential off dt,
+# and degrees off ekl
 _EXPORTS = {
     name: module
     for module, names in (
         ("castelnuovo", "CastelnuovoInput GvComparison castelnuovo_bound fiber_dimension "
                         "gv_arithmetic_direct gv_closed_form gv_compare gv_virtual_class_motivic"),
-        ("dt", "MatrixTriple PartitionFunctionResult macmahon macmahon_symmetric "
-               "partition_function trace_potential trace_potential_gradient z_arithmetic z_motivic"),
-        ("ekl", "ConjugatePair EklResult MilnorReport ekl_class global_degree_univariate "
-                "local_degree_simple milnor_chi_relation milnor_number_a1"),
+        ("dt", "PartitionFunctionResult macmahon macmahon_symmetric partition_function "
+               "z_arithmetic z_motivic"),
+        ("potential", "MatrixTriple trace_potential trace_potential_gradient"),
+        ("ekl", "EklResult ekl_class"),
+        ("degrees", "ConjugatePair MilnorReport global_degree_univariate local_degree_simple "
+                    "milnor_chi_relation milnor_number_a1"),
         ("errors", ""),
-        ("fields", "BaseField CC CoefficientRing QQ RR SquareClass finite_field"),
+        ("fields", "BaseField CC CoefficientRing QQ RR finite_field"),
+        ("squares", "SquareClass"),
         ("groebner", "QuotientAlgebra buchberger grevlex_key"),
         ("gw", "GwElement diagonalize_symmetric gw_ring trace_form"),
         ("forms", "hasse_invariant hilbert_symbol"),
@@ -59,7 +66,8 @@ _EXPORTS = {
     )
     for name in (module, *names.split())
 }
-del _EXPORTS["forms"], _EXPORTS["gwalpha"], _EXPORTS["gaussian"]
+del (_EXPORTS["forms"], _EXPORTS["gwalpha"], _EXPORTS["gaussian"], _EXPORTS["squares"],
+     _EXPORTS["potential"], _EXPORTS["degrees"])
 
 __all__ = sorted(_EXPORTS)
 

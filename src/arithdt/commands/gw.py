@@ -4,8 +4,9 @@ import re
 import sys
 
 from ..errors import InputDataError, brief
-from ..fields import parse_field_label, square_class_rep
+from ..fields import parse_field_label
 from ..gw import GwElement, diagonalize_symmetric
+from ..squares import square_class_rep
 
 # one signed term: [+|-] [n*] (H | <rational>); the sign is required after the first.
 # ``re`` caches the compiled pattern, compiled by the first parse, not at import.

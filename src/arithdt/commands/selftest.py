@@ -8,9 +8,9 @@ import random
 from fractions import Fraction
 
 from ..castelnuovo import fiber_dimension, gv_arithmetic_direct, gv_compare
-from ..dt import (MatrixTriple, commutator, gradient_vanishes, macmahon, macmahon_symmetric,
-                 partition_function)
-from ..ekl import ekl_class, global_degree_univariate, milnor_number_a1
+from ..degrees import global_degree_univariate, milnor_number_a1
+from ..dt import macmahon, macmahon_symmetric, partition_function
+from ..ekl import ekl_class
 from ..errors import ArithdtError
 from ..fields import QQ
 from ..forms import hilbert_symbol
@@ -30,6 +30,7 @@ from ..multipoly import MultiPoly
 from ..nearby import (SncData, StratumRecord, local_nearby_class, nearby_class,
                       virtual_class_critical_locus)
 from ..partitions import verify_macmahon, verify_symmetric
+from ..potential import MatrixTriple, commutator, gradient_vanishes
 
 
 def _random_gw(rng, field=QQ) -> GwElement:

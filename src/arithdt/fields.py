@@ -1,14 +1,12 @@
-"""Base fields and canonical square-class representatives.
+"""Base fields, the square-free part of an integer, and the bases of every value type.
 
-Rank-one generators <a> of the Grothendieck-Witt ring are indexed by the
-square classes k^x/(k^x)^2 of the base field k.  Each supported field gets
-a unique integer representative per class -- square-free with sign over Q,
-+-1 over R, 1 over C, and 1 or a fixed least nonresidue over F_p -- so that
-equality and hashing of generators reduce to integer comparisons.  The
-integers are factored in ``factor``, which ``squarefree_part`` and
-``prime_factors`` import on the first input other than +-1 (and 0), and the
-F_p constructor when it tests p: a job that factors no integer compiles no
-factoring code.
+The base fields are Q, R, C and F_p (``BaseField``).  Their square classes,
+with the canonical integer representative of each, live in ``squares``; this
+module keeps ``squarefree_part`` and ``prime_factors``, the integer side of
+the classes over Q.  The integers are factored in ``factor``, which
+``squarefree_part`` and ``prime_factors`` import on the first input other
+than +-1 (and 0), and the F_p constructor when it tests p: a job that
+factors no integer compiles no factoring code.
 
 The bases of every value type live here too (``Value``, ``Frozen``), and
 ``CoefficientRing``, the series adapter each ring module builds for itself.
@@ -19,7 +17,7 @@ from __future__ import annotations
 from math import prod
 from operator import attrgetter
 
-from .errors import ArithdtError, FrozenInstanceError, brief, brief_str, json_int, json_rational
+from .errors import ArithdtError, FrozenInstanceError, brief, json_int
 
 
 def squarefree_part(n: int) -> int:
@@ -152,20 +150,6 @@ def render_sum(pieces) -> str:
     return " ".join(out) or "0"
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def least_nonresidue(p: int) -> int:
-    for n in range(2, p):
-        if legendre_symbol(n, p) == -1:
-            return n
-    raise ArithdtError(f"{p} admits no quadratic nonresidue; not an odd prime?")
-
-
 class BaseField(Frozen):
     """One of Q, R, C, or F_p with p an odd prime.
 
@@ -228,53 +212,3 @@ def parse_field_label(label: str) -> BaseField:
         except ValueError:
             pass
     raise ArithdtError(f"unrecognized base field label: {brief(label)}")
-
-
-def square_class_rep(field: BaseField, value) -> int:
-    """Canonical integer representative of the square class of value.
-
-    An int is read as it is (its numerator is itself, its denominator 1), and
-    anything else by ``json_rational``, so integer reps make no Fraction.
-    """
-    if type(value) is not int:
-        value = json_rational(value, "value")
-    if value == 0:
-        raise ArithdtError("square classes are indexed by nonzero elements")
-    kind = field.kind
-    if kind == BaseField.COMPLEXES:
-        return 1
-    if kind == BaseField.REALS:
-        return 1 if value > 0 else -1
-    if kind == BaseField.RATIONALS:
-        return squarefree_part(value.numerator * value.denominator)
-    p = field.p
-    if value.numerator % p == 0 or value.denominator % p == 0:
-        raise ArithdtError(f"{brief_str(value)} is not a unit modulo {p}")
-    a = value.numerator * pow(value.denominator, -1, p) % p
-    return 1 if legendre_symbol(a, p) == 1 else least_nonresidue(p)
-
-
-class SquareClass(Frozen):
-    """A square class in canonical form; <a> and <a*b^2> share one instance."""
-
-    __slots__ = __match_args__ = ("field", "rep")
-
-    def __init__(self, field: BaseField, rep: int) -> None:
-        if square_class_rep(field, rep) != rep:
-            raise ArithdtError(f"{rep} is not a canonical representative over {field}")
-        self._assign(field, rep)
-
-    @classmethod
-    def of(cls, field: BaseField, value) -> "SquareClass":
-        return cls._make(field, square_class_rep(field, value))
-
-    @classmethod
-    def _make(cls, field: BaseField, rep: int) -> "SquareClass":
-        """Trusted constructor: rep is canonical already, so it is not factored again."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "rep", rep)
-        return obj
-
-    def __str__(self) -> str:
-        return f"<{self.rep}>"

@@ -11,10 +11,12 @@ compares canonical term lists; semantic equality (`gw_equal`) decides whether
 two virtual forms define the same class, by the complete invariants of the
 field.
 
-The classification of forms lives in ``forms``: the elimination kernel
-behind ``diagonalize_symmetric``, the Hilbert symbols and Hasse invariants,
-and the decision behind ``gw_equal``.  Both import it when called, so a job
-that only adds and multiplies classes does not compile it.  GW(k)(alpha),
+Square classes and their canonical reps come from ``squares``.  The
+elimination kernel behind ``diagonalize_symmetric`` lives in
+``elimination``, and the classification of forms (the Hilbert symbols and
+Hasse invariants, and the decision behind ``gw_equal``) in ``forms``; each
+is imported when its caller is called, so a job that only adds and
+multiplies classes compiles neither.  GW(k)(alpha),
 the ring of GwAlphaElement with alpha a formal square root of <-1>, lives in
 ``gwalpha``, and the Gaussian integers it maps to in ``gaussian``, so a job
 in GW(k) alone does not compile them.
@@ -25,17 +27,8 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ArithdtError, FieldMismatchError, UnsupportedFieldError, json_int, json_rational
-from .fields import (
-    BaseField,
-    CoefficientRing,
-    QQ,
-    SquareClass,
-    Value,
-    linear_sum,
-    render_sum,
-    square_class_rep,
-    squarefree_part,
-)
+from .fields import BaseField, CoefficientRing, QQ, Value, linear_sum, render_sum, squarefree_part
+from .squares import SquareClass, square_class_rep
 
 
 def _sorted_terms(pairs) -> tuple:
@@ -222,9 +215,9 @@ def diagonalize_symmetric(mat, field: BaseField = QQ) -> GwElement:
 
     Each entry is read with ``json_rational``, so ints, Fractions and strings
     such as "1/2" are accepted and floats are refused.  The nonzeros of each
-    row go to ``forms._diagonalize_rows``, the one elimination kernel, as a dict.
+    row go to ``elimination._diagonalize_rows``, the one elimination kernel, as a dict.
     """
-    from .forms import _diagonalize_rows
+    from .elimination import _diagonalize_rows
 
     n = len(mat)
     if any(len(row) != n for row in mat):

@@ -2,13 +2,21 @@
 written in bounded pieces.
 
 Imported only by jobs that write JSON (``--json`` or ``--out``), so a job with
-text output compiles neither this module nor the ``json`` package.
+text output compiles neither this module nor the ``json`` package.  Strings are
+escaped by ``_json``'s C encoder, the very function that ``json.encoder``
+exports, so a job that writes JSON but reads none loads no ``json`` package
+either; ``json.encoder``'s pure-Python encoder stands in where ``_json`` is
+missing.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 _BATCH_CHARS = 1 << 16  # pending text written to the stream at once
 _RUN = 256  # list items formatted by one C-level join or %-format

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArithdtError, json_int, json_rational
+from .errors import ArithdtError, InputDataError, brief, json_int, json_rational
 from .fields import Value, binary_power, linear_sum, render_sum
 
 
@@ -163,7 +163,7 @@ class MultiPoly(Value):
 
     def evaluate_quadratic(self, point, d: int) -> tuple[Fraction, Fraction]:
         """Evaluate at a point of Q(sqrt(d)); coordinates are (u, v) pairs u + v*sqrt(d)."""
-        coords = [(json_rational(u, "u"), json_rational(v, "v")) for u, v in point]
+        coords = [_uv_pair(x) for x in point]
         if len(coords) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
 
@@ -198,3 +198,10 @@ class MultiPoly(Value):
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables}; {self.render()})"
+
+
+def _uv_pair(x) -> tuple:
+    """A coordinate u + v*sqrt(d), given as a (u, v) pair, read as two Fractions."""
+    if not isinstance(x, (tuple, list)) or len(x) != 2:
+        raise InputDataError(f"coordinate must be a (u, v) pair, got {brief(x)}")
+    return json_rational(x[0], "u"), json_rational(x[1], "v")

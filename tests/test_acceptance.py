@@ -10,17 +10,9 @@ import time
 from fractions import Fraction
 
 from arithdt.castelnuovo import fiber_dimension, gv_compare, gv_virtual_class_motivic
-from arithdt.dt import (
-    MatrixTriple,
-    commutator,
-    gradient_vanishes,
-    macmahon,
-    macmahon_symmetric,
-    trace_potential,
-    z_arithmetic,
-    z_motivic,
-)
-from arithdt.ekl import ekl_class, milnor_chi_relation, milnor_number_a1
+from arithdt.degrees import milnor_chi_relation, milnor_number_a1
+from arithdt.dt import macmahon, macmahon_symmetric, z_arithmetic, z_motivic
+from arithdt.ekl import ekl_class
 from arithdt.fields import CC, QQ, RR, finite_field
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, gw_alpha_ring
@@ -41,6 +33,7 @@ from arithdt.nearby import (
     virtual_class_critical_locus,
 )
 from arithdt.partitions import count_plane_partitions, count_symmetric_plane_partitions
+from arithdt.potential import MatrixTriple, commutator, gradient_vanishes, trace_potential
 from test_dt import _z_arithmetic_product
 
 
@@ -195,7 +188,7 @@ def test_criterion_8_trace_potential():
 
         return MatrixTriple.of(poly(), poly(), poly())
 
-    from arithdt.dt import _matmul, _trace
+    from arithdt.potential import _matmul, _trace
 
     ok = True
     vanishing = 0

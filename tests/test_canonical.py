@@ -14,10 +14,10 @@ import pytest
 
 from arithdt import fields
 from arithdt.cli import dispatch
-from arithdt.dt import MatrixTriple
-from arithdt.ekl import ConjugatePair, ekl_class, global_degree_univariate, local_degree_simple
+from arithdt.degrees import ConjugatePair, global_degree_univariate, local_degree_simple
+from arithdt.ekl import ekl_class
 from arithdt.errors import ArithdtError, GeneratorProductError
-from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors, square_class_rep
+from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors
 from arithdt.groebner import buchberger, leading_monomial, normal_form
 from arithdt.forms import hasse_invariant, hilbert_symbol
 from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
@@ -25,6 +25,8 @@ from arithdt.gwalpha import GaussianInteger
 from arithdt.motivic import MOT_ONE, MotivicClass
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
+from arithdt.potential import MatrixTriple
+from arithdt.squares import square_class_rep
 
 from test_gw import naive_hasse
 

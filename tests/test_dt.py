@@ -10,14 +10,9 @@ import pytest
 
 from arithdt import dt
 from arithdt.dt import (
-    MatrixTriple,
-    commutator,
-    gradient_vanishes,
     macmahon,
     macmahon_symmetric,
     partition_function,
-    trace_potential,
-    trace_potential_gradient,
     z_arithmetic,
     z_complex,
     z_motivic,
@@ -29,6 +24,13 @@ from arithdt.gaussian import GAUSSIAN_RING
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power, gw_alpha_ring
 from arithdt.motivic import MOTIVIC_RING, MotivicClass, chi_a1, chi_complex, grassmannian_class
 from arithdt.partitions import count_plane_partitions, is_transpose_symmetric, plane_partitions
+from arithdt.potential import (
+    MatrixTriple,
+    commutator,
+    gradient_vanishes,
+    trace_potential,
+    trace_potential_gradient,
+)
 from arithdt.series import INT_RING, TruncatedSeries
 
 # frozen by hand from the factored product: the first factor alone gives t^1,
@@ -447,7 +449,7 @@ def test_gradient_vanishes_iff_all_commutators_vanish():
 
 def test_cyclic_trace_identities():
     rng = random.Random(107)
-    from arithdt.dt import _matmul, _trace
+    from arithdt.potential import _matmul, _trace
 
     for _ in range(40):
         n = rng.choice((2, 3))

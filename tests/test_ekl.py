@@ -4,19 +4,20 @@ import functools
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
-from arithdt.ekl import (
+from arithdt.degrees import (
     ConjugatePair,
-    ekl_class,
     global_degree_univariate,
     local_degree_simple,
     milnor_chi_relation,
     milnor_number_a1,
 )
+from arithdt.ekl import ekl_class
 from arithdt.errors import ArithdtError, DegenerateSystemError, InputDataError
 from arithdt.factor import factorize
 from arithdt.fields import CC, QQ, RR, finite_field, linear_sum, squarefree_part
@@ -399,6 +400,22 @@ def test_local_degree_simple_golden():
     assert local_degree_simple([P(("x",), "x")], [0]) == ONE
     with pytest.raises(DegenerateSystemError):
         local_degree_simple(squaring, [0])
+
+
+@pytest.mark.parametrize("coords,shown", [((1,), "1"), (((1, 2, 3), (1, 1)), "(1, 2, 3)"),
+                                          (((1, 1), [0]), "[0]")], ids=["int", "triple", "single"])
+def test_a_coordinate_that_is_not_a_pair_is_refused(coords, shown):
+    plane = [P(("x", "y"), "x"), P(("x", "y"), "y")]
+    message = re.escape(f"coordinate must be a (u, v) pair, got {shown}")
+    with pytest.raises(InputDataError, match=message):
+        ConjugatePair(2, coords)
+    # a pair made past the constructor is refused where it is evaluated
+    pair = object.__new__(ConjugatePair)
+    pair._assign(2, coords)
+    with pytest.raises(InputDataError, match=message):
+        local_degree_simple(plane, pair)
+    with pytest.raises(InputDataError, match=message):
+        plane[0].evaluate_quadratic(coords, 2)
 
 
 def test_global_degree_of_squaring_is_y_independent():

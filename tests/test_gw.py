@@ -14,11 +14,12 @@ from arithdt.errors import (
     SingularMatrixError,
     UnsupportedFieldError,
 )
-from arithdt.fields import CC, QQ, RR, SquareClass, finite_field, prime_factors, square_class_rep, squarefree_part
+from arithdt.fields import CC, QQ, RR, finite_field, prime_factors, squarefree_part
 from arithdt.forms import hasse_invariant, hilbert_symbol
 from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
 from arithdt.gwalpha import GaussianInteger, GwAlphaElement, alpha_power
 from arithdt.motivic import MotivicClass, chi_a1
+from arithdt.squares import SquareClass, square_class_rep
 
 F5 = finite_field(5)
 ALL_FIELDS = (QQ, RR, CC, F5)

@@ -8,7 +8,9 @@ with str keys, lists, tuples, str, int, bool and None.
 
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,15 +29,50 @@ def dumped(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+SMALL_VALUES = [
+    0, 1, -1, True, False, None, "", "a\"b\\c\n\t\x00é€😀", {}, [], (), [[]], [{}],
+    [0, 1, True, False], [[1, True]], [[0, 1], (2, 3), [4, 5]], [[1], [2, 3], []],
+    {"b": [1, 2], "a": {"c": None}}, {"": [None], "\u00e9": {}},
+    [[1, "a"], [2, "b"]], [10**4000, -(10**4000)],
+]
+
+
 def test_small_values_match_json_dumps():
-    cases = [
-        0, 1, -1, True, False, None, "", "a\"b\\c\n\t\x00é€😀", {}, [], (), [[]], [{}],
-        [0, 1, True, False], [[1, True]], [[0, 1], (2, 3), [4, 5]], [[1], [2, 3], []],
-        {"b": [1, 2], "a": {"c": None}}, {"": [None], "\u00e9": {}},
-        [[1, "a"], [2, "b"]], [10**4000, -(10**4000)],
-    ]
-    for value in cases:
+    for value in SMALL_VALUES:
         assert written(value) == dumped(value), value
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's _json accelerator")
+def test_strings_are_escaped_by_the_encoder_json_uses():
+    # the writer takes it from _json, so a job that reads no JSON loads no json package
+    assert jsonout.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+
+
+# writes SMALL_VALUES (the literal in argv[1]) with no _json: both the writer and
+# json.dumps fall back to json.encoder's pure-Python code
+_WITHOUT_C_ENCODER = """
+import ast, io, sys
+sys.modules["_json"] = None
+import json
+from arithdt import jsonout
+assert json.encoder.c_make_encoder is None
+assert jsonout.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii
+for value in ast.literal_eval(sys.argv[1]):
+    stream = io.StringIO()
+    jsonout.write_json(stream, value)
+    assert stream.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\\n", value
+print("ok")
+"""
+
+
+def test_small_values_match_json_dumps_without_the_c_encoder():
+    src = Path(jsonout.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_C_ENCODER, repr(SMALL_VALUES)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, 1000])

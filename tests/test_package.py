@@ -102,7 +102,7 @@ def _loaded_after(*argv):
 CLI_ONLY = {"arithdt", "arithdt.cli", "arithdt.errors"}
 # what every job adds: the base fields, and the package of the subcommand modules
 JOB = CLI_ONLY | {"arithdt.fields", "arithdt.commands"}
-GW_ONLY = JOB | {"arithdt.commands.gw", "arithdt.gw"}
+GW_ONLY = JOB | {"arithdt.commands.gw", "arithdt.gw", "arithdt.squares"}
 DT_ONLY = JOB | {"arithdt.commands.dt_a3", "arithdt.dt", "arithdt.series"}
 
 # a well-formed command line is read without argparse, which imports gettext, and whose
@@ -183,7 +183,7 @@ def test_complex_and_real_series_jobs_load_no_quadratic_form(output, rings):
 def test_arithmetic_series_job_loads_no_motivic_class(flags, writer):
     # the quadratic forms are read off M and M^sym, so arithdt.motivic is not compiled
     loaded = _loaded_after("dt-a3", "--order", "5", "--output", "arithmetic", *flags)
-    rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
+    rings = {"arithdt.gw", "arithdt.squares", "arithdt.gwalpha", "arithdt.gaussian"}
     assert loaded == DT_ONLY | rings | writer
 
 
@@ -206,11 +206,13 @@ def test_gv_job_loads_no_motivic_class(flags, classifier):
     # only the comparison with the closed form decides equality in GW(k), with forms and
     # the factoring of its Hasse invariants
     loaded = _loaded_after("gv", "--m", "7", *flags)
-    rings = {"arithdt.gw", "arithdt.gwalpha", "arithdt.gaussian"}
+    rings = {"arithdt.gw", "arithdt.squares", "arithdt.gwalpha", "arithdt.gaussian"}
     assert loaded == JOB | {"arithdt.commands.gv", "arithdt.castelnuovo"} | rings | classifier
 
 
 _MAP = '{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}'
+# (2x, 3y): its class is <6>, whose rep is factored
+_MAP_SIX = '{"vars": ["x", "y"], "polys": [[[[1, 0], "2"]], [[[0, 1], "3"]]]}'
 
 
 @pytest.mark.parametrize(
@@ -223,15 +225,19 @@ _MAP = '{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}'
         pytest.param(["gw", "--op", "rank", "--a", "<1>"], False, id="gw-unit"),
         pytest.param(["gw", "--op", "rank", "--a", "<6>"], True, id="gw-six"),
         pytest.param(["gw", "--op", "rank", "--a", "<2>", "--field", "F5"], True, id="gw-F5"),
-        pytest.param(["ekl", "--map", "{map}"], True, id="ekl"),
+        pytest.param(["ekl", "--map", "{map}"], False, id="ekl"),
+        pytest.param(["ekl", "--map", "{map_six}"], True, id="ekl-six"),
         pytest.param(["gv", "--m", "7", "--compare"], True, id="gv-compare"),
     ],
 )
 def test_factor_is_loaded_only_by_jobs_that_factor(argv, factors, tmp_path):
     # the square class of +-1 needs no factoring; every other rep, the prime test of
-    # F_p, and the Hasse invariants of a classified form do
-    files = {"map": tmp_path / "map.json", "snc": tmp_path / "snc.json"}
+    # F_p, and the Hasse invariants of a classified form do.  The class of _MAP,
+    # 3*<1> + 3*<-1>, is eliminated, never classified, so its job factors nothing
+    files = {"map": tmp_path / "map.json", "snc": tmp_path / "snc.json",
+             "map_six": tmp_path / "map_six.json"}
     files["map"].write_text(_MAP)
+    files["map_six"].write_text(_MAP_SIX)
     files["snc"].write_text(json.dumps(_SNC))
     loaded = _loaded_after(*(a.format(**files) for a in argv))
     assert ("arithdt.factor" in loaded) == factors
@@ -251,12 +257,9 @@ def test_ring_jobs_load_no_form_classifier(argv):
     assert "arithdt.forms" not in _loaded_after(*argv)
 
 
-def test_jobs_that_classify_forms_load_the_classifier(tmp_path):
-    # ekl eliminates its Gram matrix, and equality of classes compares invariants
-    path = tmp_path / "map.json"
-    path.write_text('{"vars": ["x", "y"], "polys": [[[[2, 0], "1"]], [[[0, 3], "1"]]]}')
-    for argv in (["ekl", "--map", str(path)], ["gw", "--op", "equal", "--a", "<2> + <-2>", "--b", "H"],
-                 ["gv", "--m", "7", "--compare"]):
+def test_jobs_that_classify_forms_load_the_classifier():
+    # equality of classes compares invariants
+    for argv in (["gw", "--op", "equal", "--a", "<2> + <-2>", "--b", "H"], ["gv", "--m", "7", "--compare"]):
         assert "arithdt.forms" in _loaded_after(*argv), argv
 
 
@@ -266,8 +269,92 @@ def test_ekl_job_does_not_load_motivic(tmp_path):
     loaded = _loaded_after("ekl", "--map", str(path))
     assert "arithdt.ekl" in loaded
     assert "arithdt.motivic" not in loaded
-    # GW(k)(alpha) is named in ekl only in an annotation
+    # GW(k)(alpha) is named only in an annotation of degrees, which ekl does not load
     assert "arithdt.gwalpha" not in loaded
+
+
+# runs one CLI job like _LOADED, then prints the arithdt modules it loaded, and each
+# function and class that they define as module:name
+_COMPILED = """
+import sys
+from arithdt.cli import dispatch
+try:
+    status = dispatch(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+modules = {name: module for name, module in list(sys.modules.items()) if name.split(".")[0] == "arithdt"}
+print(" ".join([*modules, *(f"{module_name}:{name}" for module_name, module in modules.items()
+                            for name, value in vars(module).items()
+                            if getattr(value, "__module__", None) == module_name)]))
+sys.exit(status)
+"""
+
+
+def _compiled_after(*argv):
+    """The arithdt modules one CLI job loads, and the names of the functions and
+    classes defined in them: a pin on these holds wherever the code is moved."""
+    tokens = _modules_after(*argv, code=_COMPILED)
+    return {t for t in tokens if ":" not in t}, {t.partition(":")[2] for t in tokens if ":" in t}
+
+
+DT_JOBS = [
+    pytest.param(["dt-a3", "--order", "6", "--output", output, *flags],
+                 id=f"dt-a3-{output}-{'json' if flags else 'text'}")
+    for output in ("motivic", "arithmetic", "complex", "real") for flags in ([], ["--json"])
+]
+TRACE_POTENTIAL = {"MatrixTriple", "commutator", "gradient_vanishes", "trace_potential",
+                   "trace_potential_gradient"}
+SQUARE_CLASSES = {"SquareClass", "square_class_rep", "legendre_symbol", "least_nonresidue"}
+
+
+@pytest.mark.parametrize("argv", DT_JOBS)
+def test_dt_jobs_compile_no_trace_potential(argv):
+    modules, names = _compiled_after(*argv)
+    assert "arithdt.potential" not in modules
+    assert names & TRACE_POTENTIAL == set()
+
+
+@pytest.mark.parametrize("argv", [p for p in DT_JOBS if "arithmetic" not in p.values[0]],
+                         ids=lambda argv: "-".join(argv[4:]))
+def test_series_jobs_without_a_quadratic_form_compile_no_square_class(argv):
+    # only the arithmetic series is made of quadratic forms
+    modules, names = _compiled_after(*argv)
+    assert "arithdt.squares" not in modules
+    assert names & SQUARE_CLASSES == set()
+
+
+def test_ekl_job_compiles_the_kernel_and_no_classifier(tmp_path):
+    # the Gram matrix is eliminated, and its class never compared or classified
+    path = tmp_path / "map.json"
+    path.write_text(_MAP)
+    modules, names = _compiled_after("ekl", "--map", str(path))
+    assert {"arithdt.ekl", "arithdt.elimination"} <= modules
+    assert modules.isdisjoint({"arithdt.forms", "arithdt.degrees"})
+    assert "_diagonalize_rows" in names
+    assert names.isdisjoint({"gw_equal", "hilbert_symbol", "hasse_invariant", "ConjugatePair",
+                             "local_degree_simple", "milnor_number_a1", "milnor_chi_relation"})
+
+
+@pytest.mark.parametrize(
+    "argv,reads",
+    [
+        *(pytest.param(["dt-a3", "--order", "6", "--output", output, "--json"], False,
+                       id=f"dt-a3-{output}") for output in ("motivic", "arithmetic", "complex", "real")),
+        pytest.param(["gw", "--op", "mul", "--a", "<2> + <3>", "--b", "<6>", "--json"], False, id="gw"),
+        pytest.param(["gv", "--m", "7", "--compare", "--json"], False, id="gv-compare"),
+        pytest.param(["oracle", "pp", "--n", "4", "--json"], False, id="oracle"),
+        pytest.param(["ekl", "--map", "{map}", "--json"], True, id="ekl"),
+        pytest.param(["nearby", "--data", "{snc}", "--json"], True, id="nearby"),
+    ],
+)
+def test_json_package_is_loaded_only_by_jobs_that_read_json(argv, reads, tmp_path):
+    # the writer escapes strings with _json's encoder; ekl and nearby read their input
+    files = {"map": tmp_path / "map.json", "snc": tmp_path / "snc.json"}
+    files["map"].write_text(_MAP)
+    files["snc"].write_text(json.dumps(_SNC))
+    modules = _modules_after(*(a.format(**files) for a in argv))
+    assert "arithdt.jsonout" in modules
+    assert bool({m for m in modules if m.split(".")[0] == "json"}) == reads
 
 
 def test_library_imports_only_the_standard_library():

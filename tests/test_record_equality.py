@@ -14,10 +14,13 @@ from fractions import Fraction
 import pytest
 
 import arithdt.castelnuovo  # noqa: F401 -- each of these modules defines Frozen classes
+import arithdt.degrees  # noqa: F401
 import arithdt.dt  # noqa: F401
 import arithdt.ekl  # noqa: F401
 import arithdt.nearby  # noqa: F401
 import arithdt.partitions  # noqa: F401
+import arithdt.potential  # noqa: F401
+import arithdt.squares  # noqa: F401
 from arithdt.errors import FieldMismatchError
 from arithdt.fields import QQ, RR, CoefficientRing, Frozen, Value
 from arithdt.gw import GwElement

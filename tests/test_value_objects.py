@@ -16,17 +16,20 @@ import pytest
 
 import arithdt.ekl
 from arithdt.castelnuovo import CastelnuovoInput, GvComparison, gv_compare
-from arithdt.dt import MatrixTriple, PartitionFunctionResult, partition_function
-from arithdt.ekl import ConjugatePair, EklResult, MilnorReport, ekl_class, milnor_chi_relation
+from arithdt.degrees import ConjugatePair, MilnorReport, milnor_chi_relation
+from arithdt.dt import PartitionFunctionResult, partition_function
+from arithdt.ekl import EklResult, ekl_class
 from arithdt.errors import ArithdtError, InputDataError
-from arithdt.fields import CC, QQ, RR, BaseField, CoefficientRing, Frozen, SquareClass, finite_field
+from arithdt.fields import CC, QQ, RR, BaseField, CoefficientRing, Frozen, finite_field
 from arithdt.gw import gw_ring
 from arithdt.gwalpha import SPEC_C, GaussianInteger, GeneratorSpec
 from arithdt.motivic import L, MOT_ONE, MotivicClass, quadratic_point_generator
 from arithdt.multipoly import MultiPoly
 from arithdt.nearby import SncData, StratumRecord
 from arithdt.partitions import VerifyReport, verify_macmahon
+from arithdt.potential import MatrixTriple
 from arithdt.series import INT_RING
+from arithdt.squares import SquareClass
 
 
 def _twin(cls):
