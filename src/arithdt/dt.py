@@ -15,9 +15,10 @@ so a series of order N only needs the finitely many factors with m <= N;
 the truncated result is exact.
 
 Each series has one route, and a caller pays only for the one it asks for.
-With u = L^{1/2} and t = T u, Z(T u) is divided over the integers: at u = 1
+With u = L^{1/2} and t = T u, Z(T u) has coefficients in Z[q], q = u^2, that
+one integer recurrence computes at an integer q, dividing no series: at u = 1
 it is the MacMahon series M(T), at u = i the symmetric series M^sym(T), and
-at u = 2^b it packs Z(t) into base-2^b digits (Kronecker substitution; see
+at q = 2^b it packs Z(t) into base-2^b digits (Kronecker substitution; see
 z_motivic).  The complex series M(-t) is read off u = 1 with the sign
 (-1)^n, the real series (-i)^n M^sym_n in Z[i] off u = i, and the arithmetic
 series, the chi_a1 image of Z(t), off both (see z_arithmetic): no motivic
@@ -34,26 +35,21 @@ from .fields import BaseField, Frozen, QQ
 from .series import INT_RING, TruncatedSeries
 
 
-def _z_at(order: int, q: int) -> TruncatedSeries:
-    """Z(T u) over Z, with u = L^{1/2} evaluated at a u with u^2 = ``q``.
+def _z_at(order: int, q: int) -> list:
+    """The coefficients of Z(T u) over Z, u = L^{1/2} evaluated with u^2 = ``q``.
 
-    For each m the m factors 1 - u^4 q^k T^m, k < m, multiply out by the
-    q-binomial theorem (Andrews, *The Theory of Partitions*, ch. 3) to
-
-        sum_j (-1)^j u^{j(j+3)} [m choose j]_q T^{jm},
-
-    so the series is divided once per m.  j(j+3) is even, so u^{j(j+3)} is
-    q^{j(j+3)/2} and q alone suffices.  Rows follow the q-Pascal rule
-    [m, j] = [m-1, j-1] + q^j [m-1, j], with no division, for j <= order // m.
+    Each factor is 1 - q^{k+2} T^m, so T d/dT log Z(T u) = sum_n B_n T^n with
+    B_n = sum_{m r = n} m (q^{2r} + ... + q^{(m+1)r}), and n Y_n = sum_{k<=n} B_k Y_{n-k}
+    from Y_0 = 1.  That is an identity in Z[q], so at an integer q it divides exactly.
     """
-    result = TruncatedSeries.one(INT_RING, order)
-    row = [1]  # [m choose j]_q for j <= min(m, order // m), from m = 0
+    b = [0] * (order + 1)
     for m in range(1, order + 1):
-        row.append(0)  # the rule reads past the row only at j = m, where [m-1 choose m]_q = 0
-        row = [1] + [row[j - 1] + q**j * row[j] for j in range(1, min(m, order // m) + 1)]
-        terms = {j * m: (-1) ** j * q ** (j * (j + 3) // 2) * c for j, c in enumerate(row)}
-        result = result / TruncatedSeries.from_terms(INT_RING, order, terms)
-    return result
+        for r in range(1, order // m + 1):
+            b[m * r] += m * sum(q ** (j * r) for j in range(2, m + 2))
+    y = [1]
+    for n in range(1, order + 1):
+        y.append(sum(b[k] * y[n - k] for k in range(1, n + 1)) // n)
+    return y
 
 
 def z_motivic(order: int) -> TruncatedSeries:
@@ -61,26 +57,21 @@ def z_motivic(order: int) -> TruncatedSeries:
 
     The coefficient of T^n in Z(T u) is u^n z_n(u), where z_n is the
     coefficient of t^n in Z(t).  Every inverted factor 1 / (1 - u^{2k+4} T^m)
-    has coefficients 0 and 1, so u^n z_n is a polynomial in u with
-    coefficients >= 0 that add up to its value at u = 1, the MacMahon number
-    M_n < 2^b with b = max M_n .bit_length().  Evaluation at an integer is a
-    ring morphism, so at u = 2^b the coefficient of T^n is an integer whose
-    base-2^b digits, read with shifts and masks, are the coefficients of
-    u^{s-n} in z_n, s = 0, 1, ...: no digit carries.
+    has coefficients 0 and 1, so u^n z_n is a polynomial in q = u^2 of degree
+    <= 2n, with coefficients >= 0 that add up to its value at u = 1, the
+    MacMahon number M_n < 2^b with b = max M_n .bit_length().  Evaluation at
+    an integer is a ring morphism, so at q = 2^b the coefficient of T^n is an
+    integer whose base-2^b digits, read with shifts and masks, are the
+    coefficients of u^{2s-n} in z_n, s = 0, ..., 2n: no digit carries.
     """
     from .motivic import MOTIVIC_RING, MotivicClass
 
-    b = max(macmahon(order).coeffs).bit_length()
+    b = max(_z_at(order, 1)).bit_length()
     mask = (1 << b) - 1
     coeffs = []
-    for n, packed in enumerate(_z_at(order, 1 << 2 * b).coeffs):
-        terms, e = [], -n
-        while packed:
-            if digit := packed & mask:
-                terms.append((e, digit))
-            packed >>= b
-            e += 1
-        coeffs.append(MotivicClass._make(tuple(terms)))
+    for n, packed in enumerate(_z_at(order, 1 << b)):
+        digits = ((2 * s - n, packed >> s * b & mask) for s in range(2 * n + 1))
+        coeffs.append(MotivicClass._make(tuple((e, d) for e, d in digits if d)))
     return TruncatedSeries(MOTIVIC_RING, order, coeffs)
 
 
@@ -121,12 +112,12 @@ def z_real(order: int) -> TruncatedSeries:
 
 def macmahon(order: int) -> TruncatedSeries:
     """M(q) = prod (1 - q^n)^{-n}, the plane-partition series: Z(T u) at u = 1."""
-    return _z_at(order, 1)
+    return TruncatedSeries(INT_RING, order, _z_at(order, 1))
 
 
 def macmahon_symmetric(order: int) -> TruncatedSeries:
     """M^sym(q) = prod (1 - q^{2n-1})^{-1} (1 - q^{2n})^{-floor(n/2)}: Z(T u) at u = i."""
-    return _z_at(order, -1)
+    return TruncatedSeries(INT_RING, order, _z_at(order, -1))
 
 
 class PartitionFunctionResult(Frozen):

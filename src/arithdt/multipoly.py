@@ -149,7 +149,7 @@ class MultiPoly(Value):
         return [self.partial(i) for i in range(len(self.variables))]
 
     def evaluate(self, point) -> Fraction:
-        point = [json_rational(x, "point coordinate") for x in point]
+        point = [json_rational(x, "point coordinate") for x in _sequence(point, "point")]
         if len(point) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
         total = Fraction(0)
@@ -163,7 +163,7 @@ class MultiPoly(Value):
 
     def evaluate_quadratic(self, point, d: int) -> tuple[Fraction, Fraction]:
         """Evaluate at a point of Q(sqrt(d)); coordinates are (u, v) pairs u + v*sqrt(d)."""
-        coords = [_uv_pair(x) for x in point]
+        coords = [_uv_pair(x) for x in _sequence(point, "point")]
         if len(coords) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
 
@@ -198,6 +198,13 @@ class MultiPoly(Value):
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables}; {self.render()})"
+
+
+def _sequence(x, what: str):
+    """``x`` itself if it is a list or a tuple: a point or a list of coordinates."""
+    if not isinstance(x, (tuple, list)):
+        raise InputDataError(f"{what} must be a list or a tuple, got {brief(x)}")
+    return x
 
 
 def _uv_pair(x) -> tuple:

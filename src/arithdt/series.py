@@ -3,12 +3,12 @@
 Coefficients live in any commutative ring whose elements support +, -, *
 and ==; the ring itself is described by a small adapter carrying its zero
 and one.  A series of order N stores coefficients of t^0 .. t^N and every
-operation truncates eagerly at that order.  Inverses, negative powers and
-the Euler products in dt.py are applied by one in-place division,
-__truediv__, whose cost is the divisor's nonzero terms times the order.
-dt.py divides one product over Z (INT_RING): Z(T u) at q = u^2, one
-q-binomial group per m, which is MacMahon's series at u = 1, M^sym at u = i
-and packs the motivic series at u = 2^b.  The complex, real and arithmetic
+operation truncates eagerly at that order.  Inverses and negative powers
+are applied by one in-place division, __truediv__, whose cost is the
+divisor's nonzero terms times the order.  dt.py builds its series from
+coefficient lists and does no series arithmetic: one integer recurrence
+gives Z(T u) at q = u^2, which is MacMahon's series at u = 1, M^sym at u = i
+and packs the motivic series at q = 2^b.  The complex, real and arithmetic
 series are all read off the first two.
 
 Loading this module compiles no ring module and imports no ``fractions``:

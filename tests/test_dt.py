@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from test_main import _in_main
 
 from arithdt import dt
 from arithdt.dt import (
@@ -167,12 +168,34 @@ def _macmahon_symmetric_product(order):
     return result
 
 
+def _z_at_q_binomial(order, q):
+    """Z(T u) over Z at u^2 = ``q``, divided once per m.
+
+    The m factors 1 - u^4 q^k T^m, k < m, multiply out by the q-binomial
+    theorem to sum_j (-1)^j u^{j(j+3)} [m choose j]_q T^{jm}; j(j+3) is even,
+    so u^{j(j+3)} is q^{j(j+3)/2}.  Rows follow the q-Pascal rule
+    [m, j] = [m-1, j-1] + q^j [m-1, j], for j <= order // m.
+    """
+    result = TruncatedSeries.one(INT_RING, order)
+    row = [1]  # [m choose j]_q for j <= min(m, order // m), from m = 0
+    for m in range(1, order + 1):
+        row.append(0)  # the rule reads past the row only at j = m, where [m-1 choose m]_q = 0
+        row = [1] + [row[j - 1] + q**j * row[j] for j in range(1, min(m, order // m) + 1)]
+        terms = {j * m: (-1) ** j * q ** (j * (j + 3) // 2) * c for j, c in enumerate(row)}
+        result = result / TruncatedSeries.from_terms(INT_RING, order, terms)
+    return result
+
+
 @pytest.mark.parametrize("order", [*range(1, 61), 100])
 def test_series_kernel_matches_incremental_binomials_and_product(order):
     assert macmahon(order) == _z_motivic_at(order, 1)
     assert macmahon_symmetric(order) == _macmahon_symmetric_product(order)
     b = max(macmahon(order).coeffs).bit_length()
-    assert dt._z_at(order, 4**b) == _z_motivic_at(order, 2**b)
+    assert dt._z_at(order, 4**b) == list(_z_motivic_at(order, 2**b).coeffs)
+    # the recurrence against the q-binomial division, at u = 1, u = i, u = 2^b
+    # and at q = 2^b, where z_motivic packs
+    for q in (1, -1, 4**b, 2**b):
+        assert dt._z_at(order, q) == list(_z_at_q_binomial(order, q).coeffs)
 
 
 def _z_arithmetic_from_counts(order, field):
@@ -278,7 +301,7 @@ def test_series_kernel_evaluates_the_motivic_series(u, order):
         sum(c * u ** (e + n) for e, c in coeff.u_terms)
         for n, coeff in enumerate(_z_motivic_q_binomial(order).coeffs)
     )
-    assert dt._z_at(order, u * u).coeffs == expected
+    assert dt._z_at(order, u * u) == list(expected)
 
 
 def test_packed_digits_are_nonnegative_and_sum_to_macmahon():
@@ -290,6 +313,25 @@ def test_packed_digits_are_nonnegative_and_sum_to_macmahon():
             assert not coeff.extras
             assert all(c > 0 and e >= -n for e, c in coeff.u_terms)
             assert sum(c for _, c in coeff.u_terms) == counts[n]
+
+
+def test_motivic_job_at_a_raised_cap_evaluates_to_the_q_binomial_oracle():
+    # the whole process at order 150, five times the default cap; the bound is a hang guard
+    order = 150
+    argv = ["dt-a3", "--order", str(order), "--output", "motivic", "--json"]
+    code, out, err = _in_main(argv, env={"ARITHDT_MAX_ORDER": str(order)}, timeout=10)
+    assert (code, err) == (0, b"")
+    coeffs = json.loads(out)["series"]["coeffs"]
+    counts = _z_at_q_binomial(order, 1).coeffs
+    symmetric = _z_at_q_binomial(order, -1).coeffs
+    i_power = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im), k mod 4
+    assert len(coeffs) == order + 1
+    for n, coeff in enumerate(coeffs):
+        assert coeff["extras"] == {}
+        # at u = 1 the class is M_n, and at u = i it is (-i)^n M^sym_n
+        assert sum(c for _, c in coeff["u_coeffs"]) == counts[n]
+        at_i = [sum(c * i_power[e % 4][part] for e, c in coeff["u_coeffs"]) for part in (0, 1)]
+        assert at_i == [x * symmetric[n] for x in i_power[-n % 4]]
 
 
 def _digest(series):

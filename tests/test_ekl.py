@@ -418,6 +418,17 @@ def test_a_coordinate_that_is_not_a_pair_is_refused(coords, shown):
         plane[0].evaluate_quadratic(coords, 2)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: local_degree_simple([P(("x",), "x")], 5), "point must be a list or a tuple, got 5"),
+    (lambda: P(("x",), "x").evaluate(5), "point must be a list or a tuple, got 5"),
+    (lambda: P(("x",), "x").evaluate_quadratic(5, 2), "point must be a list or a tuple, got 5"),
+    (lambda: ConjugatePair(2, 5), "coords must be a list or a tuple, got 5"),
+], ids=["local-degree", "evaluate", "evaluate-quadratic", "conjugate-pair"])
+def test_a_point_that_is_not_a_sequence_is_refused(call, message):
+    with pytest.raises(InputDataError, match=f"^{message}$"):
+        call()
+
+
 def test_global_degree_of_squaring_is_y_independent():
     squaring = P(("x",), "x**2")
     for y in (1, -1, 4):

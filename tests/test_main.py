@@ -41,8 +41,10 @@ _SNC = {
 }
 
 
-def _in_main(argv, **kwargs) -> tuple:
-    proc = subprocess.run(MAIN + argv, capture_output=True, timeout=60, env=ENV, **kwargs)
+def _in_main(argv, env=(), timeout=60, **kwargs) -> tuple:
+    """Run main in a child with ENV and the variables in ``env``; exit code, stdout, stderr."""
+    proc = subprocess.run(MAIN + argv, capture_output=True, timeout=timeout,
+                          env={**ENV, **dict(env)}, **kwargs)
     return proc.returncode, proc.stdout, proc.stderr
 
 
