@@ -18,7 +18,6 @@ report records the discrepancies rather than silently repairing them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import ArithdtError, NonIntegralCoefficientError
@@ -31,6 +30,8 @@ def castelnuovo_bound(d: int) -> Fraction:
     """B(d) = (d^2 + 5d + 10)/10, exactly."""
     if d < 1:
         raise ArithdtError("degrees are positive")
+    from fractions import Fraction
+
     return Fraction(d * d + 5 * d + 10, 10)
 
 
@@ -101,21 +102,19 @@ def gv_closed_form(m: int, field: BaseField = QQ) -> GwAlphaElement:
     multiplicities (this happens at m = 1).
     """
     n = fiber_dimension(m)
+    # twice each multiplicity is odd when it is not whole, so k/2 is in lowest terms
     if m % 4 in (0, 1):
-        c_plus = Fraction(6 + 5 * n, 2)
-        c_minus = Fraction(4 + 5 * n, 2)
-        if c_plus.denominator != 1 or c_minus.denominator != 1:
+        plus, minus = 6 + 5 * n, 4 + 5 * n
+        if n % 2:
             raise NonIntegralCoefficientError(
-                f"branch m = 0,1 (mod 4) gives multiplicities {c_plus} and {c_minus} at m={m}"
+                f"branch m = 0,1 (mod 4) gives multiplicities {plus}/2 and {minus}/2 at m={m}"
             )
-        body = GwElement.one(field) * int(c_plus) + GwElement.unit(field, -1) * int(c_minus)
+        body = GwElement.one(field) * (plus // 2) + GwElement.unit(field, -1) * (minus // 2)
         return GwAlphaElement.alpha(field) * GwAlphaElement.from_even(body)
-    c_h = Fraction(5 * (n + 1), 2)
-    if c_h.denominator != 1:
-        raise NonIntegralCoefficientError(
-            f"branch m = 2,3 (mod 4) gives multiplicity {c_h} at m={m}"
-        )
-    return GwAlphaElement.from_even(GwElement.hyperbolic(field) * int(c_h))
+    h = 5 * (n + 1)
+    if n % 2 == 0:
+        raise NonIntegralCoefficientError(f"branch m = 2,3 (mod 4) gives multiplicity {h}/2 at m={m}")
+    return GwAlphaElement.from_even(GwElement.hyperbolic(field) * (h // 2))
 
 
 class GvComparison(Frozen):
@@ -128,7 +127,7 @@ class GvComparison(Frozen):
 
     def __init__(self, m: int, fiber_dim: int, direct: GwAlphaElement,
                  closed: GwAlphaElement | None, closed_error: str | None, rank_direct: int,
-                 rank_closed: Fraction, ranks_agree: bool, signatures_agree: bool | None,
+                 rank_closed: int, ranks_agree: bool, signatures_agree: bool | None,
                  gw_equal_verdict: bool | None, alpha_factor_match: bool | None,
                  description: str) -> None:
         self._assign(m, fiber_dim, direct, closed, closed_error, rank_direct, rank_closed,
@@ -148,7 +147,7 @@ def gv_compare(m: int, field: BaseField = QQ) -> GvComparison:
 
     # the closed form's total rank is 5(N+1) on both branches, even when
     # the individual multiplicities fail to be integers
-    rank_closed = Fraction(5 * (n + 1))
+    rank_closed = 5 * (n + 1)
     rank_direct = direct.rank()
     ranks_agree = rank_direct == rank_closed
 

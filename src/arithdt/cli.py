@@ -10,16 +10,16 @@ embeds the same manifest.
 Each subcommand's handler is the ``run`` of its own module in
 ``arithdt.commands``, named by the subcommand (``dt_a3`` for ``dt-a3``), which
 ``dispatch`` imports for that job alone: a job compiles no other
-subcommand's code, and the handler imports what it computes with (``gw``
-only for a gw job, and a dt-a3 job only the modules of the series it
-prints).  The ``json`` package is imported only where JSON is read (the
-``--map`` of ``ekl``, the ``--data`` of ``nearby`` and the ``--matrix`` of
-``gw --op diagonalize``), and the JSON writer (``jsonout``) and the manifest
-only where JSON is written; the writer escapes strings with ``_json``'s C
-encoder, so a job that writes JSON but reads none loads no ``json`` package.
-A job loads no other module.  ``main`` is the process entry point, which
-ends the process at its answer, with no interpreter teardown; ``dispatch``
-runs one command line for a caller in the same process.
+subcommand's code, and the handler imports what it computes with.  The
+``json`` package is imported only where JSON is read (the ``--map`` of
+``ekl``, the ``--data`` of ``nearby`` and the ``--matrix`` of ``gw --op
+diagonalize``), and the JSON writer (``jsonout``) and the manifest only where
+JSON is written; the writer escapes strings with ``_json``'s C encoder, so a
+job that writes JSON but reads none loads no ``json`` package.  ``JOBS`` in
+tests/test_package.py lists the modules each command line loads.  ``main``
+is the process entry point, which ends the process at its answer, with no
+interpreter teardown; ``dispatch`` runs one command line for a caller in the
+same process.
 
 One table, ``COMMANDS``, describes every subcommand: its help and its
 options.  It builds the argparse parser, and it feeds ``strict_args``, which

@@ -1,11 +1,11 @@
 """One module per ``arithdt`` subcommand, each loaded only by its own job.
 
-A module is named by its subcommand (``dt_a3`` for ``dt-a3``).
-``cli.dispatch`` imports the one module of the job's subcommand and calls its
-``run(args)``, which returns the JSON payload and a function making the
-text: ``cli._emit`` calls that function only in text mode.  A module
-imports, at its top, the library modules its job computes with, and keeps
-the helpers only it uses, so a job compiles no other subcommand's code.
+A module is named by its subcommand (``dt_a3`` for ``dt-a3``).  ``cli.dispatch``
+imports the one module of the job's subcommand and calls its ``run(args)``,
+which returns the JSON payload and a function making the text: ``cli._emit``
+calls that function only in text mode.  A module imports, at its top, the
+library modules its job computes with, and keeps the helpers only it uses, so
+a job compiles no other subcommand's code (``JOBS``, tests/test_package.py).
 """
 
 from ..errors import InputDataError

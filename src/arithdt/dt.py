@@ -26,7 +26,7 @@ class is made for any of them.  ``motivic`` is imported only by z_motivic and
 the quadratic-form modules only by z_arithmetic, so a complex job needs neither.
 
 The moduli side, the trace potential on matrix triples, lives in
-``potential``: no ``dt-a3`` job runs it.
+``potential``: no ``dt-a3`` job loads it (``JOBS``, tests/test_package.py).
 """
 
 from __future__ import annotations

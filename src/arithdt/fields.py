@@ -5,8 +5,8 @@ with the canonical integer representative of each, live in ``squares``; this
 module keeps ``squarefree_part`` and ``prime_factors``, the integer side of
 the classes over Q.  The integers are factored in ``factor``, which
 ``squarefree_part`` and ``prime_factors`` import on the first input other
-than +-1 (and 0), and the F_p constructor when it tests p: a job that
-factors no integer compiles no factoring code.
+than +-1 (and 0), and the F_p constructor when it tests p: a job that factors
+no integer compiles no factoring code (``JOBS``, tests/test_package.py).
 
 The bases of every value type live here too (``Value``, ``Frozen``), and
 ``CoefficientRing``, the series adapter each ring module builds for itself.

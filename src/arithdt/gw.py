@@ -19,7 +19,7 @@ is imported when its caller is called, so a job that only adds and
 multiplies classes compiles neither.  GW(k)(alpha),
 the ring of GwAlphaElement with alpha a formal square root of <-1>, lives in
 ``gwalpha``, and the Gaussian integers it maps to in ``gaussian``, so a job
-in GW(k) alone does not compile them.
+in GW(k) alone does not compile them (``JOBS``, tests/test_package.py).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ receptacle for half powers of the Lefschetz class under the compactly
 supported A^1-Euler characteristic.  Its signed real count lies in the
 Gaussian integers, GaussianInteger, defined in ``gaussian`` and importable
 from here.  Kept apart from ``gw`` so that a job in GW(k) alone does not
-compile this module.
+compile this module (``JOBS``, tests/test_package.py).
 
 The values of ``motivic``'s generators are elements of this ring, so their
 ``GeneratorSpec`` and the default table ``DEFAULT_GENERATORS`` (with

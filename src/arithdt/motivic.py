@@ -27,7 +27,8 @@ A generator's values are a ``gwalpha.GeneratorSpec``, and the default
 table (``gwalpha.DEFAULT_GENERATORS``, with ``SPEC_C``) is built when
 ``gwalpha`` loads.  Loading this module compiles no quadratic-form module:
 ``chi_a1`` and ``quadratic_point_generator`` import ``gw``, ``gwalpha`` and
-``gaussian``, so a job that only multiplies classes needs none of them.
+``gaussian``, so a job that only multiplies classes needs none of them
+(``JOBS``, tests/test_package.py).
 """
 
 from __future__ import annotations

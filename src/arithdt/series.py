@@ -15,7 +15,7 @@ Loading this module compiles no ring module and imports no ``fractions``:
 it defines only INT_RING, the adapter of Z.  Every other ring's adapter is
 defined in the module of its elements (``gaussian.GAUSSIAN_RING``,
 ``motivic.MOTIVIC_RING``, ``gw.gw_ring``, ``gwalpha.gw_alpha_ring``), so a
-series over Z needs only ``fields``.
+series over Z needs only ``fields`` (``JOBS``, tests/test_package.py).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import arithdt
+from arithdt import castelnuovo
 from arithdt.castelnuovo import (
     CastelnuovoInput,
     castelnuovo_bound,
@@ -19,7 +20,7 @@ from arithdt.castelnuovo import (
     gv_virtual_class_motivic,
 )
 from arithdt.errors import ArithdtError, NonIntegralCoefficientError
-from arithdt.fields import QQ, finite_field
+from arithdt.fields import CC, QQ, RR, finite_field
 from arithdt.gw import GwElement
 from arithdt.gwalpha import GwAlphaElement
 from arithdt.motivic import (
@@ -140,13 +141,52 @@ def test_fiber_dimension_parity():
             assert n % 2 == 0
 
 
-def test_closed_form_branches():
+def _closed_form_oracle(m, field):
+    """gv_closed_form as it was first written, with Fraction multiplicities."""
+    n = castelnuovo.fiber_dimension(m)
+    if m % 4 in (0, 1):
+        c_plus = Fraction(6 + 5 * n, 2)
+        c_minus = Fraction(4 + 5 * n, 2)
+        if c_plus.denominator != 1 or c_minus.denominator != 1:
+            raise NonIntegralCoefficientError(
+                f"branch m = 0,1 (mod 4) gives multiplicities {c_plus} and {c_minus} at m={m}"
+            )
+        body = GwElement.one(field) * int(c_plus) + GwElement.unit(field, -1) * int(c_minus)
+        return GwAlphaElement.alpha(field) * GwAlphaElement.from_even(body)
+    c_h = Fraction(5 * (n + 1), 2)
+    if c_h.denominator != 1:
+        raise NonIntegralCoefficientError(
+            f"branch m = 2,3 (mod 4) gives multiplicity {c_h} at m={m}"
+        )
+    return GwAlphaElement.from_even(GwElement.hyperbolic(field) * int(c_h))
+
+
+def _class_or_message(closed_form, m, field):
+    try:
+        return closed_form(m, field)
+    except NonIntegralCoefficientError as exc:
+        return str(exc)
+
+
+def test_closed_form_branches(monkeypatch):
     assert gv_closed_form(4) == ALPHA * GwAlphaElement.from_even(
         GwElement.one(QQ) * 88 + GwElement.unit(QQ, -1) * 87
     )
     assert gv_closed_form(2) == GwAlphaElement.from_even(H * 25)
-    with pytest.raises(NonIntegralCoefficientError):
+    with pytest.raises(NonIntegralCoefficientError, match=r"^branch m = 0,1 \(mod 4\) gives "
+                       r"multiplicities 21/2 and 19/2 at m=1$"):
         gv_closed_form(1)
+    # the integer multiplicities against the Fraction oracle: the same class, or the same
+    # message; N = m, for small m, also takes each branch to the parity that raises
+    fields = (QQ, RR, CC, finite_field(5))
+    cases = [(m, field) for m in range(1, 201) for field in fields]
+    assert [_class_or_message(gv_closed_form, *case) for case in cases] == [
+        _class_or_message(_closed_form_oracle, *case) for case in cases]
+    monkeypatch.setattr(castelnuovo, "fiber_dimension", lambda m: m)
+    cases = [(m, field) for m in range(1, 13) for field in fields]
+    outcomes = [_class_or_message(gv_closed_form, *case) for case in cases]
+    assert outcomes == [_class_or_message(_closed_form_oracle, *case) for case in cases]
+    assert "branch m = 2,3 (mod 4) gives multiplicity 15/2 at m=2" in outcomes
 
 
 def test_compare_reports():
