@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from operator import getitem
 from pathlib import Path
@@ -17,6 +16,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_contract import NINES, _ekl_map, _run, _snc, _type_error
 from test_groebner import thin_staircase
 
 import arithdt
@@ -255,13 +255,6 @@ def test_nearby_json_peak_memory_is_bounded(tmp_path, monkeypatch):
     assert peak < 3.1 * 2**20
 
 
-def _type_error(op, *args) -> str:
-    """The message of the TypeError that ``op(*args)`` raises on this Python."""
-    with pytest.raises(TypeError) as exc:
-        op(*args)
-    return str(exc.value)
-
-
 @pytest.mark.parametrize(
     "strata,where,op,args",
     [
@@ -369,14 +362,6 @@ def test_gv_without_compare_prints_the_direct_class_of_the_report(label, capsys)
         assert (code, out, err) == (0, expected.getvalue(), "")
 
 
-@pytest.mark.parametrize("argv", [["--m", "0"], ["--m", "-3"], ["--m", "2", "--field", "Fx"]],
-                         ids=["zero", "negative", "field"])
-def test_gv_errors_do_not_depend_on_compare(argv, capsys):
-    code, out, err = run_cli(["gv", *argv], capsys)
-    assert (code, out) == (1, "") and err.startswith("error: ") and len(err.splitlines()) == 1
-    assert run_cli(["gv", *argv, "--compare"], capsys) == (code, out, err)
-
-
 def test_gv_over_unordered_fields(capsys):
     code, out, _ = run_cli(["gv", "--m", "3", "--field", "C"], capsys)
     assert code == 0 and out.startswith("m=3 (N=19): ")
@@ -433,15 +418,6 @@ def test_out_file_writes_manifest(tmp_path, capsys):
     assert manifest["subcommand"] == "gw"
     assert manifest["parameters"]["op"] == "add"
     assert manifest["outputs"] == [str(out_path)]
-
-
-def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        dispatch(["gw"])  # missing required --op
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        dispatch(["no-such-command"])
-    assert exc.value.code == 2
 
 
 # -- the strict parser against argparse -------------------------------------------
@@ -521,17 +497,6 @@ def command_lines(draw):
     return [name, *(token for pair in pairs for token in pair)], well_formed
 
 
-def _run(argv):
-    """Exit code, stdout and stderr of ``dispatch(argv)``, a usage error included."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = dispatch(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.fixture(scope="module")
 def argv_directory(tmp_path_factory):
     """A working directory holding the input files the command lines name; every file a
@@ -555,17 +520,6 @@ def test_strict_parser_reads_what_argparse_reads(line, argv_directory):
     with mock.patch.object(cli, "strict_args", lambda argv: None):
         by_argparse = _run(argv)
     assert _run(argv) == by_argparse
-
-
-def test_domain_errors_exit_one(tmp_path, capsys):
-    code, _, err = run_cli(["gw", "--op", "mul", "--a", "<2>"], capsys)
-    assert code == 1 and "required" in err
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"vars": ["x"], "polys": [[[[1], "1"]], [[[1], "1"]]]}))
-    code, _, err = run_cli(["ekl", "--map", str(path)], capsys)
-    assert code == 1  # not a square system
-    code, _, err = run_cli(["ekl", "--map", str(tmp_path / "missing.json")], capsys)
-    assert code == 1
 
 
 @pytest.mark.parametrize(
@@ -624,7 +578,7 @@ def test_bad_input_is_one_error_line(argv, tmp_path, capsys, monkeypatch):
     assert len(err.replace(str(tmp_path), "<tmp>").encode()) < 200
 
 
-def test_error_lines_echo_long_inputs_cut_short(capsys):
+def test_error_lines_echo_long_inputs_cut_short():
     assert brief("Fx") == "'Fx'" and brief(0.1) == "0.1" and brief(-5) == "-5"
     assert brief("7" * 80) == repr("7" * 80) and brief(10**80 - 1) == "9" * 80
     assert brief("7" * 81) == repr("7" * 40) + "... (81 characters)"
@@ -634,14 +588,6 @@ def test_error_lines_echo_long_inputs_cut_short(capsys):
     assert brief_str(Fraction(1, 5)) == "1/5"
     assert brief_str(Fraction(10**80, 3)) == "1" + "0" * 39 + "... (83 characters)"
     assert brief_str(Fraction(3 * 10**5000 + 1, 11)) == "3" + "0" * 39 + "... (5001 digits)/11"
-    # short inputs are echoed as before
-    code, _, err = run_cli(["dt-a3", "--order", "3", "--field", "Fx"], capsys)
-    assert code == 1 and err == "error: unrecognized base field label: 'Fx'\n"
-    code, _, err = run_cli(["gw", "--op", "rank", "--a", "<1/5>", "--field", "F5"], capsys)
-    assert code == 1 and err == "error: 1/5 is not a unit modulo 5\n"
-
-
-NINES = 10**4300 - 1  # as many digits as str() writes: a sum of two has one more
 
 
 def _stratum(index_set, u_coeffs):
@@ -703,15 +649,6 @@ def test_other_value_errors_are_not_taken_for_the_digit_limit(monkeypatch):
     monkeypatch.setattr(sys, "stdout", closed)
     with pytest.raises(ValueError, match="closed file"):
         dispatch(["gw", "--op", "rank", "--a", "<1>"])
-
-
-def _ekl_map(coeff=1, exponent=1):
-    return {"vars": ["x"], "polys": [[[[exponent], coeff]]]}
-
-
-def _snc(u_coeffs=((2, 1),), mult=1, dim=2):
-    cls = {"u_coeffs": [list(t) for t in u_coeffs], "extras": {}}
-    return {"dim": dim, "strata": [{"I": [1], "mult": {"1": mult}, "class": cls}]}
 
 
 @pytest.mark.parametrize(

@@ -8,19 +8,23 @@ pinned digest.  Both files are read where they are, so an output change made
 on purpose is recorded once, with ``perfbench/make_digests.py``, and needs no
 edit here.
 
-``ERRORS`` pins the exit code and the whole of stderr for the bad inputs that
-``test_cli.py`` runs, with the test's directory written as ``{tmp}``.
+``ERRORS`` pins the exit code and the whole of stderr of each refusal, with
+the test's directory written as ``{tmp}``: a new refusal is one ``BAD_INPUT``
+row and one ``ERRORS`` row, and each subcommand but ``selftest``, which reads
+no input, has at least one.  The refusals that quote a TypeError are built
+from the running interpreter, as Python versions word it differently.
 """
 
 import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from operator import getitem
 from pathlib import Path
 
 import pytest
 
-from arithdt.cli import dispatch
+from arithdt.cli import COMMANDS, dispatch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,6 +78,13 @@ def _ekl_map(coeff=1, exponent=1):
     return {"vars": ["x"], "polys": [[[[exponent], coeff]]]}
 
 
+def _type_error(op, *args) -> str:
+    """The message of the TypeError that ``op(*args)`` raises on this Python."""
+    with pytest.raises(TypeError) as exc:
+        op(*args)
+    return str(exc.value)
+
+
 # the input files of BAD_INPUT
 FILES = {
     "bad.json": '{"vars": [',
@@ -110,8 +121,9 @@ FILES = {
 
 # id: (argv, ARITHDT_MAX_ORDER or None); an argv names an input file as {name}, the
 # test's directory as {tmp}, and paths under it that are not there as {missing},
-# {missing-dir} and {out}.  The answers past the digit limit that take a second to
-# sum (one stratum of |I| = 15,000) are left to test_cli.py, which pins their bytes.
+# {missing-dir} and {out}.  One refusal has no row: an answer past the digit limit from
+# one stratum of |I| = 15,000 takes a second to sum, so test_cli.py alone pins its
+# bytes, text and JSON, and it is not run twice.
 BAD_INPUT = {
     "usage-missing-op": (["gw"], None),
     "usage-unknown-command": (["no-such-command"], None),
@@ -142,6 +154,13 @@ BAD_INPUT = {
     "repeated-both": (["nearby", "--data", "{repeated-both.json}"], None),
     "unknown-field": (["dt-a3", "--order", "3", "--field", "Fx"], None),
     "nonunit-mod-5": (["gw", "--op", "rank", "--a", "<1/5>", "--field", "F5"], None),
+    # a gv refusal does not depend on --compare
+    **{f"gv-{name}{tag}": (["gv", *argv, *mode], None)
+       for mode, tag in (([], ""), (["--compare"], "-compare"))
+       for name, argv in (("m-zero", ["--m", "0"]), ("m-negative", ["--m", "-3"]),
+                          ("unknown-field", ["--m", "2", "--field", "Fx"]))},
+    "oracle-over-cap": (["oracle", "pp", "--n", "15"], None),
+    "oracle-negative": (["oracle", "spp", "--n", "-1"], None),
     **{name: (["ekl", "--map", f"{{{name}.json}}"], None) for name in (
         "ekl-float-coeff", "ekl-bool-coeff", "ekl-zero-denominator", "ekl-float-exponent",
         "ekl-bool-exponent", "ekl-duplicate-vars")},
@@ -251,6 +270,12 @@ ERRORS = {
     "repeated-both": (1, "error: stratum index 1 appears twice in I\n"),
     "unknown-field": (1, "error: unrecognized base field label: 'Fx'\n"),
     "nonunit-mod-5": (1, "error: 1/5 is not a unit modulo 5\n"),
+    **{f"gv-{name}{tag}": (1, f"error: {message}\n") for tag in ("", "-compare")
+       for name, message in (("m-zero", "m must be a positive integer"),
+                             ("m-negative", "m must be a positive integer"),
+                             ("unknown-field", "unrecognized base field label: 'Fx'"))},
+    "oracle-over-cap": (1, "error: enumeration is capped at n = 14\n"),
+    "oracle-negative": (1, "error: n must be nonnegative\n"),
     "ekl-float-coeff": (
         1,
         "error: polynomial coefficient must be an integer, a fraction or a rational string, "
@@ -273,24 +298,15 @@ ERRORS = {
     "nearby-bool-coeff": (1, "error: coefficient must be an integer, got False\n"),
     "nearby-float-mult": (1, "error: multiplicity must be an integer, got 1.7\n"),
     "nearby-float-dim": (1, "error: ambient dimension must be an integer, got 2.0\n"),
-    "strata-object": (
-        1,
-        "error: malformed stratum record: string indices must be integers, not 'str'\n",
-    ),
-    "strata-number": (1, "error: malformed SNC data: 'int' object is not iterable\n"),
-    "strata-string": (
-        1,
-        "error: malformed stratum record: string indices must be integers, not 'str'\n",
-    ),
-    "strata-null": (1, "error: malformed SNC data: 'NoneType' object is not iterable\n"),
-    "stratum-is-a-list": (
-        1,
-        "error: malformed stratum record: list indices must be integers or slices, not str\n",
-    ),
-    "u_coeffs-is-a-number": (
-        1,
-        "error: malformed stratum record: 'int' object is not iterable\n",
-    ),
+    # the place that failed, and the TypeError it met in the words of this Python
+    **{name: (1, f"error: malformed {where}: {_type_error(op, *args)}\n")
+       for name, where, op, args in (
+           ("strata-object", "stratum record", getitem, ("I", "I")),
+           ("strata-number", "SNC data", iter, (5,)),
+           ("strata-string", "stratum record", getitem, ("a", "I")),
+           ("strata-null", "SNC data", iter, (None,)),
+           ("stratum-is-a-list", "stratum record", getitem, ([1], "I")),
+           ("u_coeffs-is-a-number", "stratum record", iter, (5,)))},
     "digits-sum-of-two": (
         1,
         "error: the answer holds an integer of more than 4300 digits, more than is written "
@@ -354,6 +370,11 @@ def inputs(tmp_path_factory):
     paths |= {"{tmp}": str(tmp), "{missing}": str(tmp / "missing.json"),
               "{missing-dir}": str(tmp / "missing-dir" / "x.json"), "{out}": str(tmp / "o.json")}
     return tmp, paths
+
+
+def test_every_subcommand_has_an_error_row():
+    # selftest reads no input
+    assert {argv[0] for argv, _ in BAD_INPUT.values()} >= set(COMMANDS) - {"selftest"}
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUT))
