@@ -99,7 +99,10 @@ def gv_closed_form(m: int, field: BaseField = QQ) -> GwAlphaElement:
     """The piecewise comparison formula, evaluated literally.
 
     Raises NonIntegralCoefficientError when a branch produces non-integer
-    multiplicities (this happens at m = 1).
+    multiplicities.  N = fiber_dimension(m) is 5 m(m - 1)/2 + 4 for m >= 2 and
+    3 at m = 1, so N is odd exactly when m = 2, 3 (mod 4) or m = 1.  Hence the
+    m = 0,1 (mod 4) branch fails only at m = 1, and the integrality check of
+    the m = 2,3 (mod 4) branch never fires; it stays to guard the ``//``.
     """
     n = fiber_dimension(m)
     # twice each multiplicity is odd when it is not whole, so k/2 is in lowest terms

@@ -450,6 +450,13 @@ def test_library_imports_only_the_standard_library():
                 assert top == "arithdt" or top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
+def test_every_folder_of_modules_is_a_package():
+    # setuptools' packages.find ships only the folders that hold an __init__.py
+    package = Path(arithdt.__file__).resolve().parent
+    folders = sorted({path.parent for path in package.rglob("*.py")})
+    assert [folder for folder in folders if not (folder / "__init__.py").is_file()] == []
+
+
 def test_constants_live_with_their_rings():
     # a constant is built in the module of its type, when that module loads: the
     # export table is the one lazy hook, and a series over Z loads no other ring
