@@ -9,11 +9,11 @@ N = C(m+3, 3) - C(m-2, 3) - 1, so its motivic virtual class is
 Direct evaluation of the A^1-Euler characteristic of that class, through
 the morphism's values on [P^N] and [P^4], is the authoritative refined count
 here.  A piecewise closed form for the same evaluation is also implemented,
-literally, for comparison reports only: as stated it is inconsistent with
-direct evaluation (its m = 0,1 (mod 4) branch produces half-integer
-multiplicities at m = 1, and the m = 2,3 (mod 4) branch omits the overall
-alpha factor forced by the odd half power L^{(N+4)/2}).  The comparison
-report records the discrepancies rather than silently repairing them.
+literally, for comparison reports only.  It fails at m = 1; elsewhere
+direct = alpha^e * closed, measured for m <= 200: over Q and R, e = 3 at
+m = 0, 1 (mod 8), e = 1 at m = 4, 5 (mod 8) and both at m = 2, 3 (mod 4),
+and over F5 both at every m.  ``gv_compare`` tests only e = 1; its report
+records the discrepancies rather than silently repairing them.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ the job prints.
 import os
 
 from .. import dt
-from ..errors import InputDataError, brief
+from ..errors import InputDataError, text_int
 from ..fields import parse_field_label
 
 DEFAULT_MAX_ORDER = 30
@@ -17,10 +17,7 @@ def max_series_order() -> int:
     raw = os.environ.get("ARITHDT_MAX_ORDER")
     if raw is None:
         return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputDataError(f"ARITHDT_MAX_ORDER must be an integer, got {brief(raw)}") from None
+    value = text_int(raw, "ARITHDT_MAX_ORDER")
     if value < 1:
         raise InputDataError("ARITHDT_MAX_ORDER must be positive")
     return value

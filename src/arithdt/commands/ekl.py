@@ -1,32 +1,19 @@
 """``arithdt ekl``: the local degree of a polynomial map read from a JSON file."""
 
 from ..ekl import ekl_class
-from ..errors import InputDataError
+from ..errors import InputDataError, json_dict, json_list, json_pairs, json_str
 from ..fields import parse_field_label
 from ..multipoly import MultiPoly
 from . import load_json
 
 
 def _polys_from_json(data) -> list:
-    if not isinstance(data, dict):
-        raise InputDataError("malformed polynomial payload: the top level must be a JSON object")
-    try:
-        variables, rows = data["vars"], data["polys"]
-    except KeyError as exc:
-        raise InputDataError(f"malformed polynomial payload: {exc}") from exc
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputDataError('malformed polynomial payload: "vars" must be a JSON list of strings')
-    if not isinstance(rows, list):
-        raise InputDataError('malformed polynomial payload: "polys" must be a JSON list')
-    variables = tuple(variables)
-    try:
-        polys = [MultiPoly(variables, pairs) for pairs in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputDataError(f"malformed polynomial payload: {exc}") from exc
+    data = json_dict(data, "polynomial map")
+    variables = tuple(json_str(v, "variable name") for v in json_list(data.get("vars"), '"vars"'))
+    rows = json_list(data.get("polys"), '"polys"')
+    polys = [MultiPoly(variables, json_pairs(row, "polynomial")) for row in rows]
     if len(set(variables)) != len(variables):
         raise InputDataError(f"duplicate variable names in {list(variables)}")
-    if not polys:
-        raise InputDataError("no polynomials given")
     return polys
 
 

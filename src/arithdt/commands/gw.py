@@ -3,7 +3,7 @@
 import re
 import sys
 
-from ..errors import InputDataError, brief
+from ..errors import InputDataError, brief, json_list
 from ..fields import parse_field_label
 from ..gw import GwElement, diagonalize_symmetric
 from ..squares import square_class_rep
@@ -56,11 +56,9 @@ def _parse_matrix(text: str) -> list:
 
     try:
         rows = json.loads(text)
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError("expected a JSON list of rows")
-        return rows
     except (ValueError, RecursionError) as exc:
         raise InputDataError(f"malformed --matrix: {exc}") from exc
+    return [json_list(row, "--matrix row") for row in json_list(rows, "--matrix")]
 
 
 def run(args) -> tuple:

@@ -1,5 +1,6 @@
 """``arithdt nearby``: the nearby class of SNC stratification data read from a JSON file."""
 
+from ..errors import json_dict, json_list
 from ..fields import QQ
 from ..motivic import chi_a1
 from ..nearby import SncData, local_nearby_class, nearby_class, virtual_class_critical_locus
@@ -15,10 +16,9 @@ def _released(items: list):
 
 
 def run(args) -> tuple:
-    tree = load_json(args.data)
-    if isinstance(tree, dict) and isinstance(tree.get("strata"), list):
-        # each raw stratum is freed once its record is built
-        tree["strata"] = _released(tree["strata"])
+    tree = json_dict(load_json(args.data), "SNC data")
+    # each raw stratum is freed once its record is built
+    tree["strata"] = _released(json_list(tree.get("strata", []), '"strata"'))
     data = SncData.from_json_dict(tree)
     del tree
     cls = local_nearby_class(data) if args.local else nearby_class(data)

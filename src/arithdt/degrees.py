@@ -17,11 +17,11 @@ fiber.
 from __future__ import annotations
 
 from .ekl import EklResult, _jacobian_determinant, _validate_square_system, ekl_class
-from .errors import ArithdtError, DegenerateSystemError, InputDataError, json_int, json_rational
+from .errors import ArithdtError, DegenerateSystemError, InputDataError, json_int, json_list, json_rational
 from .fields import BaseField, Frozen, QQ, squarefree_part
 from .groebner import buchberger
 from .gw import GwElement, trace_form
-from .multipoly import MultiPoly, _sequence, _uv_pair
+from .multipoly import MultiPoly, _uv_pair
 
 
 class ConjugatePair(Frozen):
@@ -32,7 +32,7 @@ class ConjugatePair(Frozen):
     def __init__(self, d: int, coords: tuple) -> None:
         if json_int(d, "d") in (0, 1) or squarefree_part(d) != d:
             raise ArithdtError("d must be a square-free integer != 1")
-        for coord in _sequence(coords, "coords"):
+        for coord in json_list(coords, "coords"):
             _uv_pair(coord)
         self._assign(d, coords)
 

@@ -91,7 +91,10 @@ def brief(value) -> str:
         return f"{'-' * (value < 0)}{n // 10 ** (digits - 40)}... ({digits} digits)"
     if isinstance(value, str):
         return repr(value) if len(value) <= 80 else f"{value[:40]!r}... ({len(value)} characters)"
-    return _cut(repr(value))
+    try:
+        return _cut(repr(value))
+    except RecursionError:  # the JSON decoder nests deeper than repr() goes on some Pythons
+        return f"a {type(value).__name__} nested too deeply to show"
 
 
 def brief_str(value: "Fraction") -> str:
@@ -114,6 +117,41 @@ def json_int(value, what: str) -> int:
     and strings are refused, never truncated."""
     if type(value) is not int:
         raise InputDataError(f"{what} must be an integer, got {brief(value)}")
+    return value
+
+
+def text_int(text: str, what: str) -> int:
+    """``int(text)``; text that int() does not read, or reads past its digit limit, is refused."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputDataError(f"{what} must be an integer, got {brief(text)}") from None
+
+
+def json_str(value, what: str) -> str:
+    """``value`` if it is a string."""
+    if not isinstance(value, str):
+        raise InputDataError(f"{what} must be a string, got {brief(value)}")
+    return value
+
+
+def json_list(value, what: str, length: int | None = None) -> list:
+    """``value`` if it is a list (or a tuple, as ``to_json_dict`` writes), of ``length`` items if given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        shape = f"a list of {length} items" if length else "a list"
+        raise InputDataError(f"{what} must be {shape}, got {brief(value)}")
+    return value
+
+
+def json_pairs(value, what: str):
+    """The items of the list ``value``, each read lazily as a pair."""
+    return (json_list(item, f"{what} term", 2) for item in json_list(value, what))
+
+
+def json_dict(value, what: str) -> dict:
+    """``value`` if it is a dict, as JSON objects are read."""
+    if not isinstance(value, dict):
+        raise InputDataError(f"{what} must be a JSON object, got {brief(value)}")
     return value
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import chain, zip_longest
 
-from .errors import ArithdtError, GeneratorProductError, json_int
+from .errors import ArithdtError, GeneratorProductError, json_dict, json_int, json_pairs
 from .fields import BaseField, CoefficientRing, QQ, RR, Value, binary_power, linear_sum, render_sum
 
 _UTerms = tuple  # tuple[tuple[int, int], ...], ascending exponents
@@ -198,7 +198,10 @@ class MotivicClass(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotivicClass":
-        return cls(data.get("u_coeffs", []), data.get("extras", {}))
+        data = json_dict(data, "motivic class")
+        extras = json_dict(data.get("extras", {}), '"extras"')
+        return cls(json_pairs(data.get("u_coeffs", []), '"u_coeffs"'),
+                   [(name, json_pairs(terms, '"extras"')) for name, terms in extras.items()])
 
 
 def sum_products(pairs) -> MotivicClass:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ArithdtError, InputDataError, brief, json_int, json_rational
+from .errors import ArithdtError, json_int, json_list, json_rational
 from .fields import Value, binary_power, linear_sum, render_sum
 
 
@@ -23,7 +23,7 @@ class MultiPoly(Value):
         self.variables: tuple[str, ...] = tuple(variables)
         pairs = []
         for exps, coeff in (terms.items() if hasattr(terms, "items") else terms) if terms else ():
-            exps = tuple(json_int(e, "exponent") for e in exps)
+            exps = tuple(json_int(e, "exponent") for e in json_list(exps, "exponent vector"))
             if len(exps) != len(self.variables):
                 raise ArithdtError("exponent vector length does not match variables")
             if any(e < 0 for e in exps):
@@ -149,7 +149,7 @@ class MultiPoly(Value):
         return [self.partial(i) for i in range(len(self.variables))]
 
     def evaluate(self, point) -> Fraction:
-        point = [json_rational(x, "point coordinate") for x in _sequence(point, "point")]
+        point = [json_rational(x, "point coordinate") for x in json_list(point, "point")]
         if len(point) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
         total = Fraction(0)
@@ -163,7 +163,7 @@ class MultiPoly(Value):
 
     def evaluate_quadratic(self, point, d: int) -> tuple[Fraction, Fraction]:
         """Evaluate at a point of Q(sqrt(d)); coordinates are (u, v) pairs u + v*sqrt(d)."""
-        coords = [_uv_pair(x) for x in _sequence(point, "point")]
+        coords = [_uv_pair(x) for x in json_list(point, "point")]
         if len(coords) != len(self.variables):
             raise ArithdtError("point dimension does not match variables")
 
@@ -200,15 +200,7 @@ class MultiPoly(Value):
         return f"MultiPoly({self.variables}; {self.render()})"
 
 
-def _sequence(x, what: str):
-    """``x`` itself if it is a list or a tuple: a point or a list of coordinates."""
-    if not isinstance(x, (tuple, list)):
-        raise InputDataError(f"{what} must be a list or a tuple, got {brief(x)}")
-    return x
-
-
 def _uv_pair(x) -> tuple:
     """A coordinate u + v*sqrt(d), given as a (u, v) pair, read as two Fractions."""
-    if not isinstance(x, (tuple, list)) or len(x) != 2:
-        raise InputDataError(f"coordinate must be a (u, v) pair, got {brief(x)}")
-    return json_rational(x[0], "u"), json_rational(x[1], "v")
+    u, v = json_list(x, "coordinate (u, v)", 2)
+    return json_rational(u, "u"), json_rational(v, "v")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import InputDataError, brief, json_int
+from .errors import InputDataError, brief, json_dict, json_int, json_list, text_int
 from .fields import Frozen
 from .motivic import MotivicClass, sum_products
 
@@ -62,13 +62,10 @@ class StratumRecord(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StratumRecord":
-        try:
-            indices = [json_int(i, "stratum index") for i in data["I"]]
-            mults = [(int(i), n) for i, n in data["mult"].items()]
-            stratum_class = MotivicClass.from_json_dict(data["class"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputDataError(f"malformed stratum record: {exc}") from exc
-        return cls(indices, stratum_class, mults)
+        data = json_dict(data, "stratum record")
+        indices = json_list(data.get("I"), '"I"')
+        mults = [(text_int(i, '"mult" key'), n) for i, n in json_dict(data.get("mult"), '"mult"').items()]
+        return cls(indices, MotivicClass.from_json_dict(data.get("class")), mults)
 
 
 class SncData(Frozen):
@@ -97,14 +94,11 @@ class SncData(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SncData":
-        try:
-            dim = data["dim"]
-            strata = tuple(StratumRecord.from_json_dict(s) for s in data.get("strata", []))
-            x0 = data.get("x0_class")
-            central = MotivicClass.from_json_dict(x0) if x0 is not None else None
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise InputDataError(f"malformed SNC data: {exc}") from exc
-        return cls(strata, dim, central)
+        """``data["strata"]`` may be any iterable: ``commands/nearby`` checks that the JSON's is a list."""
+        data = json_dict(data, "SNC data")
+        strata = tuple(map(StratumRecord.from_json_dict, data.get("strata", ())))
+        x0 = data.get("x0_class")
+        return cls(strata, data.get("dim"), None if x0 is None else MotivicClass.from_json_dict(x0))
 
 
 def nearby_class(data: SncData) -> MotivicClass:

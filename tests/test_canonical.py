@@ -18,7 +18,7 @@ from arithdt.degrees import ConjugatePair, global_degree_univariate, local_degre
 from arithdt.ekl import ekl_class
 from arithdt.errors import ArithdtError, GeneratorProductError
 from arithdt.fields import CC, QQ, RR, BaseField, finite_field, prime_factors
-from arithdt.groebner import buchberger, leading_monomial, normal_form
+from arithdt.groebner import QuotientAlgebra, buchberger, leading_monomial, normal_form
 from arithdt.forms import hasse_invariant, hilbert_symbol
 from arithdt.gw import GwElement, diagonalize_symmetric, trace_form
 from arithdt.gwalpha import GaussianInteger
@@ -86,6 +86,15 @@ def forbid_factoring(monkeypatch):
         pytest.param(lambda: square_class_rep(QQ, True), None, id="square-class-bool"),
         pytest.param(lambda: ekl_class([MultiPoly.parse(("x",), "x**2")], functional=[0, 1.0]), None,
                      id="ekl-float-functional"),
+        pytest.param(lambda: ekl_class([MultiPoly.parse(("x",), "x**2")], functional=[0, 1, 0]), None,
+                     id="ekl-functional-too-long"),
+        # phi(E) = 2, not 1: E is x; the pairing phi(ab) is nondegenerate, so only that check refuses it
+        pytest.param(lambda: ekl_class([MultiPoly.parse(("x",), "x**2")], functional=[0, 2]), None,
+                     id="ekl-functional-not-normalized"),
+        # read by its exponents alone, the second is y^2, and (x^2, y^2) has dimension 4
+        pytest.param(lambda: QuotientAlgebra.of_ideal([MultiPoly.parse(("x", "y"), "x**2"),
+                                                       MultiPoly.parse(("y", "x"), "x**2")]),
+                     None, id="quotient-different-variables"),
         pytest.param(lambda: global_degree_univariate(MultiPoly.parse(("x",), "x"), 0.5), None,
                      id="global-degree-float-y"),
         pytest.param(lambda: MultiPoly(("x",), {(1,): True}), None, id="poly-bool-coefficient"),

@@ -272,19 +272,20 @@ _SQUARE = [[[[1, 0], 1]], [[[0, 1], 1]]]
 @pytest.mark.parametrize(
     "payload,message",
     [
-        pytest.param([["x", "y"], _SQUARE], "the top level must be a JSON object", id="top-list"),
-        pytest.param("xy", "the top level must be a JSON object", id="top-string"),
-        pytest.param({"vars": "xy", "polys": _SQUARE},
-                     '"vars" must be a JSON list of strings', id="vars-string"),
-        pytest.param({"vars": [1, 2], "polys": _SQUARE},
-                     '"vars" must be a JSON list of strings', id="vars-numbers"),
+        pytest.param([["x", "y"], _SQUARE],
+                     "polynomial map must be a JSON object, got [['x', 'y'], [[[[1, 0], 1]], [[[0, 1], 1]]]]",
+                     id="top-list"),
+        pytest.param("xy", "polynomial map must be a JSON object, got 'xy'", id="top-string"),
+        pytest.param({"vars": "xy", "polys": _SQUARE}, '"vars" must be a list, got \'xy\'', id="vars-string"),
+        pytest.param({"vars": [1, 2], "polys": _SQUARE}, "variable name must be a string, got 1",
+                     id="vars-numbers"),
         pytest.param({"vars": {"x": 0, "y": 1}, "polys": _SQUARE},
-                     '"vars" must be a JSON list of strings', id="vars-object"),
-        pytest.param({"vars": None, "polys": _SQUARE},
-                     '"vars" must be a JSON list of strings', id="vars-null"),
+                     '"vars" must be a list, got {\'x\': 0, \'y\': 1}', id="vars-object"),
+        pytest.param({"vars": None, "polys": _SQUARE}, '"vars" must be a list, got None', id="vars-null"),
         pytest.param({"vars": ["x", "y"], "polys": {"p": _SQUARE[0], "q": _SQUARE[1]}},
-                     '"polys" must be a JSON list', id="polys-object"),
-        pytest.param({"vars": ["x", "y"], "polys": "p"}, '"polys" must be a JSON list',
+                     '"polys" must be a list, got {\'p\': [[[1, 0], 1]], \'q\': [[[0, 1], 1]]}',
+                     id="polys-object"),
+        pytest.param({"vars": ["x", "y"], "polys": "p"}, '"polys" must be a list, got \'p\'',
                      id="polys-string"),
     ],
 )
@@ -293,7 +294,7 @@ def test_malformed_polynomial_payload_is_refused(payload, message, tmp_path, cap
     path = tmp_path / "map.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(["ekl", "--map", str(path)], capsys)
-    assert (code, out, err) == (1, "", f"error: malformed polynomial payload: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -580,6 +581,10 @@ def test_error_lines_echo_long_inputs_cut_short():
     assert brief(-(10**80)) == "-1" + "0" * 39 + "... (81 digits)"
     # past the 4,300 digits that str() takes
     assert brief(3 * 10**5000 + 1) == "3" + "0" * 39 + "... (5001 digits)"
+    deep = []
+    for _ in range(100_000):  # a list that repr() cannot take, as json.load can make one
+        deep = [deep]
+    assert brief(deep) == "a list nested too deeply to show"
     assert brief_str(Fraction(1, 5)) == "1/5"
     assert brief_str(Fraction(10**80, 3)) == "1" + "0" * 39 + "... (83 characters)"
     assert brief_str(Fraction(3 * 10**5000 + 1, 11)) == "3" + "0" * 39 + "... (5001 digits)/11"

@@ -406,7 +406,7 @@ def test_local_degree_simple_golden():
                                           (((1, 1), [0]), "[0]")], ids=["int", "triple", "single"])
 def test_a_coordinate_that_is_not_a_pair_is_refused(coords, shown):
     plane = [P(("x", "y"), "x"), P(("x", "y"), "y")]
-    message = re.escape(f"coordinate must be a (u, v) pair, got {shown}")
+    message = re.escape(f"coordinate (u, v) must be a list of 2 items, got {shown}")
     with pytest.raises(InputDataError, match=message):
         ConjugatePair(2, coords)
     # a pair made past the constructor is refused where it is evaluated
@@ -419,10 +419,10 @@ def test_a_coordinate_that_is_not_a_pair_is_refused(coords, shown):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: local_degree_simple([P(("x",), "x")], 5), "point must be a list or a tuple, got 5"),
-    (lambda: P(("x",), "x").evaluate(5), "point must be a list or a tuple, got 5"),
-    (lambda: P(("x",), "x").evaluate_quadratic(5, 2), "point must be a list or a tuple, got 5"),
-    (lambda: ConjugatePair(2, 5), "coords must be a list or a tuple, got 5"),
+    (lambda: local_degree_simple([P(("x",), "x")], 5), "point must be a list, got 5"),
+    (lambda: P(("x",), "x").evaluate(5), "point must be a list, got 5"),
+    (lambda: P(("x",), "x").evaluate_quadratic(5, 2), "point must be a list, got 5"),
+    (lambda: ConjugatePair(2, 5), "coords must be a list, got 5"),
 ], ids=["local-degree", "evaluate", "evaluate-quadratic", "conjugate-pair"])
 def test_a_point_that_is_not_a_sequence_is_refused(call, message):
     with pytest.raises(InputDataError, match=f"^{message}$"):
